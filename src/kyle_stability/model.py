@@ -16,6 +16,7 @@ what :func:`equilibrium_from_params` computes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,6 @@ __all__ = [
     "implied_b",
     "verify_kyle_recursions",
 ]
-
-# Bracket endpoints for the cubic root search; the root is interior to (0, 1).
-_BRACKET_EPS = 1e-16
-# Newton polish accepts once the cubic residual is at this level or stalls.
-_NEWTON_RESIDUAL_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -158,45 +153,23 @@ def _step_gap_slope(a: float, s: float) -> float:
     return s * (3.0 * a * a - 2.0 * a - 1.0) - 1.0
 
 
-def _bisect_step(s: float) -> float:
-    """Bracketing bisection for the unique root of the step cubic in (0, 1).
-
-    The gap is ``s`` at the left end and negative at the right end, and the
-    root is unique on the interval, so plain sign bisection converges.  Runs
-    until the midpoint stops moving in floating point.
-    """
-    lo, hi = _BRACKET_EPS, 1.0 - _BRACKET_EPS
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _step_gap(mid, s) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _newton_polish(a: float, s: float) -> float:
-    """Newton refinement of a near-root of the step cubic, clamped to (0, 1)."""
-    for _ in range(30):
-        gap = _step_gap(a, s)
-        if abs(gap) <= _NEWTON_RESIDUAL_TOL:
-            break
-        slope = _step_gap_slope(a, s)
-        if slope == 0.0:
-            break
-        step = gap / slope
-        nxt = a - step
-        if not (0.0 < nxt < 1.0) or nxt == a:
-            break
-        a = nxt
-    return a
-
-
 def _backward_step(s: float) -> float:
-    """One backward step: given ``s = b_n^2``, return ``b_{n-1}^2``."""
-    return _newton_polish(_bisect_step(s), s)
+    """One backward step: given ``s = b_n^2``, return ``b_{n-1}^2``.
+
+    Newton's method on the step cubic, started at ``a = 1/3``.  The gap is
+    decreasing on (0, 1), concave left of 1/3 and convex right of it, so
+    the iterates move monotonically onto the root from that start and stay
+    inside (0, 1).  The loop stops once a Newton step no longer shrinks,
+    which is where rounding noise takes over.
+    """
+    a = 1.0 / 3.0
+    last = math.inf
+    while True:
+        step = _step_gap(a, s) / _step_gap_slope(a, s)
+        if not abs(step) < last:
+            return a
+        a -= step
+        last = abs(step)
 
 
 def solve_b_recursion(n_periods: int) -> BCoefficients:
@@ -212,8 +185,7 @@ def solve_b_recursion(n_periods: int) -> BCoefficients:
     BCoefficients
         Coefficients ``b_1 .. b_N`` with ``b_N = 1``; each interior square
         ``a = b_{n-1}^2`` is the unique (0, 1) root of
-        ``b_n^2 (1 - a)^2 (1 + a) = a``, located by bisection and polished
-        by Newton's method.
+        ``b_n^2 (1 - a)^2 (1 + a) = a``, found by Newton's method.
 
     Raises
     ------
@@ -301,7 +273,8 @@ class RecursionReport:
     """Residuals of the equilibrium recursion system, one family at a time.
 
     ``residuals`` maps family name (``"lambda"``, ``"sigma"``, ``"alpha"``,
-    ``"beta"``) to the largest absolute equation residual in that family.
+    ``"beta"``) to the largest equation residual in that family, relative
+    to the size of the quantity the equation defines.
     ``ok`` is True when every residual is within ``tol`` and the
     second-order condition ``alpha_n lam_n < 1`` holds in every round.
     """
@@ -313,6 +286,20 @@ class RecursionReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _relative_gap(value: float, defined: float) -> float:
+    """``|value - defined|`` in units of ``|defined|``.
+
+    0 when the two agree exactly; infinite when ``defined`` is 0 or either
+    side is NaN, so that ``max`` over a family cannot drop the failure.
+    """
+    gap = abs(value - defined)
+    if gap == 0.0:
+        return 0.0
+    if math.isnan(gap) or not defined:
+        return math.inf
+    return gap / abs(defined)
 
 
 def verify_kyle_recursions(
@@ -327,7 +314,7 @@ def verify_kyle_recursions(
     params : ModelParams
         Market primitives the paths are checked against.
     tol : float
-        Absolute residual tolerance per equation.
+        Relative residual tolerance per equation.
 
     Returns
     -------
@@ -335,7 +322,8 @@ def verify_kyle_recursions(
         Truthy when all four equation families hold within ``tol`` and the
         second-order condition is satisfied.  The curvature family is
         checked for rounds 2 .. N (the stored path starts at ``alpha_1``)
-        together with the terminal condition ``alpha_N = 0``.
+        together with the terminal condition ``alpha_N = 0``, judged
+        through the dimensionless product ``alpha_N lam_N``.
 
     Raises
     ------
@@ -352,17 +340,17 @@ def verify_kyle_recursions(
     var_u = params.sigma_u**2
     beta, lam, alpha, sigma_sq = eq.beta, eq.lam, eq.alpha, eq.sigma_sq
 
-    sigma_res = abs(sigma_sq[0] - params.sigma0)
+    sigma_res = _relative_gap(sigma_sq[0], params.sigma0)
     lam_res = 0.0
-    alpha_res = abs(alpha[-1])
+    alpha_res = abs(alpha[-1] * lam[-1])
     beta_res = 0.0
     second_order = True
 
     for i in range(n):
         prev = sigma_sq[i]
         den = beta[i] ** 2 * prev * delta + var_u
-        lam_res = max(lam_res, abs(lam[i] - beta[i] * prev / den))
-        sigma_res = max(sigma_res, abs(sigma_sq[i + 1] - prev * var_u / den))
+        lam_res = max(lam_res, _relative_gap(lam[i], beta[i] * prev / den))
+        sigma_res = max(sigma_res, _relative_gap(sigma_sq[i + 1], prev * var_u / den))
         u = 1.0 - alpha[i] * lam[i]
         if not alpha[i] * lam[i] < 1.0:
             second_order = False
@@ -374,10 +362,14 @@ def verify_kyle_recursions(
             continue
         beta_res = max(
             beta_res,
-            abs(beta[i] - (1.0 - 2.0 * alpha[i] * lam[i]) / (2.0 * delta * lam[i] * u)),
+            _relative_gap(
+                beta[i], (1.0 - 2.0 * alpha[i] * lam[i]) / (2.0 * delta * lam[i] * u)
+            ),
         )
         if i > 0:
-            alpha_res = max(alpha_res, abs(alpha[i - 1] - 1.0 / (4.0 * lam[i] * u)))
+            alpha_res = max(
+                alpha_res, _relative_gap(alpha[i - 1], 1.0 / (4.0 * lam[i] * u))
+            )
 
     residuals = {
         "lambda": lam_res,

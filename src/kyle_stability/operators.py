@@ -65,13 +65,16 @@ class InsiderResponse:
     to :class:`~kyle_stability.model.Equilibrium`, which stores
     ``alpha_1 .. alpha_N``.  ``second_order_ok`` flags
     ``alpha_n lam_n < 1`` per round and is meaningful only when
-    ``in_domain`` is True.
+    ``in_domain`` is True.  ``denominators`` holds the per-round strategy
+    denominators ``2 delta lam_n (1 - alpha_n lam_n)``, NaN for rounds the
+    recursion never reached.
     """
 
     beta: np.ndarray
     alpha: np.ndarray
     in_domain: bool
     second_order_ok: np.ndarray
+    denominators: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,8 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
     ``beta_n = (1 - 2 alpha_n lam_n) / (2 delta lam_n (1 - alpha_n lam_n))``
     and ``alpha_{n-1} = 1 / (4 lam_n (1 - alpha_n lam_n))``.  When a
     denominator is judged zero the recursion stops: ``beta`` is filled with
-    infinity, the unreached part of ``alpha`` with NaN, and ``in_domain``
-    is False.
+    infinity, the unreached part of ``alpha`` and ``denominators`` with
+    NaN, and ``in_domain`` is False.
     """
     n = params.n_periods
     lam = _as_vector(lam, n, "lam")
@@ -136,6 +139,7 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
     beta = np.empty(n)
     alpha = np.empty(n + 1)
     alpha[n] = 0.0
+    dens = np.full(n, np.nan)
     second_order = np.zeros(n, dtype=bool)
     for i in range(n - 1, -1, -1):
         a_next = alpha[i + 1]
@@ -143,62 +147,51 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
         second_order[i] = a_next * lam[i] < 1.0
         num_beta = 1.0 - 2.0 * a_next * lam[i]
         den_beta = 2.0 * delta * lam[i] * u
+        dens[i] = den_beta
         den_alpha = 4.0 * lam[i] * u
         if not (_clears_domain(den_beta, num_beta) and _clears_domain(den_alpha, 1.0)):
             beta.fill(np.inf)
             alpha[: i + 1] = np.nan
             return InsiderResponse(
-                beta=beta, alpha=alpha, in_domain=False, second_order_ok=second_order
+                beta=beta,
+                alpha=alpha,
+                in_domain=False,
+                second_order_ok=second_order,
+                denominators=dens,
             )
         beta[i] = num_beta / den_beta
         alpha[i] = 1.0 / den_alpha
     return InsiderResponse(
-        beta=beta, alpha=alpha, in_domain=True, second_order_ok=second_order
+        beta=beta,
+        alpha=alpha,
+        in_domain=True,
+        second_order_ok=second_order,
+        denominators=dens,
     )
-
-
-def _insider_denominators(lam: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Per-round strategy denominators along the backward recursion.
-
-    NaN marks rounds the recursion never reached.
-    """
-    n = params.n_periods
-    dens = np.full(n, np.nan)
-    a_next = 0.0
-    for i in range(n - 1, -1, -1):
-        u = 1.0 - a_next * lam[i]
-        den_beta = 2.0 * params.delta * lam[i] * u
-        dens[i] = den_beta
-        num_beta = 1.0 - 2.0 * a_next * lam[i]
-        if not (_clears_domain(den_beta, num_beta) and _clears_domain(4.0 * lam[i] * u, 1.0)):
-            break
-        a_next = 1.0 / (4.0 * lam[i] * u)
-    return dens
 
 
 def insider_policy_step(beta, params: ModelParams) -> OperatorResult:
     """Strategy round trip: maker response, then insider response."""
-    maker = market_maker_response(beta, params)
-    inner = insider_response(maker.lam, params)
+    inner = insider_response(market_maker_response(beta, params).lam, params)
     return OperatorResult(
-        value=inner.beta,
-        in_domain=inner.in_domain,
-        denominators=_insider_denominators(maker.lam, params),
+        value=inner.beta, in_domain=inner.in_domain, denominators=inner.denominators
     )
 
 
 def maker_policy_step(lam, params: ModelParams) -> OperatorResult:
     """Pricing round trip: insider response, then maker response."""
-    n = params.n_periods
-    lam = _as_vector(lam, n, "lam")
     inner = insider_response(lam, params)
-    dens = _insider_denominators(lam, params)
     if not inner.in_domain:
         return OperatorResult(
-            value=np.full(n, np.inf), in_domain=False, denominators=dens
+            value=np.full(params.n_periods, np.inf),
+            in_domain=False,
+            denominators=inner.denominators,
         )
-    maker = market_maker_response(inner.beta, params)
-    return OperatorResult(value=maker.lam, in_domain=True, denominators=dens)
+    return OperatorResult(
+        value=market_maker_response(inner.beta, params).lam,
+        in_domain=True,
+        denominators=inner.denominators,
+    )
 
 
 def pinned_coordinate_step(x: float, coord: int, eq: Equilibrium, params: ModelParams) -> float:

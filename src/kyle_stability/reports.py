@@ -96,30 +96,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _plainify(value):
-    """Reduce dataclasses, numpy containers and scalars to plain Python."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _plainify(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    if isinstance(value, dict):
-        return {str(k): _plainify(v) for k, v in value.items()}
-    if isinstance(value, np.ndarray):
-        return [_plainify(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_plainify(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.complexfloating):
-        return complex(value)
-    return value
-
-
 def flatten_rows(result) -> list:
     """Normalize a command result into a list of flat row dicts for CSV.
 
@@ -127,7 +103,7 @@ def flatten_rows(result) -> list:
     Nested dicts (and dataclasses) flatten with dotted keys, lists of dicts
     with dotted indices; other lists render as ';'-separated cells.
     """
-    result = _plainify(result)
+    result = from_jsonable(to_jsonable(result))
     rows = result if isinstance(result, list) else [result]
     flat_rows = []
     for row in rows:

@@ -10,8 +10,12 @@ the standard dense solver (balancing, Hessenberg reduction, shifted QR),
 and a classification of the spectral radius.
 
 Scalar diagnostics for pinned-coordinate restrictions of the strategy map
-live here too: an extrapolated central-difference derivative and the
+live here too: a five-point central-difference derivative and the
 iteration of the tangent-line model.
+
+Both difference stencils use one step rule: the step for entry j is
+``c * |x_j|``, so it follows the size of the point and not its units (see
+:func:`_relative_steps`).
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "eigenvalues",
     "classify_spectral_radius",
     "classify_fixed_point",
-    "richardson_derivative",
     "pinned_coordinate_derivative",
     "linearized_pinned_iteration",
 ]
@@ -52,8 +55,11 @@ VERDICT_DIVERGED = "diverged"
 VERDICT_LEFT_DOMAIN = "left_domain"
 VERDICT_MAX_ITER = "max_iter"
 
-# Central-difference step scale, cbrt of double-precision machine epsilon.
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+# Relative step scales that balance truncation against rounding error:
+# eps^(1/3) for the two-point central stencil, eps^(1/5) for the five-point.
+_EPS = float(np.finfo(float).eps)
+_FD_STEP = _EPS ** (1.0 / 3.0)
+_PINNED_STEP = _EPS ** (1.0 / 5.0)
 _EIG_MAX_SIZE = 64
 
 
@@ -252,20 +258,32 @@ def iterate_scalar(
     )
 
 
+def _relative_steps(x: np.ndarray, scale: float) -> np.ndarray:
+    """Per-entry difference step ``scale * |x_j|``.
+
+    A zero entry falls back to ``scale * max|x|``, and to ``scale`` itself
+    when the whole vector is zero.
+    """
+    size = np.abs(x)
+    fallback = float(size.max(initial=0.0)) or 1.0
+    return scale * np.where(size > 0.0, size, fallback)
+
+
 def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     """Jacobian of a policy map by central finite differences.
 
-    Per-coordinate step ``h_j = cbrt(eps) * (1 + |x_j|)``.  Raises
-    :class:`StencilDomainError` naming the (1-based) coordinate whose
-    stencil leaves the domain.
+    Per-coordinate step ``h_j = cbrt(eps) * |x_j|`` (see
+    :func:`_relative_steps`).  Raises :class:`StencilDomainError` naming
+    the (1-based) coordinate whose stencil leaves the domain.
     """
     x = np.asarray(point, dtype=float)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError("point must be a finite vector")
     n = x.size
     jac = np.empty((n, n))
+    steps = _relative_steps(x, _FD_STEP)
     for j in range(n):
-        h = _FD_STEP * (1.0 + abs(x[j]))
+        h = steps[j]
         x_plus = x.copy()
         x_plus[j] += h
         x_minus = x.copy()
@@ -369,7 +387,6 @@ def classify_fixed_point(
     point,
     params: ModelParams,
     *,
-    jacobian: np.ndarray | None = None,
     eps_class: float = 1e-6,
     fixed_point_tol: float = 1e-8,
 ) -> StabilityReport:
@@ -377,8 +394,8 @@ def classify_fixed_point(
 
     ``point`` must actually be fixed: one application of the map has to
     return it within ``fixed_point_tol`` in relative sup norm, otherwise
-    :class:`NotAFixedPointError` is raised.  The Jacobian is taken from the
-    ``jacobian`` argument when provided, else by finite differences.
+    :class:`NotAFixedPointError` is raised.  The Jacobian is taken by
+    finite differences.
     """
     x = np.asarray(point, dtype=float)
     result = operator(x, params)
@@ -389,7 +406,7 @@ def classify_fixed_point(
         raise NotAFixedPointError(
             f"map moves the point by {residual:.3e} in sup norm"
         )
-    jac = jacobian_fd(operator, x, params) if jacobian is None else np.asarray(jacobian)
+    jac = jacobian_fd(operator, x, params)
     ev = eigenvalues(jac)
     rho = float(np.abs(ev[0])) if ev.size else 0.0
     inf_norm = float(np.max(np.sum(np.abs(jac), axis=1)))
@@ -402,73 +419,30 @@ def classify_fixed_point(
     )
 
 
-def richardson_derivative(fn, x: float, *, init_step: float | None = None) -> float:
-    """Derivative of a scalar map by extrapolated central differences.
-
-    Builds the Neville tableau over a shrinking step (Ridders' scheme) and
-    returns the entry with the smallest error estimate.  A non-finite
-    function value raises :class:`StencilDomainError`.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    h = init_step if init_step is not None else 0.01 * (1.0 + abs(x))
-    if not h > 0.0:
-        raise ValueError("init_step must be positive")
-
-    def central(step: float) -> float:
-        hi = fn(x + step)
-        lo = fn(x - step)
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise StencilDomainError(1)
-        return (hi - lo) / (2.0 * step)
-
-    con = 1.4
-    con2 = con * con
-    ntab = 12
-    tableau = [[0.0] * ntab for _ in range(ntab)]
-    tableau[0][0] = central(h)
-    ans = tableau[0][0]
-    err = math.inf
-    for i in range(1, ntab):
-        h /= con
-        tableau[0][i] = central(h)
-        fac = con2
-        for j in range(1, i + 1):
-            tableau[j][i] = (tableau[j - 1][i] * fac - tableau[j - 1][i - 1]) / (
-                fac - 1.0
-            )
-            fac *= con2
-            errt = max(
-                abs(tableau[j][i] - tableau[j - 1][i]),
-                abs(tableau[j][i] - tableau[j - 1][i - 1]),
-            )
-            if errt <= err:
-                err = errt
-                ans = tableau[j][i]
-        if abs(tableau[i][i] - tableau[i - 1][i - 1]) >= 2.0 * err:
-            break
-    return ans
-
-
 def pinned_coordinate_derivative(
     coord: int, params: ModelParams, eq: Equilibrium | None = None
 ) -> float:
     """Derivative of the pinned-coordinate strategy map at the equilibrium.
 
     ``coord`` is 1-based.  The equilibrium is solved on the fly when not
-    supplied.
+    supplied.  Uses the five-point central stencil
+    ``(f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)) / (12 h)`` with the step
+    ``h = eps^(1/5) |x|`` of :func:`_relative_steps`; a stencil point
+    outside the operator domain raises :class:`StencilDomainError`.
     """
     if eq is None:
         eq = equilibrium_from_params(params)
     n = params.n_periods
     if not 1 <= coord <= n:
         raise ValueError("coord must be between 1 and n_periods")
-
-    def fn(t: float) -> float:
-        return pinned_coordinate_step(t, coord, eq, params)
-
-    return richardson_derivative(fn, float(eq.beta[coord - 1]))
+    x = float(eq.beta[coord - 1])
+    h = float(_relative_steps(eq.beta, _PINNED_STEP)[coord - 1])
+    f_m2, f_m1, f_p1, f_p2 = (
+        pinned_coordinate_step(x + k * h, coord, eq, params) for k in (-2, -1, 1, 2)
+    )
+    if not all(math.isfinite(f) for f in (f_m2, f_m1, f_p1, f_p2)):
+        raise StencilDomainError(coord)
+    return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
 
 
 def linearized_pinned_iteration(
@@ -486,7 +460,8 @@ def linearized_pinned_iteration(
 
     The step is ``x -> c + s (x - x_hat)`` where ``x_hat`` is the pinned
     equilibrium coordinate, ``c`` its image under the pinned map and ``s``
-    the extrapolated derivative there.
+    the five-point difference derivative there
+    (:func:`pinned_coordinate_derivative`).
     """
     if eq is None:
         eq = equilibrium_from_params(params)

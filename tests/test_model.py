@@ -16,7 +16,7 @@ from kyle_stability import (
     solve_b_recursion,
     verify_kyle_recursions,
 )
-from kyle_stability.model import _backward_step, _bisect_step, _newton_polish
+from kyle_stability.model import _backward_step
 
 from conftest import BUMPED_BETA_N3, EQ_BETA_N3, bumped_params_n3, random_params
 
@@ -70,13 +70,12 @@ def test_b_recursion_residuals_to_n25():
         assert abs(s * (1.0 - a) ** 2 * (1.0 + a) - a) <= 1e-14
 
 
-def test_b_bisection_and_newton_agree_to_1e13():
+def test_backward_step_matches_oracle_over_24_chained_steps():
     s = 1.0
     for _ in range(24):
-        root_bisect = _bisect_step(s)
-        root_hybrid = _newton_polish(root_bisect, s)
-        assert abs(root_bisect - root_hybrid) <= 1e-13
-        s = _backward_step(s)
+        root = _backward_step(s)
+        assert abs(root - _oracle_backstep(s)) <= 1e-13
+        s = root
 
 
 def test_solve_b_recursion_validation():
@@ -137,6 +136,29 @@ def test_verify_construction_passes():
         assert max(report.residuals.values()) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "scales",
+    [
+        {"sigma_u": 1e6},
+        {"sigma_u": 1e-8},
+        {"sigma_u": 1e8},
+        {"sigma0": 1e-8},
+        {"sigma0": 1e8},
+        {"sigma0": 1e6},
+        {"delta": 1e-8},
+        {"delta": 1e8},
+        {"delta": 1e6},
+    ],
+)
+def test_verify_construction_passes_at_extreme_scales(scales):
+    # Residuals are judged relative to the quantity each equation defines,
+    # so a correct equilibrium passes at any parameter scale.
+    for n in (1, 3, 8):
+        params = ModelParams(n_periods=n, **scales)
+        report = verify_kyle_recursions(equilibrium_from_params(params), params)
+        assert report, (n, report.residuals)
+
+
 def test_verify_rejects_doubled_beta(unit_params_n3):
     eq = equilibrium_from_params(unit_params_n3)
     beta = eq.beta.copy()
@@ -147,6 +169,15 @@ def test_verify_rejects_doubled_beta(unit_params_n3):
     report = verify_kyle_recursions(tampered, unit_params_n3, tol=1e-10)
     assert not report
     assert report.residuals["lambda"] > 1e-10
+
+
+def test_verify_rejects_nan_entries(unit_params_n3):
+    eq = equilibrium_from_params(unit_params_n3)
+    names = ("beta", "lam", "alpha", "sigma_sq")
+    for field in ("sigma_sq", "lam"):
+        paths = {name: getattr(eq, name).copy() for name in names}
+        paths[field][1] = np.nan
+        assert not verify_kyle_recursions(Equilibrium(**paths), unit_params_n3)
 
 
 def test_verify_rebuilt_from_reference_digits(unit_params_n3):

@@ -97,3 +97,20 @@ def test_rows_to_csv_none_cell():
     text = rows_to_csv([{"a": None, "b": 1.0}])
     lines = text.strip().splitlines()
     assert lines[1] == ",1.0"
+
+
+def test_rows_to_csv_nonfinite_and_complex_cells():
+    text = rows_to_csv(
+        [
+            {"x": float("inf"), "y": float("nan"), "z": 1 + 2j},
+            {
+                "x": np.float64("inf"),
+                "y": np.float64("nan"),
+                "z": np.complex128(1 + 2j),
+            },
+        ]
+    )
+    lines = text.strip().splitlines()
+    assert lines[0] == "x,y,z"
+    assert lines[1] == "inf,nan,(1+2j)"
+    assert lines[2] == "inf,nan,(1+2j)"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kyle_stability import (
+    Equilibrium,
     ModelParams,
     NotAFixedPointError,
     OperatorResult,
@@ -23,7 +24,6 @@ from kyle_stability import (
     linearized_pinned_iteration,
     maker_policy_step,
     pinned_coordinate_derivative,
-    richardson_derivative,
 )
 
 from conftest import (
@@ -159,6 +159,31 @@ def test_jacobian_fd_stencil_domain_error():
     with pytest.raises(StencilDomainError) as excinfo:
         jacobian_fd(op, np.array([1.0 - 1e-9, 0.5]), params)
     assert excinfo.value.coordinate == 1
+
+
+def test_jacobian_fd_relative_step_at_zero_entries():
+    # A zero entry takes the step cbrt(eps) * max|x|; an all-zero point
+    # takes cbrt(eps) itself.
+    rng = np.random.default_rng(61)
+    a = rng.normal(size=(3, 3))
+    params = ModelParams(n_periods=3)
+    cbrt_eps = np.finfo(float).eps ** (1.0 / 3.0)
+    for point, zero_step in (
+        (np.array([0.3, 0.0, -1.2]), cbrt_eps * 1.2),
+        (np.zeros(3), cbrt_eps),
+    ):
+        seen = []
+
+        def affine(x):
+            seen.append(x.copy())
+            return a @ x
+
+        jac = jacobian_fd(_stub(affine), point, params)
+        assert np.max(np.abs(jac - a)) <= 1e-9
+        for j in range(3):
+            x_plus = seen[2 * j]
+            want = zero_step if point[j] == 0.0 else cbrt_eps * abs(point[j])
+            assert abs((x_plus[j] - point[j]) - want) <= 1e-15 * (1.0 + abs(point[j]))
 
 
 def test_jacobian_closed_form_matches_fd_on_random_points():
@@ -313,17 +338,17 @@ def test_maker_side_spectral_radii():
         assert report.spectral_radius > 1.0
 
 
-def test_richardson_derivative_known_function():
-    import math
-
-    d = richardson_derivative(math.exp, 0.3)
-    assert abs(d - math.exp(0.3)) <= 1e-10
-    with pytest.raises(ValueError):
-        richardson_derivative(math.exp, float("nan"))
-    with pytest.raises(ValueError):
-        richardson_derivative(math.exp, 0.0, init_step=0.0)
-    with pytest.raises(StencilDomainError):
-        richardson_derivative(lambda x: float("inf"), 0.0)
+def test_pinned_derivative_stencil_domain_error():
+    # The second entry is zero, so every stencil point for coordinate 1 (and
+    # 3) leaves the domain of the strategy round trip.
+    params = ModelParams(n_periods=3)
+    outside = Equilibrium(
+        beta=[0.5, 0.0, 1.3], lam=np.zeros(3), alpha=np.zeros(3), sigma_sq=np.ones(4)
+    )
+    for coord in (1, 3):
+        with pytest.raises(StencilDomainError) as excinfo:
+            pinned_coordinate_derivative(coord, params, outside)
+        assert excinfo.value.coordinate == coord
 
 
 def test_pinned_derivative_reference_third_last():
@@ -392,3 +417,24 @@ def test_linearized_iteration_last_coordinate_one_step(unit_params_n3):
     assert trace.verdict == "converged"
     assert trace.iterations_used <= 2
     assert abs(trace.limit - x_hat) <= 1e-8
+
+
+# The beta scale sigma_u / sqrt(sigma0 delta) at 10^-8 and 10^8, reached
+# through sigma_u and through sigma0.
+@pytest.mark.parametrize(
+    "sigma_u,sigma0", [(1e-8, 1.0), (1e8, 1.0), (1.0, 1e16), (1.0, 1e-16)]
+)
+def test_stability_facts_at_extreme_beta_scales(sigma_u, sigma0):
+    # The paper's facts depend on N only.
+    pinned_want = (0.0, PINNED_DERIV_SECOND_LAST, PINNED_DERIV_THIRD_LAST)
+    for n in range(1, 9):
+        params = ModelParams(n_periods=n, sigma_u=sigma_u, sigma0=sigma0)
+        eq = equilibrium_from_params(params)
+        insider = classify_fixed_point(insider_policy_step, eq.beta, params)
+        want = {1: "super_attractive", 2: "attractive"}.get(n, "repellent")
+        assert insider.classification == want, n
+        rho = classify_fixed_point(maker_policy_step, eq.lam, params).spectral_radius
+        assert rho < 1.0 if n <= 2 else rho > 1.0, (n, rho)
+        for offset, value in enumerate(pinned_want[:n]):
+            got = pinned_coordinate_derivative(n - offset, params, eq)
+            assert abs(got - value) <= 1e-6, (n, offset, got)
