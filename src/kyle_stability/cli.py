@@ -32,6 +32,8 @@ from .stability import (
 )
 
 _OPERATORS = {"insider": insider_policy_step, "maker": maker_policy_step}
+# Default --n of `tables --which key-results`: the table's rows N = 1..8.
+_KEY_RESULTS_N = 8
 
 
 def _vector(text: str) -> list:
@@ -50,8 +52,13 @@ def _coord(text: str):
         raise argparse.ArgumentTypeError(f"coord must be an integer or 'last': {text!r}") from exc
 
 
-def _add_model_flags(parser: argparse.ArgumentParser, time_step_flag: str = "--delta") -> None:
-    parser.add_argument("--n", type=int, default=3, help="number of rounds (default 3)")
+def _add_model_flags(
+    parser: argparse.ArgumentParser,
+    time_step_flag: str = "--delta",
+    n_default: int | None = 3,
+    n_help: str = "number of rounds (default 3)",
+) -> None:
+    parser.add_argument("--n", type=int, default=n_default, help=n_help)
     parser.add_argument(
         time_step_flag, dest="time_step", type=float, default=1.0, help="round length (default 1)"
     )
@@ -134,7 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--block-size", type=int, default=1 << 16)
 
     p_tab = sub.add_parser("tables", help="reproduce the headline tables and experiments")
-    _add_model_flags(p_tab)
+    _add_model_flags(
+        p_tab,
+        n_default=None,
+        n_help="number of rounds (default 3); key-results shows N = 1..n (default 8)",
+    )
     _add_output_flags(p_tab)
     _add_iteration_flags(p_tab)
     p_tab.add_argument(
@@ -324,9 +335,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    if args.n is None:
+        args.n = _KEY_RESULTS_N if args.which == "key-results" else 3
     params = _params_from(args)
     if args.which == "key-results":
-        result = experiments.key_results_table()
+        result = experiments.key_results_table(
+            range(1, params.n_periods + 1), base_params=params
+        )
     elif args.which == "eigenvalues":
         result = experiments.eigenvalue_table(params)
     else:

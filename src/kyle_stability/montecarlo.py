@@ -13,7 +13,9 @@ Randomness is counter-based: path ``i`` always consumes the same window of
 the Philox stream for a given seed, no matter how paths are grouped into
 blocks, so results are reproducible and independent of the block split at
 the level of the underlying draws.  Normals are produced by inverting the
-standard normal CDF on 53-bit uniforms.
+standard normal CDF on 53-bit uniforms.  ``scipy.special`` supplies that
+inverse and is imported on the first draw, not with this module, so
+commands that never simulate do not pay for loading scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import ModelParams, equilibrium_from_params
 from .operators import insider_response
@@ -154,6 +155,8 @@ def _block_normals(seed: int, start: int, count: int, n_draws: int) -> np.ndarra
     padded to a multiple of 4 words because one counter increment yields 4
     output words; the counter can then be advanced to any path boundary.
     """
+    from scipy.special import ndtri
+
     words_per_path = 4 * ((n_draws + 3) // 4)
     bits = np.random.Philox(key=seed)
     bits.advance(start * (words_per_path // 4))

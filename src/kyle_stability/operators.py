@@ -39,13 +39,22 @@ __all__ = [
     "pinned_step_polynomials",
 ]
 
-# A denominator d with numerator num is treated as zero when
-# |d| <= DOMAIN_RTOL * (1 + |num|).
+# Both backward-recursion denominators are lam_n (1 - alpha_n lam_n) times
+# constants.  Round n is in the domain when the dimensionless factor
+# u = 1 - alpha_n lam_n satisfies |u| > DOMAIN_RTOL * (1 + |alpha_n lam_n|)
+# and both quotients are finite floats (which rules out lam_n = 0).  Nothing
+# dimensional is compared with a fixed tolerance, so the verdict does not
+# depend on the scale of delta, sigma_u or sigma0.
 DOMAIN_RTOL = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _clears_domain(den: float, num: float) -> bool:
-    return abs(den) > DOMAIN_RTOL * (1.0 + abs(num))
+def _clears_domain(alpha_lam: float, num_beta: float, den_beta: float, den_alpha: float) -> bool:
+    return (
+        abs(1.0 - alpha_lam) > DOMAIN_RTOL * (1.0 + abs(alpha_lam))
+        and abs(num_beta) / _FLOAT_MAX < abs(den_beta)
+        and 1.0 / _FLOAT_MAX < abs(den_alpha)
+    )
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
     and ``alpha_{n-1} = 1 / (4 lam_n (1 - alpha_n lam_n))``.  When a
     denominator is judged zero the recursion stops: ``beta`` is filled with
     infinity, the unreached part of ``alpha`` and ``denominators`` with
-    NaN, and ``in_domain`` is False.
+    NaN, and ``in_domain`` is False.  See ``DOMAIN_RTOL`` for the test.
     """
     n = params.n_periods
     lam = _as_vector(lam, n, "lam")
@@ -142,14 +151,14 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
     dens = np.full(n, np.nan)
     second_order = np.zeros(n, dtype=bool)
     for i in range(n - 1, -1, -1):
-        a_next = alpha[i + 1]
-        u = 1.0 - a_next * lam[i]
-        second_order[i] = a_next * lam[i] < 1.0
-        num_beta = 1.0 - 2.0 * a_next * lam[i]
+        alpha_lam = alpha[i + 1] * lam[i]
+        u = 1.0 - alpha_lam
+        second_order[i] = alpha_lam < 1.0
+        num_beta = 1.0 - 2.0 * alpha_lam
         den_beta = 2.0 * delta * lam[i] * u
         dens[i] = den_beta
         den_alpha = 4.0 * lam[i] * u
-        if not (_clears_domain(den_beta, num_beta) and _clears_domain(den_alpha, 1.0)):
+        if not _clears_domain(alpha_lam, num_beta, den_beta, den_alpha):
             beta.fill(np.inf)
             alpha[: i + 1] = np.nan
             return InsiderResponse(

@@ -189,6 +189,21 @@ def test_tables_key_results_csv(capsys):
     assert "spectral_radius" in lines[0]
 
 
+def test_tables_key_results_honours_model_flags(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["tables", "--which", "key-results", "--n", "2", "--sigma-u", "5", "--format", "csv"],
+    )
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.strip().splitlines()]
+    cells = [dict(zip(header, row)) for row in rows]
+    assert [c["n_periods"] for c in cells] == ["1", "2"]
+    assert [c["classification"] for c in cells] == ["super_attractive", "attractive"]
+    code, out, _ = _run(capsys, ["tables", "--which", "key-results", "--n", "2", "--sigma-u", "5"])
+    inputs = loads_report(out)["inputs"]
+    assert inputs["n"] == 2 and inputs["sigma_u"] == 5.0
+
+
 def test_tables_perturbation_limit(capsys):
     code, out, _ = _run(
         capsys, ["tables", "--which", "perturbation-limit", "--expect-converge"]

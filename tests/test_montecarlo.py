@@ -235,3 +235,14 @@ def test_equilibrium_config_fields(unit_params_n3):
     assert np.allclose(config.strategy_beta, eq.beta)
     assert np.allclose(config.pricing_lambda, eq.lam)
     assert config.seed == 3 and config.n_paths == 10
+
+
+def test_simulate_golden_values(unit_params_n3):
+    # Frozen from a build that imported scipy.special at module load; any
+    # change to the draws, the normal transform or the accumulation order
+    # shows up here as a changed digit.
+    config = equilibrium_config(unit_params_n3, n_paths=5000, seed=SEED, block_size=1000)
+    result = simulate(config)
+    assert repr(result.mean_profit) == "1.2018857325445609"
+    assert repr(result.terminal_variance_estimate) == "0.2662173644246332"
+    assert repr(float(result.efficiency[2].t_stat[3])) == "-0.4745081638453364"

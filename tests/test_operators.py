@@ -163,6 +163,34 @@ def test_out_of_domain_denominator_diagnostics(unit_params_n3):
     assert np.isfinite(result.denominators[2])
 
 
+@pytest.mark.parametrize(
+    "scale",
+    [{"sigma_u": 1e13}, {"sigma0": 1e-26}, {"delta": 1e26}],
+    ids=["sigma_u=1e13", "sigma0=1e-26", "delta=1e26"],
+)
+def test_round_trips_in_domain_at_extreme_scales(scale):
+    # The equilibrium pricing path is about 4e-14 at these scales; the
+    # domain test must judge the dimensionless factor 1 - alpha lam, not
+    # the size of the denominators.
+    params = ModelParams(n_periods=3, **scale)
+    eq = equilibrium_from_params(params)
+    for step, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
+        result = step(point, params)
+        assert result.in_domain
+        assert np.max(np.abs(result.value - point) / np.abs(point)) <= 1e-10
+
+
+def test_overflowing_round_is_out_of_domain(unit_params_n2):
+    # A subnormal lambda clears the relative test on 1 - alpha lam, but the
+    # strategy quotient would overflow; the round must still leave the domain.
+    inner = insider_response([1e-320, 0.3], unit_params_n2)
+    assert not inner.in_domain
+    assert np.all(np.isinf(inner.beta))
+    result = maker_policy_step([1e-320, 0.3], unit_params_n2)
+    assert not result.in_domain
+    assert np.all(~np.isfinite(result.value))
+
+
 def test_maker_step_single_round_hand_composition(unit_params_n1):
     # lambda = 1/4 -> insider beta = 2 -> maker lambda = 2/(4+1) = 0.4.
     result = maker_policy_step([0.25], unit_params_n1)
