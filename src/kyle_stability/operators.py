@@ -15,11 +15,24 @@ play against a fresh prior.
 
 Out-of-domain results carry ``in_domain=False`` and an all-infinite value
 vector rather than raising; iteration drivers treat that as leaving the
-domain.
+domain.  A round trip whose intermediate path is not finite (the maker's
+variance recursion overflowing) has left the domain in the same way.
+
+Every public operator runs on two private passes over Python floats:
+``_maker_pass`` (forward variance recursion) and ``_insider_pass``
+(backward value-function recursion, stopping at the first round that fails
+the domain test).  Each public function validates its input once, turns it
+into a list, runs the passes and builds numpy arrays only for its result;
+the round trips feed one pass's list straight into the other.  No numpy
+call sits in the per-round loop, which is what keeps a pinned-coordinate
+step at a few microseconds.  ``b**2`` stays a power (libm ``pow``) rather
+than ``b * b``: the two differ in the last bit for about one input in
+1,250, and the golden values in the tests pin the power.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,13 +113,72 @@ class OperatorResult:
     denominators: np.ndarray
 
 
-def _as_vector(x, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size != n:
+def _as_floats(x, n: int, name: str) -> list:
+    values = np.asarray(x, dtype=float)
+    if values.ndim != 1 or values.size != n:
         raise ValueError(f"{name} must be a vector of length {n}")
-    if not np.all(np.isfinite(arr)):
+    values = values.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
-    return arr
+    return values
+
+
+def _maker_rounds(beta: list, params: ModelParams) -> tuple[list, list]:
+    delta = params.delta
+    var_u = params.sigma_u**2
+    prev = params.sigma0
+    lam = []
+    sigma_sq = [prev]
+    for b in beta:
+        den = b**2 * prev * delta + var_u
+        lam.append(b * prev / den)
+        prev = prev * var_u / den
+        sigma_sq.append(prev)
+    return lam, sigma_sq
+
+
+def _maker_pass(beta: list, params: ModelParams) -> tuple[list, list]:
+    """Forward variance recursion over floats: ``(lam, sigma_sq)``."""
+    try:
+        return _maker_rounds(beta, params)
+    except ArithmeticError:
+        # Python floats raise where IEEE arithmetic gives inf or nan (b**2
+        # overflowing, or 0/0 once sigma_u**2 underflows); float64 scalars
+        # give the IEEE results, so rerun the same rounds on them.
+        with np.errstate(all="ignore"):
+            lam, sigma_sq = _maker_rounds([np.float64(b) for b in beta], params)
+        return [float(v) for v in lam], [float(v) for v in sigma_sq]
+
+
+def _insider_pass(lam: list, params: ModelParams):
+    """Backward value-function recursion over floats.
+
+    Returns ``(beta, alpha, denominators, second_order, in_domain)``, the
+    first four as lists.  When a round fails :func:`_clears_domain` the
+    recursion stops there: ``beta`` is all infinity, the unreached entries
+    of ``alpha`` and ``denominators`` stay NaN and ``in_domain`` is False.
+    """
+    n = len(lam)
+    delta = params.delta
+    beta = [0.0] * n
+    alpha = [math.nan] * n + [0.0]
+    dens = [math.nan] * n
+    second_order = [False] * n
+    alpha_next = 0.0
+    for i in range(n - 1, -1, -1):
+        lam_i = lam[i]
+        alpha_lam = alpha_next * lam_i
+        u = 1.0 - alpha_lam
+        second_order[i] = alpha_lam < 1.0
+        num_beta = 1.0 - 2.0 * alpha_lam
+        den_beta = 2.0 * delta * lam_i * u
+        dens[i] = den_beta
+        den_alpha = 4.0 * lam_i * u
+        if not _clears_domain(alpha_lam, num_beta, den_beta, den_alpha):
+            return [math.inf] * n, alpha, dens, second_order, False
+        beta[i] = num_beta / den_beta
+        alpha_next = alpha[i] = 1.0 / den_alpha
+    return beta, alpha, dens, second_order, True
 
 
 def market_maker_response(beta, params: ModelParams) -> MakerResponse:
@@ -117,19 +189,8 @@ def market_maker_response(beta, params: ModelParams) -> MakerResponse:
     and ``Sigma_n = Sigma_{n-1} sigma_u^2 / (same denominator)``.  Defined
     for every finite ``beta``; the denominator is at least ``sigma_u^2``.
     """
-    n = params.n_periods
-    beta = _as_vector(beta, n, "beta")
-    delta = params.delta
-    var_u = params.sigma_u**2
-    lam = np.empty(n)
-    sigma_sq = np.empty(n + 1)
-    sigma_sq[0] = params.sigma0
-    for i in range(n):
-        prev = sigma_sq[i]
-        den = beta[i] ** 2 * prev * delta + var_u
-        lam[i] = beta[i] * prev / den
-        sigma_sq[i + 1] = prev * var_u / den
-    return MakerResponse(lam=lam, sigma_sq=sigma_sq)
+    lam, sigma_sq = _maker_pass(_as_floats(beta, params.n_periods, "beta"), params)
+    return MakerResponse(lam=np.array(lam), sigma_sq=np.array(sigma_sq))
 
 
 def insider_response(lam, params: ModelParams) -> InsiderResponse:
@@ -142,65 +203,30 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
     infinity, the unreached part of ``alpha`` and ``denominators`` with
     NaN, and ``in_domain`` is False.  See ``DOMAIN_RTOL`` for the test.
     """
-    n = params.n_periods
-    lam = _as_vector(lam, n, "lam")
-    delta = params.delta
-    beta = np.empty(n)
-    alpha = np.empty(n + 1)
-    alpha[n] = 0.0
-    dens = np.full(n, np.nan)
-    second_order = np.zeros(n, dtype=bool)
-    for i in range(n - 1, -1, -1):
-        alpha_lam = alpha[i + 1] * lam[i]
-        u = 1.0 - alpha_lam
-        second_order[i] = alpha_lam < 1.0
-        num_beta = 1.0 - 2.0 * alpha_lam
-        den_beta = 2.0 * delta * lam[i] * u
-        dens[i] = den_beta
-        den_alpha = 4.0 * lam[i] * u
-        if not _clears_domain(alpha_lam, num_beta, den_beta, den_alpha):
-            beta.fill(np.inf)
-            alpha[: i + 1] = np.nan
-            return InsiderResponse(
-                beta=beta,
-                alpha=alpha,
-                in_domain=False,
-                second_order_ok=second_order,
-                denominators=dens,
-            )
-        beta[i] = num_beta / den_beta
-        alpha[i] = 1.0 / den_alpha
+    beta, alpha, dens, second_order, in_domain = _insider_pass(
+        _as_floats(lam, params.n_periods, "lam"), params
+    )
     return InsiderResponse(
-        beta=beta,
-        alpha=alpha,
-        in_domain=True,
-        second_order_ok=second_order,
-        denominators=dens,
+        beta=np.array(beta),
+        alpha=np.array(alpha),
+        in_domain=in_domain,
+        second_order_ok=np.array(second_order),
+        denominators=np.array(dens),
     )
 
 
 def insider_policy_step(beta, params: ModelParams) -> OperatorResult:
     """Strategy round trip: maker response, then insider response."""
-    inner = insider_response(market_maker_response(beta, params).lam, params)
-    return OperatorResult(
-        value=inner.beta, in_domain=inner.in_domain, denominators=inner.denominators
-    )
+    lam = _maker_pass(_as_floats(beta, params.n_periods, "beta"), params)[0]
+    value, _, dens, _, in_domain = _insider_pass(lam, params)
+    return OperatorResult(value=np.array(value), in_domain=in_domain, denominators=np.array(dens))
 
 
 def maker_policy_step(lam, params: ModelParams) -> OperatorResult:
     """Pricing round trip: insider response, then maker response."""
-    inner = insider_response(lam, params)
-    if not inner.in_domain:
-        return OperatorResult(
-            value=np.full(params.n_periods, np.inf),
-            in_domain=False,
-            denominators=inner.denominators,
-        )
-    return OperatorResult(
-        value=market_maker_response(inner.beta, params).lam,
-        in_domain=True,
-        denominators=inner.denominators,
-    )
+    beta, _, dens, _, in_domain = _insider_pass(_as_floats(lam, params.n_periods, "lam"), params)
+    value = _maker_pass(beta, params)[0] if in_domain else beta
+    return OperatorResult(value=np.array(value), in_domain=in_domain, denominators=np.array(dens))
 
 
 def pinned_coordinate_step(x: float, coord: int, eq: Equilibrium, params: ModelParams) -> float:
@@ -210,17 +236,18 @@ def pinned_coordinate_step(x: float, coord: int, eq: Equilibrium, params: ModelP
     entry ``coord`` (1-based) replaced by ``x`` and returns the same entry
     of the image.  Returns infinity when the step leaves the domain.  This
     scalar restriction is what the one-dimensional stability diagnostics
-    act on.
+    act on.  A non-finite ``x`` or an ``eq`` of another horizon raises
+    ``ValueError``.
     """
     n = params.n_periods
     if not 1 <= coord <= n:
         raise ValueError("coord must be between 1 and n_periods")
-    vec = np.array(eq.beta, dtype=float)
-    vec[coord - 1] = float(x)
-    result = insider_policy_step(vec, params)
-    if not result.in_domain:
-        return np.inf
-    return float(result.value[coord - 1])
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError("x must be finite")
+    vec = _as_floats(eq.beta, n, "beta")
+    vec[coord - 1] = x
+    return _insider_pass(_maker_pass(vec, params)[0], params)[0][coord - 1]
 
 
 def pinned_step_polynomials(

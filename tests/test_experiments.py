@@ -68,6 +68,22 @@ def test_perturbation_battery_split():
             assert row["distance_from_equilibrium"] <= 1e-10
 
 
+def test_perturbation_battery_golden_rows():
+    # One row that drifts to the iteration cap and one that returns; the
+    # returning limit is an exact repr captured from the numpy-scalar
+    # operators, so any change to the per-round arithmetic shows here.
+    rows = perturbation_battery(ModelParams(n_periods=4), coords=[1, 3], max_iter=1200)
+    capped, returning = rows
+    assert (capped["verdict"], capped["iterations_used"], capped["limit"]) == (
+        "max_iter",
+        1200,
+        None,
+    )
+    assert returning["verdict"] == "converged"
+    assert returning["iterations_used"] == 1098
+    assert repr(returning["limit"]) == "0.8355273517666146"
+
+
 def test_perturbation_battery_coord_validation(unit_params_n3):
     with pytest.raises(ValueError):
         perturbation_battery(unit_params_n3, coords=[0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kyle_stability import (
+    Equilibrium,
     ModelParams,
     equilibrium_from_params,
     insider_policy_step,
@@ -191,6 +192,21 @@ def test_overflowing_round_is_out_of_domain(unit_params_n2):
     assert np.all(~np.isfinite(result.value))
 
 
+def test_overflowing_strategy_leaves_domain(unit_params_n3):
+    # beta_1**2 overflows, so the maker's variance path turns NaN from round
+    # 2 on (the IEEE results of float64 arithmetic); the round trip reports
+    # the NaN pricing path as leaving the domain instead of raising.
+    maker = market_maker_response([1e200, 1e200, 1.0], unit_params_n3)
+    assert _reprs(maker.lam) == ["0.0", "nan", "nan"]
+    assert _reprs(maker.sigma_sq) == ["1.0", "0.0", "nan", "nan"]
+    result = insider_policy_step([1e200, 1e200, 1.0], unit_params_n3)
+    assert not result.in_domain
+    assert np.all(np.isinf(result.value))
+    # With sigma_u**2 underflowing to 0 a zero strategy gives 0/0 = NaN.
+    degenerate = market_maker_response(np.zeros(3), ModelParams(n_periods=3, sigma_u=1e-170))
+    assert np.all(np.isnan(degenerate.lam))
+
+
 def test_maker_step_single_round_hand_composition(unit_params_n1):
     # lambda = 1/4 -> insider beta = 2 -> maker lambda = 2/(4+1) = 0.4.
     result = maker_policy_step([0.25], unit_params_n1)
@@ -328,3 +344,145 @@ def test_equilibrium_reference_digits_fixed(unit_params_n3):
     result = insider_policy_step(EQ_BETA_N3, unit_params_n3)
     assert result.in_domain
     assert np.max(np.abs(result.value - EQ_BETA_N3)) <= 1e-12
+
+
+# Golden values: exact reprs captured from the numpy-scalar implementation
+# of the two best responses.  The inputs are literals so that the check
+# does not depend on the equilibrium solver's last digits.
+_GOLDEN_BETA3 = [0.5435512891543334, 0.7424350846077103, 1.4060780093880552]
+_GOLDEN_LAM3 = [0.41313348687932283, 0.41465623505820914, 0.35527900775392335]
+_GOLDEN_BETA8 = [
+    32823721.035990085, 36983998.445613526, 42389752.452380136, 49729308.99815912,
+    60336462.52340832, 77213252.89537694, 109003111.69014081, 196974031.11227274,
+]
+_GOLDEN_LAM8 = [
+    3.0170290422095985e-09, 3.004454493066947e-09, 2.9899966270722318e-09,
+    2.972206448798778e-09, 2.9478690436193345e-09, 2.9085366069239585e-09,
+    2.8252662736373603e-09, 2.538151842539257e-09,
+]
+_GOLDEN_PARAMS8 = ModelParams(n_periods=8, sigma_u=1e6, sigma0=1e-4)
+
+
+def _reprs(values) -> list:
+    return [repr(float(v)) for v in np.asarray(values, dtype=float)]
+
+
+@pytest.mark.parametrize(
+    "step,point,params,in_domain,value,denominators",
+    [
+        (
+            insider_policy_step, _GOLDEN_BETA3, ModelParams(n_periods=3), True,
+            ["0.5241156945917024", "0.7758615393037533", "1.3597087792257716"],
+            ["0.5378691094595021", "0.5843042286589732", "0.7354516020477616"],
+        ),
+        (
+            maker_policy_step, _GOLDEN_LAM3, ModelParams(n_periods=3), True,
+            ["0.4237742278023995", "0.39188018894530596", "0.37133936812855256"],
+            ["0.5356669077894604", "0.5873339271683653", "0.7105580155078467"],
+        ),
+        (
+            insider_policy_step, _GOLDEN_BETA8, _GOLDEN_PARAMS8, True,
+            [
+                "35542933.2272783", "38748089.02118191", "43267793.577976145",
+                "49805490.45445375", "59715506.84023085", "76032130.73022686",
+                "107461982.03651005", "195451984.4026298",
+            ],
+            [
+                "3.311932646627126e-09", "3.3584710123053553e-09",
+                "3.416326309860634e-09", "3.4926399206962355e-09",
+                "3.601623322423474e-09", "3.776301008388484e-09",
+                "4.115581371812542e-09", "5.11634610953863e-09",
+            ],
+        ),
+        (
+            maker_policy_step, _GOLDEN_LAM8, _GOLDEN_PARAMS8, True,
+            [
+                "2.7960750126291717e-09", "2.8828430438739534e-09",
+                "2.950715241126994e-09", "2.996303592434359e-09",
+                "3.0145812106660127e-09", "2.9952499477969707e-09",
+                "2.9068848277260458e-09", "2.584771677172888e-09",
+            ],
+            [
+                "3.3236131866180317e-09", "3.358291566421622e-09",
+                "3.4055260988551224e-09", "3.472594245972642e-09",
+                "3.5738913000246913e-09", "3.742681018481999e-09",
+                "4.078103076513206e-09", "5.076303685078514e-09",
+            ],
+        ),
+        (
+            insider_policy_step, [0.5, 0.0, 1.3], ModelParams(n_periods=3), False,
+            ["inf", "inf", "inf"], ["nan", "0.0", "0.8843537414965985"],
+        ),
+        (
+            maker_policy_step, [0.4, 0.0, 0.3], ModelParams(n_periods=3), False,
+            ["inf", "inf", "inf"], ["nan", "0.0", "0.6"],
+        ),
+    ],
+    ids=["insider-n3", "maker-n3", "insider-n8-scaled", "maker-n8-scaled",
+         "insider-out-of-domain", "maker-out-of-domain"],
+)
+def test_round_trip_golden_values(step, point, params, in_domain, value, denominators):
+    result = step(point, params)
+    assert result.in_domain is in_domain
+    assert _reprs(result.value) == value
+    assert _reprs(result.denominators) == denominators
+
+
+@pytest.mark.parametrize(
+    "lam,params,in_domain,alpha,second_order",
+    [
+        (
+            _GOLDEN_LAM3, ModelParams(n_periods=3), True,
+            ["0.9334158835074446", "0.8513044741184683", "0.7036723097728231", "0.0"],
+            [True, True, True],
+        ),
+        (
+            _GOLDEN_LAM8, _GOLDEN_PARAMS8, True,
+            [
+                "150438685.8293756", "148885226.34524187", "146820193.26414534",
+                "143984573.0839062", "139903527.56295234", "133594072.67969523",
+                "122606023.09922533", "98496865.24266064", "0.0",
+            ],
+            [True] * 8,
+        ),
+        (
+            [0.4, 0.0, 0.3], ModelParams(n_periods=3), False,
+            ["nan", "nan", "0.8333333333333334", "0.0"],
+            [False, True, True],
+        ),
+    ],
+    ids=["n3", "n8-scaled", "out-of-domain"],
+)
+def test_insider_response_golden_alpha(lam, params, in_domain, alpha, second_order):
+    inner = insider_response(lam, params)
+    assert inner.in_domain is in_domain
+    assert _reprs(inner.alpha) == alpha
+    assert inner.second_order_ok.dtype == bool
+    assert inner.second_order_ok.tolist() == second_order
+
+
+@pytest.mark.parametrize(
+    "coord,x,expected",
+    [(1, 0.4264634806334381, "0.37395636017378686"), (4, 0.9150893494580906, "0.8953860508267448")],
+)
+def test_pinned_step_golden_values(coord, x, expected):
+    # Only eq.beta enters the pinned step; it is the N=5 unit equilibrium.
+    eq = Equilibrium(
+        beta=[0.4164634806334381, 0.5038525975574096, 0.6429514789689652,
+              0.9050893494580906, 1.630914653063586],
+        lam=np.zeros(5),
+        alpha=np.zeros(5),
+        sigma_sq=np.ones(6),
+    )
+    assert repr(pinned_coordinate_step(x, coord, eq, ModelParams(n_periods=5))) == expected
+
+
+def test_pinned_step_input_contract(unit_params_n3):
+    eq = equilibrium_from_params(unit_params_n3)
+    for x in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            pinned_coordinate_step(x, 1, eq, unit_params_n3)
+    # An equilibrium of another horizon is rejected, whichever is longer.
+    for other in (2, 4):
+        with pytest.raises(ValueError):
+            pinned_coordinate_step(0.5, 1, equilibrium_from_params(ModelParams(other)), unit_params_n3)
