@@ -4,7 +4,8 @@ Seven subcommands drive the library: ``equilibrium``, ``iterate``,
 ``jacobian``, ``stability``, ``perturb``, ``simulate`` and ``tables``.
 Reports are JSON by default (CSV via ``--format csv``), written to stdout
 or ``--out``.  Exit codes: 0 success, 2 input error, 3 out-of-domain,
-4 non-convergence when ``--expect-converge`` is set.
+4 non-convergence when ``--expect-converge`` is set, or when
+``tables --which eigenvalues`` finds no second fixed point.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .montecarlo import SimConfig, simulate, terminal_variance_check
 from .operators import insider_policy_step, maker_policy_step
 from .stability import (
     NotAFixedPointError,
+    NotConvergedError,
     OutOfDomainError,
     StencilDomainError,
     VERDICT_CONVERGED,
@@ -343,7 +345,13 @@ def _cmd_tables(args) -> int:
             range(1, params.n_periods + 1), base_params=params
         )
     elif args.which == "eigenvalues":
-        result = experiments.eigenvalue_table(params)
+        result = experiments.eigenvalue_table(
+            params,
+            variance_bump=args.variance_bump,
+            tol=args.tol,
+            max_iter=args.max_iter,
+            blowup=args.blowup,
+        )
     else:
         result = experiments.variance_perturbation_experiment(
             params,
@@ -384,6 +392,9 @@ def main(argv=None) -> int:
     except (NotAFixedPointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotConvergedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

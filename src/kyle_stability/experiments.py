@@ -7,15 +7,18 @@ numbers: a broken solver breaks these outputs.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
 from .model import ModelParams, equilibrium_from_params
-from .operators import insider_policy_step, pinned_coordinate_step
+from .operators import _pinned_map, insider_policy_step
 from .stability import (
     VERDICT_CONVERGED,
+    NotConvergedError,
+    _iterate,
     classify_fixed_point,
     iterate,
-    iterate_scalar,
 )
 
 __all__ = [
@@ -126,19 +129,29 @@ def variance_perturbation_experiment(
     return out
 
 
-def eigenvalue_table(params: ModelParams | None = None) -> dict:
+def eigenvalue_table(
+    params: ModelParams | None = None,
+    variance_bump: float = 1e-10,
+    tol: float = 1e-12,
+    max_iter: int = 10_000,
+    blowup: float = 1e8,
+) -> dict:
     """Eigenvalues of the strategy round trip at its two fixed points.
 
     The first point is the equilibrium; the second is the limit of the
-    variance-perturbation iteration.  Failure of that iteration to converge
-    is a build failure and raises.
+    variance-perturbation iteration, run with the given settings (see
+    :func:`variance_perturbation_experiment`).  When that iteration does
+    not converge there is no second point, and
+    :class:`~kyle_stability.stability.NotConvergedError` is raised.
     """
     if params is None:
         params = ModelParams(n_periods=3)
     eq = equilibrium_from_params(params)
-    perturbed = variance_perturbation_experiment(params)
+    perturbed = variance_perturbation_experiment(
+        params, variance_bump=variance_bump, tol=tol, max_iter=max_iter, blowup=blowup
+    )
     if perturbed["verdict"] != VERDICT_CONVERGED:
-        raise RuntimeError(
+        raise NotConvergedError(
             "variance-perturbation iteration did not converge; "
             f"verdict {perturbed['verdict']}"
         )
@@ -179,25 +192,16 @@ def perturbation_battery(
     coordinate within ``return_tol``.
     """
     eq = equilibrium_from_params(params)
-    n = params.n_periods
     if coords is None:
-        coords = range(1, n + 1)
+        coords = range(1, params.n_periods + 1)
     rows = []
     for coord in coords:
         coord = int(coord)
-        if not 1 <= coord <= n:
-            raise ValueError("coord must be between 1 and n_periods")
+        step = _pinned_map(coord, eq, params)
         target = float(eq.beta[coord - 1])
-
-        def step(x: float, _coord=coord) -> float:
-            return pinned_coordinate_step(x, _coord, eq, params)
-
-        trace = iterate_scalar(
-            step,
-            target + bump,
-            tol=tol,
-            max_iter=max_iter,
-            blowup=blowup,
+        start = target + bump
+        trace = _iterate(
+            step, [float(start)], itemgetter(0), tol=tol, max_iter=max_iter, blowup=blowup
         )
         returned = (
             trace.verdict == VERDICT_CONVERGED
@@ -206,7 +210,7 @@ def perturbation_battery(
         rows.append(
             {
                 "coord": coord,
-                "start": target + bump,
+                "start": start,
                 "verdict": trace.verdict,
                 "iterations_used": trace.iterations_used,
                 "limit": trace.limit,

@@ -15,8 +15,9 @@ play against a fresh prior.
 
 Out-of-domain results carry ``in_domain=False`` and an all-infinite value
 vector rather than raising; iteration drivers treat that as leaving the
-domain.  A round trip whose intermediate path is not finite (the maker's
-variance recursion overflowing) has left the domain in the same way.
+domain.  A round trip whose intermediate or final path is not finite (the
+maker's variance recursion overflowing) has left the domain in the same
+way.
 
 Every public operator runs on two private passes over Python floats:
 ``_maker_pass`` (forward variance recursion) and ``_insider_pass``
@@ -226,7 +227,32 @@ def maker_policy_step(lam, params: ModelParams) -> OperatorResult:
     """Pricing round trip: insider response, then maker response."""
     beta, _, dens, _, in_domain = _insider_pass(_as_floats(lam, params.n_periods, "lam"), params)
     value = _maker_pass(beta, params)[0] if in_domain else beta
+    if not all(map(math.isfinite, value)):
+        # An in-domain strategy can still overflow the maker recursion.
+        value, in_domain = [math.inf] * len(value), False
     return OperatorResult(value=np.array(value), in_domain=in_domain, denominators=np.array(dens))
+
+
+def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):
+    """Pinned-coordinate restriction as a map on one-element float lists.
+
+    ``[x] -> [entry coord of the strategy round trip]``, with the other
+    entries at ``eq.beta``, which is validated here once.  The image is
+    ``[inf]`` when the step leaves the domain.  One-element lists are the
+    shape the iteration loop plays.
+    """
+    n = params.n_periods
+    if not 1 <= coord <= n:
+        raise ValueError("coord must be between 1 and n_periods")
+    pinned = _as_floats(eq.beta, n, "beta")
+    i = coord - 1
+
+    def step(xs: list) -> list:
+        vec = pinned.copy()
+        vec[i] = xs[0]
+        return [_insider_pass(_maker_pass(vec, params)[0], params)[0][i]]
+
+    return step
 
 
 def pinned_coordinate_step(x: float, coord: int, eq: Equilibrium, params: ModelParams) -> float:
@@ -239,15 +265,11 @@ def pinned_coordinate_step(x: float, coord: int, eq: Equilibrium, params: ModelP
     act on.  A non-finite ``x`` or an ``eq`` of another horizon raises
     ``ValueError``.
     """
-    n = params.n_periods
-    if not 1 <= coord <= n:
-        raise ValueError("coord must be between 1 and n_periods")
+    step = _pinned_map(coord, eq, params)
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    vec = _as_floats(eq.beta, n, "beta")
-    vec[coord - 1] = x
-    return _insider_pass(_maker_pass(vec, params)[0], params)[0][coord - 1]
+    return step([x])[0]
 
 
 def pinned_step_polynomials(

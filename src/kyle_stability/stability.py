@@ -1,13 +1,20 @@
 """Fixed-point iteration and local stability diagnostics.
 
-The iteration driver plays a policy map repeatedly and reports one of four
-verdicts: ``converged`` (successive iterates within a relative tolerance),
-``diverged`` (sup norm above a blowup threshold), ``left_domain`` (the map
-reported an out-of-domain point), or ``max_iter``.  Local analysis around a
-fixed point goes through the Jacobian: central finite differences for the
-general case, closed forms for one- and two-round models, eigenvalues by
-the standard dense solver (balancing, Hessenberg reduction, shifted QR),
-and a classification of the spectral radius.
+One loop runs every iteration.  It plays a step map on lists of Python
+floats and reports one of four verdicts: ``converged`` (successive iterates
+within a relative tolerance), ``diverged`` (sup norm above a blowup
+threshold), ``left_domain`` (the step returned a non-finite entry), or
+``max_iter``.  :func:`iterate` adapts a vector policy map to it (a result
+with ``in_domain=False`` counts as leaving the domain) and returns float64
+arrays; the pinned-coordinate battery and :func:`linearized_pinned_iteration`
+run it on one-element lists and return floats.  A trace keeps the first and
+the last 500 iterates.
+
+Local analysis around a fixed point goes through the Jacobian: central
+finite differences for the general case, closed forms for one- and
+two-round models, eigenvalues by the standard dense solver (balancing,
+Hessenberg reduction, shifted QR), and a classification of the spectral
+radius.
 
 Scalar diagnostics for pinned-coordinate restrictions of the strategy map
 live here too: a five-point central-difference derivative and the
@@ -23,11 +30,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter, sub
 
 import numpy as np
 
 from .model import Equilibrium, ModelParams, equilibrium_from_params
-from .operators import insider_policy_step, pinned_coordinate_step
+from .operators import _pinned_map, insider_policy_step
 
 __all__ = [
     "VERDICT_CONVERGED",
@@ -37,10 +45,10 @@ __all__ = [
     "StencilDomainError",
     "OutOfDomainError",
     "NotAFixedPointError",
+    "NotConvergedError",
     "IterationTrace",
     "StabilityReport",
     "iterate",
-    "iterate_scalar",
     "jacobian_fd",
     "jacobian_closed_form",
     "eigenvalues",
@@ -61,6 +69,8 @@ _EPS = float(np.finfo(float).eps)
 _FD_STEP = _EPS ** (1.0 / 3.0)
 _PINNED_STEP = _EPS ** (1.0 / 5.0)
 _EIG_MAX_SIZE = 64
+# An iteration trace keeps the first and the last _TRACE_HALF iterates.
+_TRACE_HALF = 500
 
 
 class StencilDomainError(RuntimeError):
@@ -81,15 +91,20 @@ class NotAFixedPointError(ValueError):
     """The point handed to a fixed-point analysis is not fixed by the map."""
 
 
+class NotConvergedError(RuntimeError):
+    """An iteration whose limit a result needs ended without converging."""
+
+
 @dataclass(frozen=True)
 class IterationTrace:
     """Record of one iteration run.
 
     ``iterates`` starts with the initial point and ends with the last point
-    visited; when the run is longer than the retention cap the middle is
-    dropped and ``truncated`` is set.  ``limit`` is the final iterate for a
-    ``converged`` verdict and None otherwise.  ``iterations_used`` counts
-    applications of the map.
+    visited; a run of more than 1000 points keeps only the first and the
+    last 500, and ``truncated`` is set.  ``limit`` is the final iterate for
+    a ``converged`` verdict and None otherwise.  ``iterations_used`` counts
+    applications of the map.  Points are float64 arrays from
+    :func:`iterate` and floats from the pinned-coordinate runs.
     """
 
     iterates: list
@@ -110,37 +125,49 @@ class StabilityReport:
     classification: str
 
 
-class _Trace:
-    """Head-and-tail retention of visited points."""
+def _iterate(step, x: list, entry, *, tol=1e-12, max_iter=10_000, blowup=1e8) -> IterationTrace:
+    """The iteration loop: play ``step`` from ``x`` until a verdict.
 
-    def __init__(self, cap: int):
-        head_cap = cap // 2
-        self.head: list = []
-        self.head_cap = head_cap
-        self.tail: deque = deque(maxlen=cap - head_cap)
-        self.dropped = 0
-
-    def record(self, x) -> None:
-        if len(self.head) < self.head_cap:
-            self.head.append(x)
-        else:
-            if len(self.tail) == self.tail.maxlen:
-                self.dropped += 1
-            self.tail.append(x)
-
-    def finish(self) -> tuple[list, bool]:
-        return self.head + list(self.tail), self.dropped > 0
-
-
-def _check_iteration_config(tol: float, max_iter: int, blowup: float, trace_cap: int):
+    ``step`` maps a list of floats to a list of floats; a non-finite entry
+    means the step left the domain.  ``entry`` turns a list into a point of
+    the returned trace.  Points are converted as they are recorded: a trace
+    of live lists would keep the cyclic garbage collector running during
+    long runs.
+    """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     if not blowup > 0.0:
         raise ValueError("blowup must be positive")
-    if trace_cap < 2:
-        raise ValueError("trace_cap must be at least 2")
+    if not all(map(math.isfinite, x)):
+        raise ValueError("start must be finite")
+    head = [entry(x)]
+    tail: deque = deque(maxlen=_TRACE_HALF)
+    verdict, limit, used = VERDICT_MAX_ITER, None, max_iter
+    for m in range(1, max_iter + 1):
+        x_new = step(x)
+        # Before this append the head holds the start and m - 1 iterates.
+        (head if m < _TRACE_HALF else tail).append(entry(x_new))
+        if not all(map(math.isfinite, x_new)):
+            verdict, used = VERDICT_LEFT_DOMAIN, m
+            break
+        norm = max(map(abs, x_new))
+        if norm > blowup:
+            verdict, used = VERDICT_DIVERGED, m
+            break
+        if max(map(abs, map(sub, x_new, x))) <= tol * (1.0 + norm):
+            verdict, limit, used = VERDICT_CONVERGED, entry(x_new), m
+            break
+        x = x_new
+    head.extend(tail)
+    return IterationTrace(
+        iterates=head,
+        verdict=verdict,
+        limit=limit,
+        iterations_used=used,
+        truncated=used + 1 > 2 * _TRACE_HALF,
+    )
 
 
 def iterate(
@@ -151,7 +178,6 @@ def iterate(
     tol: float = 1e-12,
     max_iter: int = 10_000,
     blowup: float = 1e8,
-    trace_cap: int = 1000,
 ) -> IterationTrace:
     """Iterate a policy map from ``start`` until a verdict is reached.
 
@@ -159,9 +185,11 @@ def iterate(
     ----------
     operator : callable
         Map ``(vector, params) -> OperatorResult``, e.g.
-        :func:`~kyle_stability.operators.insider_policy_step`.
+        :func:`~kyle_stability.operators.insider_policy_step`; a result
+        with ``in_domain=False`` ends the run as ``left_domain``.
     start : array_like
-        Finite initial vector of length ``params.n_periods``.
+        Finite 1-D initial vector of length ``params.n_periods``; anything
+        else raises ``ValueError``.
     params : ModelParams
         Market primitives passed through to the operator.
     tol : float
@@ -170,92 +198,22 @@ def iterate(
         Verdict ``max_iter`` after this many applications.
     blowup : float
         Verdict ``diverged`` once the sup norm exceeds this.
-    trace_cap : int
-        Retention cap for the iterate trace.
 
     Returns
     -------
     IterationTrace
+        With float64 arrays for the iterates and the limit.
     """
-    _check_iteration_config(tol, max_iter, blowup, trace_cap)
     x = np.asarray(start, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("start must be finite")
-    trace = _Trace(trace_cap)
-    trace.record(x.copy())
-    verdict = VERDICT_MAX_ITER
-    limit = None
-    used = max_iter
-    for m in range(1, max_iter + 1):
-        result = operator(x, params)
-        if not result.in_domain:
-            trace.record(np.array(result.value, dtype=float))
-            verdict, used = VERDICT_LEFT_DOMAIN, m
-            break
-        x_new = np.asarray(result.value, dtype=float)
-        trace.record(x_new.copy())
-        norm = float(np.max(np.abs(x_new)))
-        if norm > blowup:
-            verdict, used = VERDICT_DIVERGED, m
-            break
-        if float(np.max(np.abs(x_new - x))) <= tol * (1.0 + norm):
-            verdict, limit, used = VERDICT_CONVERGED, x_new.copy(), m
-            break
-        x = x_new
-    iterates, truncated = trace.finish()
-    return IterationTrace(
-        iterates=iterates,
-        verdict=verdict,
-        limit=limit,
-        iterations_used=used,
-        truncated=truncated,
-    )
+    if x.ndim != 1:
+        raise ValueError("start must be a vector")
 
+    def step(values: list) -> list:
+        result = operator(np.array(values), params)
+        value = np.asarray(result.value, dtype=float).tolist()
+        return value if result.in_domain else [math.inf] * len(value)
 
-def iterate_scalar(
-    step,
-    start: float,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-    blowup: float = 1e8,
-    trace_cap: int = 1000,
-) -> IterationTrace:
-    """Scalar counterpart of :func:`iterate`.
-
-    ``step`` maps float to float; a non-finite return is treated as leaving
-    the domain.
-    """
-    _check_iteration_config(tol, max_iter, blowup, trace_cap)
-    x = float(start)
-    if not math.isfinite(x):
-        raise ValueError("start must be finite")
-    trace = _Trace(trace_cap)
-    trace.record(x)
-    verdict = VERDICT_MAX_ITER
-    limit = None
-    used = max_iter
-    for m in range(1, max_iter + 1):
-        x_new = step(x)
-        trace.record(x_new)
-        if not math.isfinite(x_new):
-            verdict, used = VERDICT_LEFT_DOMAIN, m
-            break
-        if abs(x_new) > blowup:
-            verdict, used = VERDICT_DIVERGED, m
-            break
-        if abs(x_new - x) <= tol * (1.0 + abs(x_new)):
-            verdict, limit, used = VERDICT_CONVERGED, x_new, m
-            break
-        x = x_new
-    iterates, truncated = trace.finish()
-    return IterationTrace(
-        iterates=iterates,
-        verdict=verdict,
-        limit=limit,
-        iterations_used=used,
-        truncated=truncated,
-    )
+    return _iterate(step, x.tolist(), np.array, tol=tol, max_iter=max_iter, blowup=blowup)
 
 
 def _relative_steps(x: np.ndarray, scale: float) -> np.ndarray:
@@ -432,49 +390,33 @@ def pinned_coordinate_derivative(
     """
     if eq is None:
         eq = equilibrium_from_params(params)
-    n = params.n_periods
-    if not 1 <= coord <= n:
-        raise ValueError("coord must be between 1 and n_periods")
+    pinned = _pinned_map(coord, eq, params)
     x = float(eq.beta[coord - 1])
     h = float(_relative_steps(eq.beta, _PINNED_STEP)[coord - 1])
-    f_m2, f_m1, f_p1, f_p2 = (
-        pinned_coordinate_step(x + k * h, coord, eq, params) for k in (-2, -1, 1, 2)
-    )
+    f_m2, f_m1, f_p1, f_p2 = (pinned([x + k * h])[0] for k in (-2, -1, 1, 2))
     if not all(math.isfinite(f) for f in (f_m2, f_m1, f_p1, f_p2)):
         raise StencilDomainError(coord)
     return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
 
 
 def linearized_pinned_iteration(
-    start: float,
-    coord: int,
-    params: ModelParams,
-    *,
-    eq: Equilibrium | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-    blowup: float = 1e8,
-    trace_cap: int = 1000,
+    start: float, coord: int, params: ModelParams, *, eq: Equilibrium | None = None
 ) -> IterationTrace:
     """Iterate the tangent-line model of the pinned-coordinate map.
 
     The step is ``x -> c + s (x - x_hat)`` where ``x_hat`` is the pinned
     equilibrium coordinate, ``c`` its image under the pinned map and ``s``
     the five-point difference derivative there
-    (:func:`pinned_coordinate_derivative`).
+    (:func:`pinned_coordinate_derivative`).  The run uses the defaults of
+    :func:`iterate` (tol 1e-12, max_iter 10,000, blowup 1e8) and its trace
+    holds floats.
     """
     if eq is None:
         eq = equilibrium_from_params(params)
-    n = params.n_periods
-    if not 1 <= coord <= n:
-        raise ValueError("coord must be between 1 and n_periods")
+    pinned = _pinned_map(coord, eq, params)
     x_hat = float(eq.beta[coord - 1])
-    center = pinned_coordinate_step(x_hat, coord, eq, params)
+    center = pinned([x_hat])[0]
     slope = pinned_coordinate_derivative(coord, params, eq)
-
-    def step(x: float) -> float:
-        return center + slope * (x - x_hat)
-
-    return iterate_scalar(
-        step, start, tol=tol, max_iter=max_iter, blowup=blowup, trace_cap=trace_cap
+    return _iterate(
+        lambda xs: [center + slope * (xs[0] - x_hat)], [float(start)], itemgetter(0)
     )

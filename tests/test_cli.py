@@ -82,6 +82,17 @@ def test_iterate_exit_three_on_domain_exit(capsys):
     assert report["result"]["limit"] is None
 
 
+def test_iterate_exit_three_when_maker_pass_overflows(capsys):
+    # The insider's strategy against lambda = 1e-300 overflows the maker pass.
+    code, out, _ = _run(
+        capsys,
+        ["iterate", "--operator", "maker", "--n", "1", "--sigma0", "1e10", "--start", "1e-300"],
+    )
+    assert code == 3
+    result = loads_report(out)["result"]
+    assert (result["verdict"], result["iterations_used"]) == ("left_domain", 1)
+
+
 def test_perturb_last_coordinate_returns(capsys):
     code, out, _ = _run(
         capsys,
@@ -177,6 +188,27 @@ def test_tables_eigenvalues_reference(capsys):
     got_second = np.asarray(result["second_fixed_point"]["eigenvalues"], dtype=complex)
     assert np.max(np.abs(got_eq - EIG_EQ_N3)) <= 1e-4
     assert np.max(np.abs(got_second - EIG_SECOND_N3)) <= 1e-4
+
+
+def test_tables_eigenvalues_exit_four_without_second_fixed_point(capsys):
+    # At N=12 the variance-perturbation iteration diverges.
+    code, out, err = _run(capsys, ["tables", "--which", "eigenvalues", "--n", "12"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and "diverged" in err
+
+
+def test_tables_eigenvalues_honours_iteration_flags(capsys):
+    # One step cannot reach the second fixed point, and a zero bump is
+    # rejected, so both flags reach the iteration.
+    code, out, err = _run(capsys, ["tables", "--which", "eigenvalues", "--max-iter", "1"])
+    assert (code, out) == (4, "")
+    assert "max_iter" in err
+    code, out, err = _run(
+        capsys, ["tables", "--which", "eigenvalues", "--variance-bump", "0"]
+    )
+    assert (code, out) == (2, "")
+    assert "variance_bump" in err
 
 
 def test_tables_key_results_csv(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from kyle_stability import (
     ModelParams,
+    NotConvergedError,
     eigenvalue_table,
     key_results_table,
     perturbation_battery,
@@ -42,6 +43,12 @@ def test_eigenvalue_table_reference(unit_params_n3):
     assert np.max(np.abs(got_second - EIG_SECOND_N3)) <= 1e-4
     assert table["equilibrium"]["classification"] == "repellent"
     assert table["second_fixed_point"]["classification"] == "attractive"
+
+
+@pytest.mark.parametrize("setting", [{"max_iter": 1}, {"blowup": 1.0}])
+def test_eigenvalue_table_passes_iteration_settings(unit_params_n3, setting):
+    with pytest.raises(NotConvergedError):
+        eigenvalue_table(unit_params_n3, **setting)
 
 
 def test_variance_perturbation_experiment_digits():

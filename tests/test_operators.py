@@ -202,6 +202,11 @@ def test_overflowing_strategy_leaves_domain(unit_params_n3):
     result = insider_policy_step([1e200, 1e200, 1.0], unit_params_n3)
     assert not result.in_domain
     assert np.all(np.isinf(result.value))
+    # The pricing round trip: the insider pass is in the domain, but its
+    # strategy 5e299 overflows the maker pass that follows.
+    result = maker_policy_step([1e-300], ModelParams(n_periods=1, sigma0=1e10))
+    assert not result.in_domain
+    assert np.all(np.isinf(result.value))
     # With sigma_u**2 underflowing to 0 a zero strategy gives 0/0 = NaN.
     degenerate = market_maker_response(np.zeros(3), ModelParams(n_periods=3, sigma_u=1e-170))
     assert np.all(np.isnan(degenerate.lam))

@@ -18,7 +18,6 @@ from kyle_stability import (
     equilibrium_from_params,
     insider_policy_step,
     iterate,
-    iterate_scalar,
     jacobian_closed_form,
     jacobian_fd,
     linearized_pinned_iteration,
@@ -80,14 +79,20 @@ def test_iterate_single_round_quadratic_convergence(unit_params_n1):
 
 
 def test_iterate_trace_truncation():
+    # A trace keeps the first and the last 500 of its points.
     params = ModelParams(n_periods=1)
     op = _stub(lambda x: 0.999 * x)
-    trace = iterate(op, [1.0], params, max_iter=500, trace_cap=10)
+    trace = iterate(op, [1.0], params, max_iter=1500)
     assert trace.verdict == "max_iter"
     assert trace.truncated
-    assert len(trace.iterates) == 10
+    assert len(trace.iterates) == 1000
     assert trace.iterates[0][0] == 1.0
-    assert abs(trace.iterates[-1][0] - 0.999**500) <= 1e-12
+    assert abs(trace.iterates[499][0] - 0.999**499) <= 1e-12
+    assert abs(trace.iterates[500][0] - 0.999**1001) <= 1e-12
+    assert abs(trace.iterates[-1][0] - 0.999**1500) <= 1e-12
+    full = iterate(op, [1.0], params, max_iter=999)
+    assert not full.truncated
+    assert len(full.iterates) == 1000
 
 
 def test_iterate_diverged_verdict():
@@ -121,12 +126,75 @@ def test_iterate_validation(unit_params_n3):
         iterate(insider_policy_step, EQ_BETA_N3, unit_params_n3, blowup=-1.0)
 
 
-def test_iterate_scalar_mirrors_vector_driver():
-    trace = iterate_scalar(lambda x: 0.5 * x + 1.0, 0.0)
+def test_iterate_rejects_matrix_start(unit_params_n3):
+    # The driver checks the shape itself, also for a map that would not.
+    with pytest.raises(ValueError):
+        iterate(insider_policy_step, [EQ_BETA_N3], unit_params_n3)
+    with pytest.raises(ValueError):
+        iterate(_stub(lambda x: x), [[1.0], [2.0]], ModelParams(n_periods=1))
+
+
+def test_iterate_one_element_affine_map_and_nonfinite_value():
+    params = ModelParams(n_periods=1)
+    trace = iterate(_stub(lambda x: 0.5 * x + 1.0), [0.0], params)
     assert trace.verdict == "converged"
-    assert abs(trace.limit - 2.0) <= 1e-11
-    bad = iterate_scalar(lambda x: float("inf"), 1.0)
+    assert abs(trace.limit[0] - 2.0) <= 1e-11
+    # A non-finite value leaves the domain even when the map does not say so.
+    bad = iterate(_stub(lambda x: x * np.inf), [1.0], params)
     assert bad.verdict == "left_domain"
+    assert bad.iterations_used == 1
+
+
+# Exact reprs captured from the numpy-vector driver this loop replaced:
+# operator, start, max_iter, verdict, iterations used, last iterate (which
+# is the limit when the run converged).
+_ITERATE_GOLDEN = [
+    (
+        insider_policy_step,
+        [0.5381695932490207, 0.7575868210661554, 1.365124281027533],
+        10_000,
+        "converged",
+        83,
+        ["1.2582536009629957", "-2.1574914570062633", "2.6903478420819367"],
+    ),
+    (
+        maker_policy_step,
+        [0.417306552382491, 0.40652572062497677, 0.3662670182847004],
+        10_000,
+        "converged",
+        81,
+        ["0.4870906496664821", "-0.29807957293118587", "0.18584957386478662"],
+    ),
+    (
+        insider_policy_step,
+        [0.5381695932490207, 0.7575868210661554, 1.365124281027533],
+        40,
+        "max_iter",
+        40,
+        ["9.309569448518724", "-108.01393085453394", "179.2189869228261"],
+    ),
+    (
+        maker_policy_step,
+        [0.417306552382491, 0.40652572062497677, 0.3662670182847004],
+        40,
+        "max_iter",
+        40,
+        ["0.09116201269514354", "-0.006293101309989512", "0.0027871600428380472"],
+    ),
+]
+
+
+@pytest.mark.parametrize("operator,start,max_iter,verdict,used,last", _ITERATE_GOLDEN)
+def test_iterate_golden_traces(unit_params_n3, operator, start, max_iter, verdict, used, last):
+    trace = iterate(operator, start, unit_params_n3, max_iter=max_iter)
+    assert (trace.verdict, trace.iterations_used) == (verdict, used)
+    assert len(trace.iterates) == used + 1
+    assert [repr(float(v)) for v in trace.iterates[-1]] == last
+    if verdict == "converged":
+        assert isinstance(trace.limit, np.ndarray) and trace.limit.dtype == np.float64
+        assert [repr(float(v)) for v in trace.limit] == last
+    else:
+        assert trace.limit is None
 
 
 def test_jacobian_fd_recovers_affine_map():
