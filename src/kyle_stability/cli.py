@@ -11,6 +11,7 @@ or ``--out``.  Exit codes: 0 success, 2 input error, 3 out-of-domain,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -84,8 +85,22 @@ def _add_iteration_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser that reads a token starting like a negative number as a value.
+
+    argparse recognises ``-0.001`` as a negative number but not ``-1e-3`` or
+    ``-1e-3,1,1``, which it takes for unknown flags.  No flag of this
+    program starts with ``-`` and a digit, so every such token is a value.
+    Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kyle-stability",
         description="Discrete-time Kyle equilibrium, policy iteration and stability analysis.",
     )

@@ -16,10 +16,23 @@ the level of the underlying draws.  Normals are produced by inverting the
 standard normal CDF on 53-bit uniforms.  ``scipy.special`` supplies that
 inverse and is imported on the first draw, not with this module, so
 commands that never simulate do not pay for loading scipy.
+
+Each block's rows are cut into one contiguous slice per worker (the CPUs
+available to the process, at most four); the main thread runs the first
+slice and pool threads the others.  A worker draws its own path range,
+runs the path loop on it and writes its rows of the block's moment rows
+and profits; the main thread then forms the moment matrix and the profit
+sums over the whole block, in block order, so no result depends on the
+number of workers.  Inside a slice the draws are laid out round-major
+(one contiguous row per draw) and the moment rows are stored column-major,
+so every round reads and writes contiguous memory.  Workers run only numpy
+and ``ndtri``, which release the interpreter lock, and call no public
+function of the package.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +72,8 @@ class SimConfig:
     default to nothing and must be supplied (see :func:`equilibrium_config`
     for the equilibrium pair).  ``block_size`` only controls how many paths
     are generated per vectorized batch; the draws consumed by each path do
-    not depend on it.
+    not depend on it.  Peak memory scales with ``block_size * (1 + 2n)``
+    floats, the moment rows of one block.
     """
 
     params: ModelParams
@@ -167,6 +181,18 @@ def _block_normals(seed: int, start: int, count: int, n_draws: int) -> np.ndarra
     return ndtri(uniform)
 
 
+_MAX_WORKERS = 4
+
+
+def _worker_count() -> int:
+    """Threads per block: the CPUs this process may run on, at most four."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
 class _Kahan:
     """Compensated accumulator for scalars or same-shape arrays."""
 
@@ -181,24 +207,50 @@ class _Kahan:
         self.total = t
 
 
-def simulate(config: SimConfig) -> SimResult:
-    """Run the simulation and aggregate profit and efficiency statistics.
+def _run_paths(config: SimConfig, start: int, w: np.ndarray, profit: np.ndarray) -> None:
+    """Simulate paths ``start .. start + len(profit) - 1`` into ``w`` and ``profit``.
 
-    Paths are processed in blocks of ``config.block_size``; cross-block
-    sums use compensated accumulation.  Results are bit-reproducible for a
-    fixed config.
+    ``w`` receives each path's moment row
+    ``[1, dy_1..dy_n, (v - p_1)..(v - p_n)]`` and ``profit`` its insider
+    profit; both are row slices of the block's arrays.
     """
     params = config.params
     n = params.n_periods
-    # Positive residual degrees of freedom for the widest regression, and
-    # at least two paths for the variance estimates.
-    if config.n_paths < 2 * n + 2:
-        raise ValueError("n_paths must be at least 2 * n_periods + 2 for the statistics")
     beta = config.strategy_beta
     lam = config.pricing_lambda
     delta = params.delta
     du_scale = params.sigma_u * np.sqrt(delta)
-    v_scale = np.sqrt(params.sigma0)
+    # Round-major: row 0 drives v, row 1 + i the noise trade of round i.
+    z = np.ascontiguousarray(_block_normals(config.seed, start, len(profit), n + 1).T)
+    v = np.sqrt(params.sigma0) * z[0]
+
+    w[:, 0] = 1.0
+    price = np.zeros(len(profit))
+    profit[:] = 0.0
+    for i in range(n):
+        dx = beta[i] * (v - price) * delta
+        # Order flow and pricing error go straight into their columns.
+        dy = np.multiply(du_scale, z[1 + i], out=w[:, 1 + i])
+        dy += dx
+        price += lam[i] * dy
+        profit += np.subtract(v, price, out=w[:, 1 + n + i]) * dx
+
+
+def simulate(config: SimConfig) -> SimResult:
+    """Run the simulation and aggregate profit and efficiency statistics.
+
+    Paths are processed in blocks of ``config.block_size``, each split
+    across workers; cross-block sums use compensated accumulation.
+    Results are bit-reproducible for a fixed config, whatever the number
+    of workers.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    n = config.params.n_periods
+    # Positive residual degrees of freedom for the widest regression, and
+    # at least two paths for the variance estimates.
+    if config.n_paths < 2 * n + 2:
+        raise ValueError("n_paths must be at least 2 * n_periods + 2 for the statistics")
 
     # Moment matrix of W = [1, dy_1..dy_n, (v - p_1)..(v - p_n)] per path.
     dim = 1 + 2 * n
@@ -206,27 +258,29 @@ def simulate(config: SimConfig) -> SimResult:
     profit_sum = _Kahan(0.0)
     profit_sq_sum = _Kahan(0.0)
 
-    for block_start in range(0, config.n_paths, config.block_size):
-        count = min(config.block_size, config.n_paths - block_start)
-        z = _block_normals(config.seed, block_start, count, n + 1)
-        v = v_scale * z[:, 0]
-        du = du_scale * z[:, 1:]
+    workers = _worker_count()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for block_start in range(0, config.n_paths, config.block_size):
+            count = min(config.block_size, config.n_paths - block_start)
+            # Column-major, so each round's two column writes are contiguous.
+            w = np.empty((count, dim), order="F")
+            profit = np.empty(count)
+            cuts = [count * k // workers for k in range(workers + 1)]
+            slices = [
+                (block_start + lo, w[lo:hi], profit[lo:hi])
+                for lo, hi in zip(cuts, cuts[1:])
+                if lo < hi
+            ]
+            # The main thread runs the first slice itself, so one worker
+            # starts no thread.
+            others = [pool.submit(_run_paths, config, *rows) for rows in slices[1:]]
+            _run_paths(config, *slices[0])
+            for done in others:
+                done.result()
 
-        w = np.empty((count, dim))
-        w[:, 0] = 1.0
-        price = np.zeros(count)
-        profit = np.zeros(count)
-        for i in range(n):
-            dx = beta[i] * (v - price) * delta
-            dy = dx + du[:, i]
-            price = price + lam[i] * dy
-            profit += (v - price) * dx
-            w[:, 1 + i] = dy
-            w[:, 1 + n + i] = v - price
-
-        moments.add(w.T @ w)
-        profit_sum.add(float(np.sum(profit)))
-        profit_sq_sum.add(float(np.sum(profit * profit)))
+            moments.add(w.T @ w)
+            profit_sum.add(float(np.sum(profit)))
+            profit_sq_sum.add(float(np.sum(profit * profit)))
 
     n_paths = config.n_paths
     mean_profit = profit_sum.total / n_paths

@@ -107,6 +107,27 @@ def test_perturb_last_coordinate_returns(capsys):
     assert rows[0]["returned"] is True
 
 
+def test_perturb_accepts_negative_exponent_delta(capsys):
+    code, out, _ = _run(
+        capsys, ["perturb", "--n", "3", "--delta", "-1e-3", "--expect-converge"]
+    )
+    assert code == 0
+    report = loads_report(out)
+    assert report["inputs"]["delta"] == -1e-3
+    assert report["result"][0]["returned"] is True
+
+
+def test_iterate_accepts_vector_starting_with_negative_exponent(capsys):
+    code, out, _ = _run(
+        capsys, ["iterate", "--n", "3", "--start", "-1e-3,1,1", "--expect-converge"]
+    )
+    assert code == 0
+    report = loads_report(out)
+    assert report["inputs"]["start"] == [-1e-3, 1.0, 1.0]
+    limit = np.asarray(report["result"]["limit"])
+    assert np.max(np.abs(limit - SECOND_FP_N3)) <= 1e-8
+
+
 def test_perturb_battery_exit_four(capsys):
     code, out, _ = _run(
         capsys, ["perturb", "--n", "4", "--battery", "--expect-converge"]

@@ -1,4 +1,4 @@
-"""Import cost: only the simulation path loads scipy."""
+"""Import cost: only the simulation path loads scipy and the thread pool."""
 
 from __future__ import annotations
 
@@ -10,27 +10,28 @@ from pathlib import Path
 
 import kyle_stability
 
-# Runs in a fresh interpreter and prints, after each stage, the scipy
-# modules loaded so far.
+# Runs in a fresh interpreter and prints, after each stage, the scipy and
+# concurrent.futures modules loaded so far.
 _CHILD = """
 import contextlib, io, json, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def lazy_modules():
+    lazy = ("scipy", "concurrent")
+    return sorted(m for m in sys.modules if m.partition(".")[0] in lazy)
 
 stages = {}
 import kyle_stability
-stages["import kyle_stability"] = scipy_modules()
+stages["import kyle_stability"] = lazy_modules()
 import kyle_stability.cli as cli
-stages["import kyle_stability.cli"] = scipy_modules()
+stages["import kyle_stability.cli"] = lazy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["equilibrium", "--n", "3"])
-stages["cli equilibrium"] = scipy_modules()
+stages["cli equilibrium"] = lazy_modules()
 config = kyle_stability.equilibrium_config(
     kyle_stability.ModelParams(n_periods=2), n_paths=100, seed=1
 )
 kyle_stability.simulate(config)
-stages["simulate"] = scipy_modules()
+stages["simulate"] = lazy_modules()
 print(json.dumps({"code": code, "stages": stages}))
 """
 
@@ -49,3 +50,4 @@ def test_only_simulate_loads_scipy():
     for stage in ("import kyle_stability", "import kyle_stability.cli", "cli equilibrium"):
         assert stages[stage] == [], f"{stage} loaded {stages[stage]}"
     assert "scipy.special" in stages["simulate"]
+    assert "concurrent.futures" in stages["simulate"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from kyle_stability import (
     solve_b_recursion,
     terminal_variance_check,
 )
+from kyle_stability import montecarlo
 from kyle_stability.montecarlo import _block_normals
 
 SEED = 20240901
@@ -246,3 +249,100 @@ def test_simulate_golden_values(unit_params_n3):
     assert repr(result.mean_profit) == "1.2018857325445609"
     assert repr(result.terminal_variance_estimate) == "0.2662173644246332"
     assert repr(float(result.efficiency[2].t_stat[3])) == "-0.4745081638453364"
+
+
+# Default 65,536-row blocks over 70,001 paths: one full block and a partial
+# one.  Captured before the block loop was split across worker threads.
+_GOLDEN_N5 = {
+    1.0: (
+        "1.715755948332408",
+        "0.008544995210181318",
+        "0.18712220058563736",
+        [
+            ["0.19140559246666983", "0.31831670742625123"],
+            ["0.4825358356886102", "0.3482640015771141", "-0.4284548854982087"],
+            ["-0.1627349456113232", "-0.3294816892895483", "0.5863596336635952",
+             "3.387424334851132"],
+            ["0.3024205180871551", "0.05987824541700887", "0.24526930693161736",
+             "1.993427782812497", "-0.9546310329007824"],
+            ["0.19968369806298805", "0.457972575005739", "-0.16664375489734676",
+             "0.8364486568251884", "-1.0383914908585528", "1.4221927805616195"],
+        ],
+    ),
+    0.5: (
+        "1.476772258221692",
+        "0.007521740077645119",
+        "0.5067468706625564",
+        [
+            ["0.34539357797007186", "-42.88759492078291"],
+            ["0.5086024308500011", "-41.645941977087496", "-36.87965988035738"],
+            ["0.12073492368213137", "-40.07866994213872", "-34.52470902038793",
+             "-22.464095920868104"],
+            ["0.4125038446908407", "-36.77483543748851", "-32.04580253988605",
+             "-21.35188294248303", "-7.275172934868884"],
+            ["0.3282443790276948", "-29.741191319310474", "-26.45186608773557",
+             "-17.883415674596975", "-6.165846449217066", "41.630633582852305"],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_simulate_golden_values_default_blocks(scale):
+    params = ModelParams(n_periods=5)
+    eq = equilibrium_from_params(params)
+    config = SimConfig(
+        params=params,
+        n_paths=70_001,
+        seed=SEED,
+        strategy_beta=eq.beta * scale,
+        pricing_lambda=eq.lam,
+    )
+    result = simulate(config)
+    mean, mean_se, term_var, t_stats = _GOLDEN_N5[scale]
+    assert repr(result.mean_profit) == mean
+    assert repr(result.mean_profit_se) == mean_se
+    assert repr(result.terminal_variance_estimate) == term_var
+    assert [[repr(float(t)) for t in reg.t_stat] for reg in result.efficiency] == t_stats
+
+
+def _bits(result):
+    """Every field of a SimResult as bytes, so equality is bitwise."""
+    scalars = (
+        result.mean_profit,
+        result.mean_profit_se,
+        result.terminal_variance_estimate,
+        result.terminal_variance_se,
+    )
+    regressions = [
+        (reg.period, reg.coef.tobytes(), reg.se.tobytes(), reg.t_stat.tobytes())
+        for reg in result.efficiency
+    ]
+    return np.array(scalars).tobytes(), regressions, result.n_paths
+
+
+def test_worker_count_changes_no_bit(monkeypatch):
+    # 2,500-row blocks over 7,001 paths: three full blocks and a partial
+    # one, cut into uneven slices by three workers.  A short switch
+    # interval makes the threads interleave often.
+    params = ModelParams(n_periods=4, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    eq = equilibrium_from_params(params)
+    config = SimConfig(
+        params=params,
+        n_paths=7001,
+        seed=SEED,
+        strategy_beta=eq.beta * 0.8,
+        pricing_lambda=eq.lam,
+        block_size=2500,
+    )
+    interval = sys.getswitchinterval()
+    results = {}
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+            results[workers] = _bits(simulate(config))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[2] == results[1]
+    assert results[3] == results[1]

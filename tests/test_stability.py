@@ -406,6 +406,22 @@ def test_maker_side_spectral_radii():
         assert report.spectral_radius > 1.0
 
 
+@pytest.mark.parametrize("n", [*range(1, 9), 16])
+@pytest.mark.parametrize(
+    "scales", [{}, dict(delta=0.37, sigma_u=2.9, sigma0=0.013)], ids=["unit", "skewed"]
+)
+def test_round_trips_share_spectral_radius(n, scales):
+    # The round trips are I o M (strategy side) and M o I (pricing side), so
+    # their Jacobians at the equilibrium share the nonzero spectrum.  At N=1
+    # the spectrum is {0} and both radii are finite-difference noise, so
+    # the tolerance is relative to max(rho, 1).
+    params = ModelParams(n_periods=n, **scales)
+    eq = equilibrium_from_params(params)
+    rho_insider = abs(eigenvalues(jacobian_fd(insider_policy_step, eq.beta, params))[0])
+    rho_maker = abs(eigenvalues(jacobian_fd(maker_policy_step, eq.lam, params))[0])
+    assert abs(rho_insider - rho_maker) <= 1e-8 * max(rho_insider, 1.0)
+
+
 def test_pinned_derivative_stencil_domain_error():
     # The second entry is zero, so every stencil point for coordinate 1 (and
     # 3) leaves the domain of the strategy round trip.
