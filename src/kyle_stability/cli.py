@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import experiments, reports
-from .model import ModelParams, equilibrium_from_params, solve_b_recursion, verify_kyle_recursions
+from .model import ModelParams, _b_coefficients, equilibrium_from_params, verify_kyle_recursions
 from .montecarlo import SimConfig, simulate, terminal_variance_check
 from .operators import insider_policy_step, maker_policy_step
 from .stability import (
@@ -204,13 +204,20 @@ def _emit(args, result) -> None:
         sys.stdout.write(text)
 
 
+def _reject_ignored(args, other: str, **defaults) -> None:
+    """Raise ValueError (exit 2) for a flag that ``other`` would ignore."""
+    for name, default in defaults.items():
+        if getattr(args, name) != default:
+            raise ValueError(f"--{name.replace('_', '-')} has no effect with {other}")
+
+
 def _cmd_equilibrium(args) -> int:
     params = _params_from(args)
     eq = equilibrium_from_params(params)
     check = verify_kyle_recursions(eq, params)
     result = {
         "n_periods": params.n_periods,
-        "b": solve_b_recursion(params.n_periods).b,
+        "b": _b_coefficients(params.n_periods).b,
         "beta": eq.beta,
         "lam": eq.lam,
         "alpha": eq.alpha,
@@ -294,6 +301,7 @@ def _cmd_stability(args) -> int:
 def _cmd_perturb(args) -> int:
     params = _params_from(args)
     if args.battery:
+        _reject_ignored(args, "--battery", coord="last")
         coords = list(range(1, params.n_periods + 1))
     else:
         coords = [params.n_periods if args.coord == "last" else args.coord]
@@ -317,6 +325,8 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.strategy is not None:
+        _reject_ignored(args, "--strategy", strategy_scale=1.0)
     params = _params_from(args)
     eq = equilibrium_from_params(params)
     strategy = (
@@ -356,6 +366,8 @@ def _cmd_tables(args) -> int:
         args.n = _KEY_RESULTS_N if args.which == "key-results" else 3
     params = _params_from(args)
     if args.which == "key-results":
+        _reject_ignored(args, "--which key-results", tol=1e-12, max_iter=10_000, blowup=1e8,
+                        variance_bump=1e-10, expect_converge=False)
         result = experiments.key_results_table(
             range(1, params.n_periods + 1), base_params=params
         )

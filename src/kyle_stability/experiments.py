@@ -7,6 +7,7 @@ numbers: a broken solver breaks these outputs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from operator import itemgetter
 
 import numpy as np
@@ -36,15 +37,6 @@ _CONCLUSION = {
 }
 
 
-def _params_like(base: ModelParams, n_periods: int) -> ModelParams:
-    return ModelParams(
-        n_periods=n_periods,
-        delta=base.delta,
-        sigma_u=base.sigma_u,
-        sigma0=base.sigma0,
-    )
-
-
 def key_results_table(
     n_values=tuple(range(1, 9)), base_params: ModelParams | None = None
 ) -> list:
@@ -57,7 +49,7 @@ def key_results_table(
     base = base_params if base_params is not None else ModelParams(n_periods=1)
     rows = []
     for n in n_values:
-        params = _params_like(base, int(n))
+        params = replace(base, n_periods=int(n))
         eq = equilibrium_from_params(params)
         report = classify_fixed_point(insider_policy_step, eq.beta, params)
         rows.append(
@@ -90,12 +82,7 @@ def variance_perturbation_experiment(
         params = ModelParams(n_periods=3)
     if not variance_bump > 0.0:
         raise ValueError("variance_bump must be positive")
-    bumped = ModelParams(
-        n_periods=params.n_periods,
-        delta=params.delta,
-        sigma_u=float(np.sqrt(params.sigma_u**2 + variance_bump)),
-        sigma0=params.sigma0,
-    )
+    bumped = replace(params, sigma_u=float(np.sqrt(params.sigma_u**2 + variance_bump)))
     eq = equilibrium_from_params(params)
     start = equilibrium_from_params(bumped).beta
     trace = iterate(

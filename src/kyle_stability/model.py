@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,20 +125,11 @@ class Equilibrium:
     sigma_sq: np.ndarray
 
     def __post_init__(self) -> None:
-        beta = _readonly(self.beta)
-        lam = _readonly(self.lam)
-        alpha = _readonly(self.alpha)
-        sigma_sq = _readonly(self.sigma_sq)
-        n = beta.size
-        if lam.size != n or alpha.size != n or sigma_sq.size != n + 1:
+        for name in ("beta", "lam", "alpha", "sigma_sq"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        n = self.beta.size
+        if self.lam.size != n or self.alpha.size != n or self.sigma_sq.size != n + 1:
             raise ValueError("coefficient paths have inconsistent lengths")
-        for name, arr in (
-            ("beta", beta),
-            ("lam", lam),
-            ("alpha", alpha),
-            ("sigma_sq", sigma_sq),
-        ):
-            object.__setattr__(self, name, arr)
 
     @property
     def n_periods(self) -> int:
@@ -203,6 +195,12 @@ def solve_b_recursion(n_periods: int) -> BCoefficients:
     return BCoefficients(b=np.sqrt(squares))
 
 
+@lru_cache(maxsize=128)
+def _b_coefficients(n_periods: int) -> BCoefficients:
+    """One solve per N: b does not depend on the parameters and is read-only."""
+    return solve_b_recursion(n_periods)
+
+
 def equilibrium_from_params(
     params: ModelParams, coeffs: BCoefficients | None = None
 ) -> Equilibrium:
@@ -214,7 +212,7 @@ def equilibrium_from_params(
         Market primitives.
     coeffs : BCoefficients, optional
         Precomputed parameter-free coefficients for ``params.n_periods``
-        rounds.  Solved on the fly when omitted.
+        rounds.  When omitted, solved once per number of rounds and cached.
 
     Returns
     -------
@@ -231,7 +229,7 @@ def equilibrium_from_params(
         If ``coeffs`` is supplied with a mismatched number of rounds.
     """
     if coeffs is None:
-        coeffs = solve_b_recursion(params.n_periods)
+        coeffs = _b_coefficients(params.n_periods)
     elif coeffs.n_periods != params.n_periods:
         raise ValueError("coefficient vector does not match n_periods")
 

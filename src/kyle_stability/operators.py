@@ -20,15 +20,15 @@ maker's variance recursion overflowing) has left the domain in the same
 way.
 
 Every public operator runs on two private passes over Python floats:
-``_maker_pass`` (forward variance recursion) and ``_insider_pass``
-(backward value-function recursion, stopping at the first round that fails
-the domain test).  Each public function validates its input once, turns it
-into a list, runs the passes and builds numpy arrays only for its result;
-the round trips feed one pass's list straight into the other.  No numpy
-call sits in the per-round loop, which is what keeps a pinned-coordinate
-step at a few microseconds.  ``b**2`` stays a power (libm ``pow``) rather
-than ``b * b``: the two differ in the last bit for about one input in
-1,250, and the golden values in the tests pin the power.
+``_maker_pass`` (forward variance recursion, resumable from a known
+variance and earlier prices) and ``_insider_pass`` (backward recursion to
+``beta``, ``alpha``, the strategy denominators and the domain verdict).
+Public functions validate input once and build numpy arrays only for their
+results; no numpy call sits in the per-round loop.  The pinned-coordinate
+map solves the maker rounds before its coordinate once; a step reruns the
+later maker rounds and the whole insider pass, whose domain test covers
+every round.  ``b**2`` stays a power (libm ``pow``), not ``b * b``: they
+differ in the last bit for about one input in 1,250, which golden tests pin.
 """
 
 from __future__ import annotations
@@ -61,14 +61,6 @@ __all__ = [
 # depend on the scale of delta, sigma_u or sigma0.
 DOMAIN_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _clears_domain(alpha_lam: float, num_beta: float, den_beta: float, den_alpha: float) -> bool:
-    return (
-        abs(1.0 - alpha_lam) > DOMAIN_RTOL * (1.0 + abs(alpha_lam))
-        and abs(num_beta) / _FLOAT_MAX < abs(den_beta)
-        and 1.0 / _FLOAT_MAX < abs(den_alpha)
-    )
 
 
 @dataclass(frozen=True)
@@ -124,11 +116,9 @@ def _as_floats(x, n: int, name: str) -> list:
     return values
 
 
-def _maker_rounds(beta: list, params: ModelParams) -> tuple[list, list]:
+def _maker_rounds(beta: list, params: ModelParams, prev, lam: list) -> tuple[list, list]:
     delta = params.delta
     var_u = params.sigma_u**2
-    prev = params.sigma0
-    lam = []
     sigma_sq = [prev]
     for b in beta:
         den = b**2 * prev * delta + var_u
@@ -138,48 +128,59 @@ def _maker_rounds(beta: list, params: ModelParams) -> tuple[list, list]:
     return lam, sigma_sq
 
 
-def _maker_pass(beta: list, params: ModelParams) -> tuple[list, list]:
-    """Forward variance recursion over floats: ``(lam, sigma_sq)``."""
+def _maker_pass(beta: list, params: ModelParams, prev=None, lam=()) -> tuple[list, list]:
+    """Forward variance recursion over floats: ``(lam, sigma_sq)``.
+
+    Resumes after the rounds whose prices ``lam`` are given, from the
+    variance ``prev`` they left (default ``params.sigma0``); ``beta`` covers
+    the remaining rounds and ``sigma_sq`` starts at ``prev``.
+    """
+    prev = params.sigma0 if prev is None else prev
     try:
-        return _maker_rounds(beta, params)
+        return _maker_rounds(beta, params, prev, list(lam))
     except ArithmeticError:
         # Python floats raise where IEEE arithmetic gives inf or nan (b**2
         # overflowing, or 0/0 once sigma_u**2 underflows); float64 scalars
         # give the IEEE results, so rerun the same rounds on them.
         with np.errstate(all="ignore"):
-            lam, sigma_sq = _maker_rounds([np.float64(b) for b in beta], params)
+            lam, sigma_sq = _maker_rounds([np.float64(b) for b in beta], params, prev, list(lam))
         return [float(v) for v in lam], [float(v) for v in sigma_sq]
 
 
 def _insider_pass(lam: list, params: ModelParams):
     """Backward value-function recursion over floats.
 
-    Returns ``(beta, alpha, denominators, second_order, in_domain)``, the
-    first four as lists.  When a round fails :func:`_clears_domain` the
+    Returns ``(beta, alpha, denominators, in_domain)``, the first three as
+    lists.  When a round fails the domain test (see ``DOMAIN_RTOL``) the
     recursion stops there: ``beta`` is all infinity, the unreached entries
     of ``alpha`` and ``denominators`` stay NaN and ``in_domain`` is False.
     """
     n = len(lam)
-    delta = params.delta
+    # Constants bound to locals: this loop is the hottest code of a pinned
+    # step.  (2 delta) lam u is how 2.0 * delta * lam * u associates anyway.
+    two_delta = 2.0 * params.delta
+    rtol, big, tiny = DOMAIN_RTOL, _FLOAT_MAX, 1.0 / _FLOAT_MAX
     beta = [0.0] * n
-    alpha = [math.nan] * n + [0.0]
+    alpha = [math.nan] * (n + 1)
+    alpha[n] = 0.0
     dens = [math.nan] * n
-    second_order = [False] * n
     alpha_next = 0.0
     for i in range(n - 1, -1, -1):
         lam_i = lam[i]
         alpha_lam = alpha_next * lam_i
         u = 1.0 - alpha_lam
-        second_order[i] = alpha_lam < 1.0
         num_beta = 1.0 - 2.0 * alpha_lam
-        den_beta = 2.0 * delta * lam_i * u
-        dens[i] = den_beta
+        dens[i] = den_beta = two_delta * lam_i * u
         den_alpha = 4.0 * lam_i * u
-        if not _clears_domain(alpha_lam, num_beta, den_beta, den_alpha):
-            return [math.inf] * n, alpha, dens, second_order, False
+        if not (
+            abs(u) > rtol * (1.0 + abs(alpha_lam))
+            and abs(num_beta) / big < abs(den_beta)
+            and tiny < abs(den_alpha)
+        ):
+            return [math.inf] * n, alpha, dens, False
         beta[i] = num_beta / den_beta
         alpha_next = alpha[i] = 1.0 / den_alpha
-    return beta, alpha, dens, second_order, True
+    return beta, alpha, dens, True
 
 
 def market_maker_response(beta, params: ModelParams) -> MakerResponse:
@@ -204,9 +205,10 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
     infinity, the unreached part of ``alpha`` and ``denominators`` with
     NaN, and ``in_domain`` is False.  See ``DOMAIN_RTOL`` for the test.
     """
-    beta, alpha, dens, second_order, in_domain = _insider_pass(
-        _as_floats(lam, params.n_periods, "lam"), params
-    )
+    lam = _as_floats(lam, params.n_periods, "lam")
+    beta, alpha, dens, in_domain = _insider_pass(lam, params)
+    # alpha is NaN above a failed round, so unreached rounds read False.
+    second_order = [alpha[i + 1] * lam_i < 1.0 for i, lam_i in enumerate(lam)]
     return InsiderResponse(
         beta=np.array(beta),
         alpha=np.array(alpha),
@@ -219,13 +221,13 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
 def insider_policy_step(beta, params: ModelParams) -> OperatorResult:
     """Strategy round trip: maker response, then insider response."""
     lam = _maker_pass(_as_floats(beta, params.n_periods, "beta"), params)[0]
-    value, _, dens, _, in_domain = _insider_pass(lam, params)
+    value, _, dens, in_domain = _insider_pass(lam, params)
     return OperatorResult(value=np.array(value), in_domain=in_domain, denominators=np.array(dens))
 
 
 def maker_policy_step(lam, params: ModelParams) -> OperatorResult:
     """Pricing round trip: insider response, then maker response."""
-    beta, _, dens, _, in_domain = _insider_pass(_as_floats(lam, params.n_periods, "lam"), params)
+    beta, _, dens, in_domain = _insider_pass(_as_floats(lam, params.n_periods, "lam"), params)
     value = _maker_pass(beta, params)[0] if in_domain else beta
     if not all(map(math.isfinite, value)):
         # An in-domain strategy can still overflow the maker recursion.
@@ -237,20 +239,24 @@ def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):
     """Pinned-coordinate restriction as a map on one-element float lists.
 
     ``[x] -> [entry coord of the strategy round trip]``, with the other
-    entries at ``eq.beta``, which is validated here once.  The image is
-    ``[inf]`` when the step leaves the domain.  One-element lists are the
-    shape the iteration loop plays.
+    entries at ``eq.beta``, which is validated here once.  Maker rounds
+    1 .. coord-1 see only pinned entries, so they are solved here once;
+    each step resumes the maker pass at round ``coord`` and runs the whole
+    insider pass, because a round below ``coord`` can still leave the
+    domain.  The image is ``[inf]`` when the step leaves the domain.
+    One-element lists are the shape the iteration loop plays.
     """
     n = params.n_periods
     if not 1 <= coord <= n:
         raise ValueError("coord must be between 1 and n_periods")
     pinned = _as_floats(eq.beta, n, "beta")
     i = coord - 1
+    head, sigma_sq = _maker_pass(pinned[:i], params)
+    tail = pinned[coord:]
 
     def step(xs: list) -> list:
-        vec = pinned.copy()
-        vec[i] = xs[0]
-        return [_insider_pass(_maker_pass(vec, params)[0], params)[0][i]]
+        lam = _maker_pass([xs[0], *tail], params, sigma_sq[-1], head)[0]
+        return [_insider_pass(lam, params)[0][i]]
 
     return step
 

@@ -85,9 +85,7 @@ def loads_report(text: str) -> dict:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, complex):
-        return repr(value)
-    if isinstance(value, float):
+    if isinstance(value, (complex, float)):
         return repr(value)
     if value is None:
         return ""
@@ -132,14 +130,9 @@ def _flatten_into(out: dict, obj: dict, prefix: str) -> None:
 def rows_to_csv(result) -> str:
     """Render a command result as CSV text (header row first)."""
     rows = flatten_rows(result)
-    fieldnames: list = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fieldnames, restval="")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()

@@ -36,6 +36,19 @@ def test_equilibrium_json_digits(capsys):
     assert report["result"]["recursion_check"]["ok"] is True
 
 
+def test_equilibrium_solves_b_once_per_horizon(capsys, monkeypatch):
+    import kyle_stability.model as model
+
+    calls = []
+    solve = model.solve_b_recursion
+    monkeypatch.setattr(model, "solve_b_recursion", lambda n: calls.append(n) or solve(n))
+    for _ in range(2):
+        code, out, _ = _run(capsys, ["equilibrium", "--n", "37"])
+        assert code == 0
+    assert len(loads_report(out)["result"]["b"]) == 37
+    assert len(calls) <= 1
+
+
 def test_equilibrium_rejects_bad_round_count(capsys):
     code, out, err = _run(capsys, ["equilibrium", "--n", "0"])
     assert code == 2
@@ -136,6 +149,36 @@ def test_perturb_battery_exit_four(capsys):
     report = loads_report(out)
     returned = {row["coord"]: row["returned"] for row in report["result"]}
     assert returned == {1: False, 2: False, 3: True, 4: True}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["perturb", "--n", "3", "--battery", "--coord", "1"], "--coord has no effect with --battery"),
+        (
+            ["simulate", "--n", "2", "--paths", "1000", "--strategy", "1,1", "--strategy-scale", "0.5"],
+            "--strategy-scale has no effect with --strategy",
+        ),
+    ],
+    ids=["perturb-battery-coord", "simulate-strategy-scale"],
+)
+def test_flag_ignored_by_another_exits_two(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_ignored_flag_at_its_default_is_accepted(capsys):
+    code, out, _ = _run(capsys, ["perturb", "--n", "3", "--battery", "--coord", "last"])
+    assert code == 0
+    assert loads_report(out)["inputs"]["coord"] == "last"
+    code, out, _ = _run(
+        capsys,
+        ["simulate", "--n", "2", "--paths", "1000", "--strategy", "1,1", "--strategy-scale", "1"],
+    )
+    assert code == 0
+    assert loads_report(out)["inputs"]["strategy_scale"] == 1.0
 
 
 def test_jacobian_default_point_matches_closed_form(capsys):
@@ -255,6 +298,24 @@ def test_tables_key_results_honours_model_flags(capsys):
     code, out, _ = _run(capsys, ["tables", "--which", "key-results", "--n", "2", "--sigma-u", "5"])
     inputs = loads_report(out)["inputs"]
     assert inputs["n"] == 2 and inputs["sigma_u"] == 5.0
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--tol", "1e-9"],
+        ["--max-iter", "5"],
+        ["--blowup", "10"],
+        ["--variance-bump", "1e-6"],
+        ["--expect-converge"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_tables_key_results_rejects_iteration_flags(capsys, flag):
+    code, out, err = _run(capsys, ["tables", "--which", "key-results", "--n", "2", *flag])
+    assert code == 2
+    assert out == ""
+    assert f"{flag[0]} has no effect with --which key-results" in err
 
 
 def test_tables_perturbation_limit(capsys):

@@ -16,7 +16,7 @@ from kyle_stability import (
     solve_b_recursion,
     verify_kyle_recursions,
 )
-from kyle_stability.model import _backward_step
+from kyle_stability.model import _b_coefficients, _backward_step
 
 from conftest import BUMPED_BETA_N3, EQ_BETA_N3, bumped_params_n3, random_params
 
@@ -295,3 +295,17 @@ def test_equilibrium_length_mismatch_rejected(unit_params_n3):
         Equilibrium(
             beta=eq.beta[:2], lam=eq.lam, alpha=eq.alpha, sigma_sq=eq.sigma_sq
         )
+
+
+@pytest.mark.parametrize("n_periods", [1, 3, 8, 64])
+def test_cached_b_coefficients_equal_a_fresh_solve(n_periods):
+    cached = _b_coefficients(n_periods)
+    assert _b_coefficients(n_periods) is cached
+    assert not cached.b.flags.writeable
+    fresh = solve_b_recursion(n_periods)
+    assert cached.b.tobytes() == fresh.b.tobytes()
+    params = ModelParams(n_periods=n_periods, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    implicit = equilibrium_from_params(params)
+    explicit = equilibrium_from_params(params, fresh)
+    for name in ("beta", "lam", "alpha", "sigma_sq"):
+        assert getattr(implicit, name).tobytes() == getattr(explicit, name).tobytes()

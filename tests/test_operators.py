@@ -482,6 +482,60 @@ def test_pinned_step_golden_values(coord, x, expected):
     assert repr(pinned_coordinate_step(x, coord, eq, ModelParams(n_periods=5))) == expected
 
 
+def _pole_below(k: int, eq: Equilibrium, params: ModelParams) -> list:
+    """Adjacent floats in (0, beta_k) around a zero of 1 - alpha_k lam_{k-1}.
+
+    There round k - 1, below the pinned coordinate k, leaves the domain while
+    rounds k .. N stay in it.  Found by bisection on the public responses.
+    """
+    def factor(x):
+        vec = eq.beta.copy()
+        vec[k - 1] = x
+        lam = market_maker_response(vec, params).lam
+        return 1.0 - insider_response(lam, params).alpha[k - 1] * lam[k - 2]
+
+    lo, hi = float(eq.beta[k - 1]) * 1e-6, float(eq.beta[k - 1])
+    assert factor(lo) < 0.0 < factor(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if factor(mid) < 0.0 else (lo, mid)
+    return [lo, hi]
+
+
+def test_pinned_step_equals_round_trip_entry_bitwise():
+    # The pinned map solves the maker rounds before coordinate k once and
+    # reuses them; its value must still be entry k of the full round trip,
+    # bit for bit: in the domain, at poles of the rounds below k, at a zero
+    # or subnormal x, and past the b**2 overflow at |x| ~ 1.3e154 (where the
+    # maker pass reruns on float64 scalars).
+    rng = np.random.default_rng(20261018)
+    left_domain = below_k = overflowed = 0
+    for scale in (1e-8, 1.0, 1e8):
+        for n in range(1, 13):
+            base = random_params(rng, n)
+            params = ModelParams(
+                n, base.delta * scale, base.sigma_u * scale, base.sigma0 / scale
+            )
+            eq = equilibrium_from_params(params)
+            for k in range(1, n + 1):
+                x_hat = float(eq.beta[k - 1])
+                points = [x_hat, 0.0, 1e-320, -3e-310, 2e154, -1e300, x_hat * 1e160]
+                points += list(x_hat * rng.uniform(-3.0, 3.0, size=6))
+                points += _pole_below(k, eq, params) if k > 1 else []
+                for x in points:
+                    vec = eq.beta.copy()
+                    vec[k - 1] = x
+                    full = insider_policy_step(vec, params)
+                    got = pinned_coordinate_step(x, k, eq, params)
+                    assert got.hex() == float(full.value[k - 1]).hex(), (scale, n, k, x)
+                    if not full.in_domain:
+                        left_domain += 1
+                        # Round k - 1 was reached, so the failing round is below k.
+                        below_k += k > 1 and not np.isnan(full.denominators[k - 2])
+                        overflowed += abs(x) > 1.3e154
+    assert left_domain > below_k > 0
+    assert overflowed > 0
+
+
 def test_pinned_step_input_contract(unit_params_n3):
     eq = equilibrium_from_params(unit_params_n3)
     for x in (np.nan, np.inf, -np.inf):
