@@ -372,6 +372,8 @@ def _cmd_tables(args) -> int:
             range(1, params.n_periods + 1), base_params=params
         )
     elif args.which == "eigenvalues":
+        # The table exits 4 without a second fixed point, flag or not.
+        _reject_ignored(args, "--which eigenvalues", expect_converge=False)
         result = experiments.eigenvalue_table(
             params,
             variance_bump=args.variance_bump,

@@ -24,7 +24,10 @@ Every public operator runs on two private passes over Python floats:
 variance and earlier prices) and ``_insider_pass`` (backward recursion to
 ``beta``, ``alpha``, the strategy denominators and the domain verdict).
 Public functions validate input once and build numpy arrays only for their
-results; no numpy call sits in the per-round loop.  The pinned-coordinate
+results; no numpy call sits in the per-round loop.  ``_strategy_round_trip``
+and ``_pricing_round_trip`` compose the passes once, for the public round
+trips and for ``_list_map``, which hands them to the iteration loop and the
+difference stencils as maps on float lists.  The pinned-coordinate
 map solves the maker rounds before its coordinate once; a step reruns the
 later maker rounds and the whole insider pass, whose domain test covers
 every round.  ``b**2`` stays a power (libm ``pow``), not ``b * b``: they
@@ -108,9 +111,15 @@ class OperatorResult:
 
 def _as_floats(x, n: int, name: str) -> list:
     values = np.asarray(x, dtype=float)
-    if values.ndim != 1 or values.size != n:
+    if values.ndim != 1:
         raise ValueError(f"{name} must be a vector of length {n}")
-    values = values.tolist()
+    return _checked(values.tolist(), n, name)
+
+
+def _checked(values: list, n: int, name: str) -> list:
+    """``values`` itself, after the length and finiteness checks of the public operators."""
+    if len(values) != n:
+        raise ValueError(f"{name} must be a vector of length {n}")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
     return values
@@ -218,21 +227,69 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
     )
 
 
+def _strategy_round_trip(beta: list, params: ModelParams) -> tuple[list, list, bool]:
+    """``(value, denominators, in_domain)``; the value is all infinity outside the domain."""
+    value, _, dens, in_domain = _insider_pass(_maker_pass(beta, params)[0], params)
+    return value, dens, in_domain
+
+
+def _pricing_round_trip(lam: list, params: ModelParams) -> tuple[list, list, bool]:
+    """``(value, denominators, in_domain)``; the value is all infinity outside the domain."""
+    beta, _, dens, in_domain = _insider_pass(lam, params)
+    value = _maker_pass(beta, params)[0] if in_domain else beta
+    if not all(map(math.isfinite, value)):
+        # An in-domain strategy can still overflow the maker recursion.
+        value, in_domain = [math.inf] * len(value), False
+    return value, dens, in_domain
+
+
 def insider_policy_step(beta, params: ModelParams) -> OperatorResult:
     """Strategy round trip: maker response, then insider response."""
-    lam = _maker_pass(_as_floats(beta, params.n_periods, "beta"), params)[0]
-    value, _, dens, in_domain = _insider_pass(lam, params)
+    value, dens, in_domain = _strategy_round_trip(_as_floats(beta, params.n_periods, "beta"), params)
     return OperatorResult(value=np.array(value), in_domain=in_domain, denominators=np.array(dens))
 
 
 def maker_policy_step(lam, params: ModelParams) -> OperatorResult:
     """Pricing round trip: insider response, then maker response."""
-    beta, _, dens, in_domain = _insider_pass(_as_floats(lam, params.n_periods, "lam"), params)
-    value = _maker_pass(beta, params)[0] if in_domain else beta
-    if not all(map(math.isfinite, value)):
-        # An in-domain strategy can still overflow the maker recursion.
-        value, in_domain = [math.inf] * len(value), False
+    value, dens, in_domain = _pricing_round_trip(_as_floats(lam, params.n_periods, "lam"), params)
     return OperatorResult(value=np.array(value), in_domain=in_domain, denominators=np.array(dens))
+
+
+# The two round trips as defined here, captured once.  A wrapper bound to
+# their names later (a tracer, a test double) is any other callable, so it
+# is called like one.
+_ROUND_TRIPS = (
+    (insider_policy_step, _strategy_round_trip, "beta"),
+    (maker_policy_step, _pricing_round_trip, "lam"),
+)
+
+
+def _list_map(operator, params: ModelParams):
+    """A policy map as a function on lists of floats.
+
+    The image of a point outside the domain is all infinity; any non-finite
+    entry means the map left the domain.  The two round trips of this
+    module, matched by identity against the functions defined here, run
+    straight on the float passes, with the length and finiteness checks of
+    the public operators and no arrays or :class:`OperatorResult` per call.
+    Any other callable ``(vector, params) -> OperatorResult`` gets float64
+    arrays, and a result with ``in_domain=False`` maps to infinity.
+    """
+    n = params.n_periods
+    for function, round_trip, name in _ROUND_TRIPS:
+        if operator is function:
+
+            def step(values: list) -> list:
+                return round_trip(_checked(values, n, name), params)[0]
+
+            return step
+
+    def step(values: list) -> list:
+        result = operator(np.array(values), params)
+        value = np.asarray(result.value, dtype=float).tolist()
+        return value if result.in_domain else [math.inf] * len(value)
+
+    return step
 
 
 def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):

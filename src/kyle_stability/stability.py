@@ -4,11 +4,20 @@ One loop runs every iteration.  It plays a step map on lists of Python
 floats and reports one of four verdicts: ``converged`` (successive iterates
 within a relative tolerance), ``diverged`` (sup norm above a blowup
 threshold), ``left_domain`` (the step returned a non-finite entry), or
-``max_iter``.  :func:`iterate` adapts a vector policy map to it (a result
+``max_iter``.  :func:`iterate` plays any vector policy map on it (a result
 with ``in_domain=False`` counts as leaving the domain) and returns float64
 arrays; the pinned-coordinate battery and :func:`linearized_pinned_iteration`
 run it on one-element lists and return floats.  A trace keeps the first and
 the last 500 iterates.
+
+:func:`iterate`, :func:`jacobian_fd` and :func:`classify_fixed_point` take
+any callable ``(vector, params) -> OperatorResult`` and see it through one
+adapter on float lists (``operators._list_map``).  For the two round trips,
+:func:`~kyle_stability.operators.insider_policy_step` and
+:func:`~kyle_stability.operators.maker_policy_step`, the adapter runs the
+float passes directly, without building arrays or an ``OperatorResult``
+per step or stencil point, and gives the same bits; a wrapper around
+either is any other callable and is called at every point.
 
 Local analysis around a fixed point goes through the Jacobian: central
 finite differences for the general case, closed forms for one- and
@@ -22,7 +31,7 @@ iteration of the tangent-line model.
 
 Both difference stencils use one step rule: the step for entry j is
 ``c * |x_j|``, so it follows the size of the point and not its units (see
-:func:`_relative_steps`).
+:func:`_relative_step`).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .model import Equilibrium, ModelParams, equilibrium_from_params
-from .operators import _pinned_map, insider_policy_step
+from .operators import _list_map, _pinned_map, insider_policy_step
 
 __all__ = [
     "VERDICT_CONVERGED",
@@ -186,7 +195,8 @@ def iterate(
     operator : callable
         Map ``(vector, params) -> OperatorResult``, e.g.
         :func:`~kyle_stability.operators.insider_policy_step`; a result
-        with ``in_domain=False`` ends the run as ``left_domain``.
+        with ``in_domain=False`` ends the run as ``left_domain``.  The two
+        round trips run on their float passes, without the array boundary.
     start : array_like
         Finite 1-D initial vector of length ``params.n_periods``; anything
         else raises ``ValueError``.
@@ -207,53 +217,54 @@ def iterate(
     x = np.asarray(start, dtype=float)
     if x.ndim != 1:
         raise ValueError("start must be a vector")
-
-    def step(values: list) -> list:
-        result = operator(np.array(values), params)
-        value = np.asarray(result.value, dtype=float).tolist()
-        return value if result.in_domain else [math.inf] * len(value)
-
+    step = _list_map(operator, params)
     return _iterate(step, x.tolist(), np.array, tol=tol, max_iter=max_iter, blowup=blowup)
 
 
-def _relative_steps(x: np.ndarray, scale: float) -> np.ndarray:
-    """Per-entry difference step ``scale * |x_j|``.
+def _relative_step(x: list, j: int, scale: float) -> float:
+    """Difference step ``scale * |x_j|`` for entry ``j`` of a float list.
 
     A zero entry falls back to ``scale * max|x|``, and to ``scale`` itself
     when the whole vector is zero.
     """
-    size = np.abs(x)
-    fallback = float(size.max(initial=0.0)) or 1.0
-    return scale * np.where(size > 0.0, size, fallback)
+    return scale * (abs(x[j]) or max(map(abs, x)) or 1.0)
 
 
 def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     """Jacobian of a policy map by central finite differences.
 
     Per-coordinate step ``h_j = cbrt(eps) * |x_j|`` (see
-    :func:`_relative_steps`).  Raises :class:`StencilDomainError` naming
-    the (1-based) coordinate whose stencil leaves the domain.
+    :func:`_relative_step`).  Any callable ``(vector, params) ->
+    OperatorResult`` works; the two round trips of
+    :mod:`~kyle_stability.operators` run on their float passes without
+    building arrays per stencil point, and reject a stencil point that
+    overflows to infinity with ``ValueError``, as their public form does.
+    Raises :class:`StencilDomainError` naming the (1-based) coordinate
+    whose stencil leaves the domain.
     """
     x = np.asarray(point, dtype=float)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise ValueError("point must be a finite vector")
-    n = x.size
-    jac = np.empty((n, n))
-    steps = _relative_steps(x, _FD_STEP)
-    for j in range(n):
-        h = steps[j]
-        x_plus = x.copy()
+    step = _list_map(operator, params)
+    xs = x.tolist()
+    n = len(xs)
+    steps = [_relative_step(xs, j, _FD_STEP) for j in range(n)]
+    plus, minus = [], []
+    for j, h in enumerate(steps):
+        x_plus = xs.copy()
         x_plus[j] += h
-        x_minus = x.copy()
+        x_minus = xs.copy()
         x_minus[j] -= h
-        res_plus = operator(x_plus, params)
-        res_minus = operator(x_minus, params)
-        if not (res_plus.in_domain and res_minus.in_domain):
+        f_plus, f_minus = step(x_plus), step(x_minus)
+        if not all(map(math.isfinite, f_plus + f_minus)):
             raise StencilDomainError(j + 1)
-        jac[:, j] = (np.asarray(res_plus.value) - np.asarray(res_minus.value)) / (
-            2.0 * h
-        )
-    return jac
+        plus.append(f_plus)
+        minus.append(f_minus)
+    # Row j of plus - minus is column j of the Jacobian; the reshape keeps
+    # an empty point 0 x 0.  The result is laid out in C order, because
+    # numpy's row sums (the inf norm) associate differently on a transpose.
+    jac = np.subtract(plus, minus).reshape(n, n).T / (2.0 * np.array(steps))
+    return np.ascontiguousarray(jac)
 
 
 def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
@@ -353,14 +364,20 @@ def classify_fixed_point(
     ``point`` must actually be fixed: one application of the map has to
     return it within ``fixed_point_tol`` in relative sup norm, otherwise
     :class:`NotAFixedPointError` is raised.  The Jacobian is taken by
-    finite differences.
+    finite differences (:func:`jacobian_fd`).  Any callable ``(vector,
+    params) -> OperatorResult`` works; the two round trips of
+    :mod:`~kyle_stability.operators` run on their float passes without
+    building arrays per evaluation.
     """
     x = np.asarray(point, dtype=float)
-    result = operator(x, params)
-    if not result.in_domain:
+    if x.ndim != 1:
+        raise ValueError("point must be a vector")
+    xs = x.tolist()
+    image = _list_map(operator, params)(xs)
+    if not all(map(math.isfinite, image)):
         raise OutOfDomainError("point is outside the operator domain")
-    residual = float(np.max(np.abs(np.asarray(result.value) - x)))
-    if residual > fixed_point_tol * (1.0 + float(np.max(np.abs(x)))):
+    residual = max(map(abs, map(sub, image, xs)))
+    if residual > fixed_point_tol * (1.0 + max(map(abs, xs))):
         raise NotAFixedPointError(
             f"map moves the point by {residual:.3e} in sup norm"
         )
@@ -385,14 +402,15 @@ def pinned_coordinate_derivative(
     ``coord`` is 1-based.  The equilibrium is solved on the fly when not
     supplied.  Uses the five-point central stencil
     ``(f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)) / (12 h)`` with the step
-    ``h = eps^(1/5) |x|`` of :func:`_relative_steps`; a stencil point
+    ``h = eps^(1/5) |x|`` of :func:`_relative_step`; a stencil point
     outside the operator domain raises :class:`StencilDomainError`.
     """
     if eq is None:
         eq = equilibrium_from_params(params)
     pinned = _pinned_map(coord, eq, params)
-    x = float(eq.beta[coord - 1])
-    h = float(_relative_steps(eq.beta, _PINNED_STEP)[coord - 1])
+    beta = eq.beta.tolist()
+    x = beta[coord - 1]
+    h = _relative_step(beta, coord - 1, _PINNED_STEP)
     f_m2, f_m1, f_p1, f_p2 = (pinned([x + k * h])[0] for k in (-2, -1, 1, 2))
     if not all(math.isfinite(f) for f in (f_m2, f_m1, f_p1, f_p2)):
         raise StencilDomainError(coord)

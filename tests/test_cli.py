@@ -159,8 +159,12 @@ def test_perturb_battery_exit_four(capsys):
             ["simulate", "--n", "2", "--paths", "1000", "--strategy", "1,1", "--strategy-scale", "0.5"],
             "--strategy-scale has no effect with --strategy",
         ),
+        (
+            ["tables", "--which", "eigenvalues", "--n", "3", "--expect-converge"],
+            "--expect-converge has no effect with --which eigenvalues",
+        ),
     ],
-    ids=["perturb-battery-coord", "simulate-strategy-scale"],
+    ids=["perturb-battery-coord", "simulate-strategy-scale", "tables-eigenvalues-expect-converge"],
 )
 def test_flag_ignored_by_another_exits_two(capsys, argv, message):
     code, out, err = _run(capsys, argv)
@@ -195,6 +199,14 @@ def test_jacobian_out_of_domain_exit_three(capsys):
     code, out, err = _run(capsys, ["jacobian", "--n", "2", "--point", "0,0"])
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize("operator", ["insider", "maker"])
+def test_jacobian_stencil_overflow_exits_two(capsys, operator):
+    argv = ["jacobian", "--n", "3", "--operator", operator, "--point", "1.7976931348623157e308,1,1"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "must be finite" in err
 
 
 def test_jacobian_closed_form_maker_rejected(capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from kyle_stability import (
     jacobian_fd,
     linearized_pinned_iteration,
     maker_policy_step,
+    operators,
     pinned_coordinate_derivative,
 )
 
@@ -252,6 +256,88 @@ def test_jacobian_fd_relative_step_at_zero_entries():
             x_plus = seen[2 * j]
             want = zero_step if point[j] == 0.0 else cbrt_eps * abs(point[j])
             assert abs((x_plus[j] - point[j]) - want) <= 1e-15 * (1.0 + abs(point[j]))
+
+
+# Exact reprs of finite-difference Jacobians at (0.37, 2.9, 0.013), at the
+# equilibrium and at 1.01 times it, and of the spectral radii there; they
+# were captured when every stencil point ran through the public operators.
+_JACOBIAN_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "jacobian_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("side", ["insider", "maker"])
+def test_jacobian_fd_golden_values(n, side):
+    params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    eq = equilibrium_from_params(params)
+    operator, point = {
+        "insider": (insider_policy_step, eq.beta),
+        "maker": (maker_policy_step, eq.lam),
+    }[side]
+    for label, x in (("equilibrium", point), ("scaled", point * 1.01)):
+        jac = jacobian_fd(operator, x, params)
+        assert [[repr(float(v)) for v in row] for row in jac] == _JACOBIAN_GOLDEN[
+            f"{side}-{n}-{label}"
+        ]
+    rho = classify_fixed_point(operator, point, params).spectral_radius
+    assert repr(rho) == _JACOBIAN_GOLDEN[f"{side}-{n}-rho"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
+@pytest.mark.parametrize("sigma_u", [1.0, 1e-8, 1e8], ids=["unit", "beta-1e-8", "beta-1e8"])
+def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
+    # The round trips skip the array boundary; a lambda around them is any
+    # other callable and takes the array path.  Results must share every bit.
+    params = ModelParams(n_periods=n, sigma_u=sigma_u)
+    eq = equilibrium_from_params(params)
+    for operator, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
+        wrapped = lambda x, p, op=operator: op(x, p)  # noqa: E731
+        for x in (point, point * (1.0 + 1e-3 * np.cos(np.arange(n)))):
+            fast, slow = jacobian_fd(operator, x, params), jacobian_fd(wrapped, x, params)
+            assert fast.flags.c_contiguous
+            assert fast.tobytes() == slow.tobytes()
+        fast, slow = (classify_fixed_point(op, point, params) for op in (operator, wrapped))
+        assert fast.jacobian.tobytes() == slow.jacobian.tobytes()
+        assert fast.eigenvalues.tobytes() == slow.eigenvalues.tobytes()
+        assert repr(fast.spectral_radius) == repr(slow.spectral_radius)
+        assert repr(fast.inf_norm) == repr(slow.inf_norm)
+        start = point * (1.0 + 1e-3 * np.sin(np.arange(1, n + 1)))
+        fast, slow = (iterate(op, start, params, max_iter=300) for op in (operator, wrapped))
+        assert (fast.verdict, fast.iterations_used) == (slow.verdict, slow.iterations_used)
+        assert [v.tobytes() for v in fast.iterates] == [v.tobytes() for v in slow.iterates]
+        limits = [None if t.limit is None else t.limit.tobytes() for t in (fast, slow)]
+        assert limits[0] == limits[1]
+
+
+def test_wrapper_bound_to_a_round_trip_name_is_called(monkeypatch, unit_params_n3):
+    # Only the functions defined in operators skip the array boundary; a
+    # wrapper bound to their name later (as a tracer binds one) is called for
+    # the fixed-point check and each of the 2N stencil points, with the same bits.
+    original = operators.insider_policy_step
+    calls = []
+
+    def wrapper(x, params):
+        calls.append(1)
+        return original(x, params)
+
+    monkeypatch.setattr(operators, "insider_policy_step", wrapper)
+    eq = equilibrium_from_params(unit_params_n3)
+    via_wrapper = classify_fixed_point(wrapper, eq.beta, unit_params_n3)
+    assert len(calls) == 7
+    via_original = classify_fixed_point(original, eq.beta, unit_params_n3)
+    assert len(calls) == 7
+    assert via_original.jacobian.tobytes() == via_wrapper.jacobian.tobytes()
+
+
+@pytest.mark.parametrize(
+    "operator,name", [(insider_policy_step, "beta"), (maker_policy_step, "lam")]
+)
+def test_jacobian_fd_stencil_overflow_is_an_input_error(unit_params_n3, operator, name):
+    # The largest float is finite, but its stencil point x + h is not; the
+    # round trip rejects it as input, as the public operator does.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        jacobian_fd(operator, [1.7976931348623157e308, 1.0, 1.0], unit_params_n3)
 
 
 def test_jacobian_closed_form_matches_fd_on_random_points():
