@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jac.add_argument("--operator", choices=sorted(_OPERATORS), default="insider")
     p_jac.add_argument("--point", type=_vector, default=None, help="defaults to the equilibrium")
     p_jac.add_argument(
-        "--closed-form", action="store_true", help="analytic form (1 or 2 rounds, insider side)"
+        "--closed-form", action="store_true", help="exact, any N, insider side"
     )
 
     p_st = sub.add_parser("stability", help="classify a fixed point of a policy round trip")

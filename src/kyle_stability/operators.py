@@ -30,8 +30,10 @@ trips and for ``_list_map``, which hands them to the iteration loop and the
 difference stencils as maps on float lists.  The pinned-coordinate
 map solves the maker rounds before its coordinate once; a step reruns the
 later maker rounds and the whole insider pass, whose domain test covers
-every round.  ``b**2`` stays a power (libm ``pow``), not ``b * b``: they
-differ in the last bit for about one input in 1,250, which golden tests pin.
+every round.  Both passes also run on Python ``complex`` values, which is
+how the stability module takes exact complex-step derivatives.  ``b**2``
+stays a power (libm ``pow``), not ``b * b``: they differ in the last bit
+for about one input in 1,250, which golden tests pin.
 """
 
 from __future__ import annotations
@@ -149,11 +151,12 @@ def _maker_pass(beta: list, params: ModelParams, prev=None, lam=()) -> tuple[lis
         return _maker_rounds(beta, params, prev, list(lam))
     except ArithmeticError:
         # Python floats raise where IEEE arithmetic gives inf or nan (b**2
-        # overflowing, or 0/0 once sigma_u**2 underflows); float64 scalars
-        # give the IEEE results, so rerun the same rounds on them.
+        # overflowing, or 0/0 once sigma_u**2 underflows); numpy scalars
+        # give the IEEE results, so rerun the same rounds on them.  Complex
+        # entries (a complex-step derivative) stay complex.
         with np.errstate(all="ignore"):
-            lam, sigma_sq = _maker_rounds([np.float64(b) for b in beta], params, prev, list(lam))
-        return [float(v) for v in lam], [float(v) for v in sigma_sq]
+            lam, sigma_sq = _maker_rounds(list(np.asarray(beta)), params, prev, list(lam))
+        return np.asarray(lam).tolist(), np.asarray(sigma_sq).tolist()
 
 
 def _insider_pass(lam: list, params: ModelParams):

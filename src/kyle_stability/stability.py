@@ -20,17 +20,18 @@ per step or stencil point, and gives the same bits; a wrapper around
 either is any other callable and is called at every point.
 
 Local analysis around a fixed point goes through the Jacobian: central
-finite differences for the general case, closed forms for one- and
-two-round models, eigenvalues by the standard dense solver (balancing,
+finite differences for any policy map, exact complex steps for the
+strategy round trip, eigenvalues by the standard dense solver (balancing,
 Hessenberg reduction, shifted QR), and a classification of the spectral
-radius.
+radius.  Scalar diagnostics for pinned-coordinate restrictions of the
+strategy map live here too: the exact derivative and the iteration of the
+tangent-line model.
 
-Scalar diagnostics for pinned-coordinate restrictions of the strategy map
-live here too: a five-point central-difference derivative and the
-iteration of the tangent-line model.
-
-Both difference stencils use one step rule: the step for entry j is
-``c * |x_j|``, so it follows the size of the point and not its units (see
+A complex step (:func:`_complex_step`) runs the float kernels unchanged on
+Python ``complex`` values and reads ``f'(x) = Im f(x + i h) / h``: no
+difference, so no cancellation (Squire & Trapp, SIAM Review 40, 1998).
+It and the central stencil use one step rule, ``c * |x_j|`` for entry j,
+which follows the size of the point and not its units (see
 :func:`_relative_step`).
 """
 
@@ -44,7 +45,7 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .model import Equilibrium, ModelParams, equilibrium_from_params
-from .operators import _list_map, _pinned_map, insider_policy_step
+from .operators import _list_map, _pinned_map, _strategy_round_trip
 
 __all__ = [
     "VERDICT_CONVERGED",
@@ -72,22 +73,21 @@ VERDICT_DIVERGED = "diverged"
 VERDICT_LEFT_DOMAIN = "left_domain"
 VERDICT_MAX_ITER = "max_iter"
 
-# Relative step scales that balance truncation against rounding error:
-# eps^(1/3) for the two-point central stencil, eps^(1/5) for the five-point.
-_EPS = float(np.finfo(float).eps)
-_FD_STEP = _EPS ** (1.0 / 3.0)
-_PINNED_STEP = _EPS ** (1.0 / 5.0)
+# Relative step scales: eps^(1/3) balances truncation against rounding in
+# the central stencil; a complex step takes no difference, so h can be tiny.
+_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+_CS_STEP = 1e-20
 _EIG_MAX_SIZE = 64
 # An iteration trace keeps the first and the last _TRACE_HALF iterates.
 _TRACE_HALF = 500
 
 
 class StencilDomainError(RuntimeError):
-    """A finite-difference stencil point fell outside the operator domain."""
+    """A stencil point or complex step along ``coordinate`` (1-based) left the domain."""
 
     def __init__(self, coordinate: int):
         super().__init__(
-            f"stencil for coordinate {coordinate} leaves the operator domain"
+            f"derivative step for coordinate {coordinate} leaves the operator domain"
         )
         self.coordinate = coordinate
 
@@ -222,12 +222,41 @@ def iterate(
 
 
 def _relative_step(x: list, j: int, scale: float) -> float:
-    """Difference step ``scale * |x_j|`` for entry ``j`` of a float list.
+    """Derivative step ``scale * |x_j|`` for entry ``j`` of a float list.
 
     A zero entry falls back to ``scale * max|x|``, and to ``scale`` itself
     when the whole vector is zero.
     """
     return scale * (abs(x[j]) or max(map(abs, x)) or 1.0)
+
+
+def _as_point(point, params: ModelParams) -> list:
+    """``point`` as a float list; it must be a finite vector of length ``params.n_periods``."""
+    x = np.asarray(point, dtype=float)
+    if x.shape != (params.n_periods,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"point must be a finite vector of length {params.n_periods}")
+    return x.tolist()
+
+
+def _complex_step(step, xs: list, j: int) -> list:
+    """Column ``j`` of the Jacobian of the float-list map ``step`` at ``xs``.
+
+    ``Im f(x + i h e_j) / h`` with ``h = 1e-20 |x_j|`` (see
+    :func:`_relative_step`), exact to rounding.  An image entry whose real
+    or imaginary part is not finite, or an ``OverflowError`` (``abs`` of a
+    complex number raises it on overflow, and in CPython on a NaN after an
+    earlier overflow), raises :class:`StencilDomainError` for entry ``j + 1``.
+    """
+    h = _relative_step(xs, j, _CS_STEP)
+    x = xs.copy()
+    x[j] = complex(x[j], h)
+    try:
+        image = step(x)
+    except OverflowError:
+        raise StencilDomainError(j + 1) from None
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in image):
+        raise StencilDomainError(j + 1)
+    return [v.imag / h for v in image]
 
 
 def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
@@ -239,14 +268,12 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     :mod:`~kyle_stability.operators` run on their float passes without
     building arrays per stencil point, and reject a stencil point that
     overflows to infinity with ``ValueError``, as their public form does.
-    Raises :class:`StencilDomainError` naming the (1-based) coordinate
-    whose stencil leaves the domain.
+    A point that is not a finite vector of length ``params.n_periods``
+    raises ``ValueError``.  Raises :class:`StencilDomainError` naming the
+    (1-based) coordinate whose stencil leaves the domain.
     """
-    x = np.asarray(point, dtype=float)
-    if x.ndim != 1 or not np.all(np.isfinite(x)):
-        raise ValueError("point must be a finite vector")
+    xs = _as_point(point, params)
     step = _list_map(operator, params)
-    xs = x.tolist()
     n = len(xs)
     steps = [_relative_step(xs, j, _FD_STEP) for j in range(n)]
     plus, minus = [], []
@@ -260,62 +287,36 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
             raise StencilDomainError(j + 1)
         plus.append(f_plus)
         minus.append(f_minus)
-    # Row j of plus - minus is column j of the Jacobian; the reshape keeps
-    # an empty point 0 x 0.  The result is laid out in C order, because
-    # numpy's row sums (the inf norm) associate differently on a transpose.
-    jac = np.subtract(plus, minus).reshape(n, n).T / (2.0 * np.array(steps))
+    # Row j of plus - minus is column j of the Jacobian.  The result is laid
+    # out in C order, because numpy's row sums (the inf norm) associate
+    # differently on a transpose.
+    jac = np.subtract(plus, minus).T / (2.0 * np.array(steps))
     return np.ascontiguousarray(jac)
 
 
 def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
-    """Analytic Jacobian of the strategy round trip for 1 or 2 rounds.
+    """Exact Jacobian of the strategy round trip, for any number of rounds.
+
+    One complex step per column (:func:`_complex_step`) through the float
+    passes of :func:`~kyle_stability.operators.insider_policy_step`.
 
     Raises
     ------
     ValueError
-        For more than 2 rounds; no closed form is maintained there.
+        When ``point`` is not a finite vector of length ``params.n_periods``.
     OutOfDomainError
         When ``point`` is outside the map's domain.
+    StencilDomainError
+        When a complex step leaves the domain from a point inside it.
     """
-    n = params.n_periods
-    if n > 2:
-        raise ValueError("closed-form Jacobian is only available for 1 or 2 rounds")
-    x = np.asarray(point, dtype=float)
-    if x.size != n or not np.all(np.isfinite(x)):
-        raise ValueError("point must be a finite vector matching n_periods")
-    if not insider_policy_step(x, params).in_domain:
+    xs = _as_point(point, params)
+
+    def step(values: list) -> list:
+        return _strategy_round_trip(values, params)[0]
+
+    if not all(map(math.isfinite, step(xs))):
         raise OutOfDomainError("point is outside the operator domain")
-
-    ds = params.delta * params.sigma0
-    var_u = params.sigma_u**2
-    if n == 1:
-        b = x[0]
-        return np.array([[0.5 - var_u / (2.0 * ds * b * b)]])
-
-    b1, b2 = x
-    a = b1 * b1 * ds + var_u
-    b_f = b1 * ds * (b1 - b2) ** 2 + var_u * (b1 - 2.0 * b2)
-    c = b1 * ds * (b1 * b1 - 4.0 * b1 * b2 + b2 * b2) + var_u * (b1 - 4.0 * b2)
-    a1 = 2.0 * b1 * ds
-    bf1 = ds * ((b1 - b2) ** 2 + 2.0 * b1 * (b1 - b2)) + var_u
-    bf2 = -2.0 * b1 * ds * (b1 - b2) - 2.0 * var_u
-    c1 = (
-        ds * (b1 * b1 - 4.0 * b1 * b2 + b2 * b2)
-        + b1 * ds * (2.0 * b1 - 4.0 * b2)
-        + var_u
-    )
-    c2 = b1 * ds * (-4.0 * b1 + 2.0 * b2) - 4.0 * var_u
-    num = a * b_f
-    den = ds * b1 * c
-    num1 = a1 * b_f + a * bf1
-    num2 = a * bf2
-    den1 = ds * (c + b1 * c1)
-    den2 = ds * b1 * c2
-    j11 = (num1 * den - num * den1) / den**2
-    j12 = (num2 * den - num * den2) / den**2
-    j21 = b1 / b2
-    j22 = 0.5 - (ds * b1 * b1 + var_u) / (2.0 * ds * b2 * b2)
-    return np.array([[j11, j12], [j21, j22]])
+    return np.column_stack([_complex_step(step, xs, j) for j in range(len(xs))])
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -363,16 +364,14 @@ def classify_fixed_point(
 
     ``point`` must actually be fixed: one application of the map has to
     return it within ``fixed_point_tol`` in relative sup norm, otherwise
-    :class:`NotAFixedPointError` is raised.  The Jacobian is taken by
-    finite differences (:func:`jacobian_fd`).  Any callable ``(vector,
-    params) -> OperatorResult`` works; the two round trips of
+    :class:`NotAFixedPointError` is raised; one that is not a finite vector
+    of length ``params.n_periods`` raises ``ValueError``.  The Jacobian is
+    taken by finite differences (:func:`jacobian_fd`).  Any callable
+    ``(vector, params) -> OperatorResult`` works; the two round trips of
     :mod:`~kyle_stability.operators` run on their float passes without
     building arrays per evaluation.
     """
-    x = np.asarray(point, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("point must be a vector")
-    xs = x.tolist()
+    xs = _as_point(point, params)
     image = _list_map(operator, params)(xs)
     if not all(map(math.isfinite, image)):
         raise OutOfDomainError("point is outside the operator domain")
@@ -381,7 +380,7 @@ def classify_fixed_point(
         raise NotAFixedPointError(
             f"map moves the point by {residual:.3e} in sup norm"
         )
-    jac = jacobian_fd(operator, x, params)
+    jac = jacobian_fd(operator, xs, params)
     ev = eigenvalues(jac)
     rho = float(np.abs(ev[0])) if ev.size else 0.0
     inf_norm = float(np.max(np.sum(np.abs(jac), axis=1)))
@@ -400,21 +399,16 @@ def pinned_coordinate_derivative(
     """Derivative of the pinned-coordinate strategy map at the equilibrium.
 
     ``coord`` is 1-based.  The equilibrium is solved on the fly when not
-    supplied.  Uses the five-point central stencil
-    ``(f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)) / (12 h)`` with the step
-    ``h = eps^(1/5) |x|`` of :func:`_relative_step`; a stencil point
-    outside the operator domain raises :class:`StencilDomainError`.
+    supplied.  One complex step (:func:`_complex_step`) on the pinned map,
+    with the step size of the whole strategy: bit for bit the diagonal entry
+    of :func:`jacobian_closed_form` at ``eq.beta``.  A step outside the
+    operator domain raises :class:`StencilDomainError`.
     """
     if eq is None:
         eq = equilibrium_from_params(params)
     pinned = _pinned_map(coord, eq, params)
-    beta = eq.beta.tolist()
-    x = beta[coord - 1]
-    h = _relative_step(beta, coord - 1, _PINNED_STEP)
-    f_m2, f_m1, f_p1, f_p2 = (pinned([x + k * h])[0] for k in (-2, -1, 1, 2))
-    if not all(math.isfinite(f) for f in (f_m2, f_m1, f_p1, f_p2)):
-        raise StencilDomainError(coord)
-    return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
+    i = coord - 1
+    return _complex_step(lambda xs: pinned(xs[i:coord]), eq.beta.tolist(), i)[0]
 
 
 def linearized_pinned_iteration(
@@ -424,10 +418,9 @@ def linearized_pinned_iteration(
 
     The step is ``x -> c + s (x - x_hat)`` where ``x_hat`` is the pinned
     equilibrium coordinate, ``c`` its image under the pinned map and ``s``
-    the five-point difference derivative there
-    (:func:`pinned_coordinate_derivative`).  The run uses the defaults of
-    :func:`iterate` (tol 1e-12, max_iter 10,000, blowup 1e8) and its trace
-    holds floats.
+    the exact derivative there (:func:`pinned_coordinate_derivative`).  The
+    run uses the defaults of :func:`iterate` (tol 1e-12, max_iter 10,000,
+    blowup 1e8) and its trace holds floats.
     """
     if eq is None:
         eq = equilibrium_from_params(params)

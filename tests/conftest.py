@@ -34,6 +34,9 @@ JAC_N2_ZERO = [(0, 1), (1, 1)]
 # Eigenvalues (descending magnitude) at the two three-round fixed points.
 EIG_EQ_N3 = np.array([-2.16095, -0.896373, 0.0])
 EIG_SECOND_N3 = np.array([0.413853, 0.193926, 0.0])
+# The two nonzero eigenvalues at the three-round equilibrium, 20 digits of a
+# 50-digit mpmath complex step through the round trip.
+EIG_EQ_N3_DIGITS = ("-2.1609539607357897986", "-0.89637299698641772736")
 # Derivative of the pinned-coordinate map at coordinate N - 2 (any N >= 3)
 # and at coordinate N - 1 for the three-round model.
 PINNED_DERIV_THIRD_LAST = -2.07611332

@@ -195,6 +195,18 @@ def test_jacobian_default_point_matches_closed_form(capsys):
     assert np.max(np.abs(fd - closed)) <= 1e-7
 
 
+def test_jacobian_closed_form_any_n(capsys):
+    code, out, _ = _run(capsys, ["jacobian", "--n", "5", "--closed-form"])
+    assert code == 0
+    result = loads_report(out)["result"]
+    assert result["closed_form"] is True
+    assert np.asarray(result["jacobian"]).shape == (5, 5)
+    assert len(result["eigenvalues"]) == 5
+    code, out, _ = _run(capsys, ["jacobian", "--n", "5"])
+    fd = np.asarray(loads_report(out)["result"]["jacobian"])
+    assert np.max(np.abs(fd - np.asarray(result["jacobian"]))) <= 1e-6
+
+
 def test_jacobian_out_of_domain_exit_three(capsys):
     code, out, err = _run(capsys, ["jacobian", "--n", "2", "--point", "0,0"])
     assert code == 3

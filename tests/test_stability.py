@@ -31,6 +31,7 @@ from kyle_stability import (
 
 from conftest import (
     EIG_EQ_N3,
+    EIG_EQ_N3_DIGITS,
     EIG_SECOND_N3,
     EQ_BETA_N3,
     JAC_N2_NONZERO,
@@ -233,6 +234,16 @@ def test_jacobian_fd_stencil_domain_error():
     assert excinfo.value.coordinate == 1
 
 
+@pytest.mark.parametrize("point", [[], [0.5, 0.7, 1.3, 1.0]], ids=["empty", "too-long"])
+def test_point_of_the_wrong_length_is_rejected(unit_params_n3, point):
+    # Checked up front, also where no evaluation reaches the map's own check.
+    for operator in (insider_policy_step, _stub(lambda x: x)):
+        with pytest.raises(ValueError, match="length 3"):
+            jacobian_fd(operator, point, unit_params_n3)
+        with pytest.raises(ValueError, match="length 3"):
+            classify_fixed_point(operator, point, unit_params_n3)
+
+
 def test_jacobian_fd_relative_step_at_zero_entries():
     # A zero entry takes the step cbrt(eps) * max|x|; an all-zero point
     # takes cbrt(eps) itself.
@@ -340,7 +351,8 @@ def test_jacobian_fd_stencil_overflow_is_an_input_error(unit_params_n3, operator
         jacobian_fd(operator, [1.7976931348623157e308, 1.0, 1.0], unit_params_n3)
 
 
-def test_jacobian_closed_form_matches_fd_on_random_points():
+def _random_points_up_to_two_rounds():
+    """50 random (params, strategy) pairs each at N = 1 and 2, near the equilibrium."""
     rng = np.random.default_rng(43)
     for n in (1, 2):
         for _ in range(50):
@@ -348,11 +360,139 @@ def test_jacobian_closed_form_matches_fd_on_random_points():
             beta = equilibrium_from_params(params).beta * rng.uniform(
                 0.8, 1.2, size=n
             )
-            closed = jacobian_closed_form(beta, params)
-            fd = jacobian_fd(insider_policy_step, beta, params)
-            # fd truncation error scales with the entry size.
-            tol = 1e-7 * (1.0 + np.max(np.abs(closed)))
-            assert np.max(np.abs(closed - fd)) <= tol
+            yield params, beta
+
+
+def _hand_jacobian(point, params: ModelParams) -> np.ndarray:
+    """Hand-expanded Jacobian of the strategy round trip for 1 or 2 rounds.
+
+    An oracle independent of the kernels: the round trip written out as a
+    rational function of the strategy and differentiated by hand.
+    """
+    ds = params.delta * params.sigma0
+    var_u = params.sigma_u**2
+    if params.n_periods == 1:
+        (b,) = point
+        return np.array([[0.5 - var_u / (2.0 * ds * b * b)]])
+    b1, b2 = point
+    a = b1 * b1 * ds + var_u
+    b_f = b1 * ds * (b1 - b2) ** 2 + var_u * (b1 - 2.0 * b2)
+    c = b1 * ds * (b1 * b1 - 4.0 * b1 * b2 + b2 * b2) + var_u * (b1 - 4.0 * b2)
+    a1 = 2.0 * b1 * ds
+    bf1 = ds * ((b1 - b2) ** 2 + 2.0 * b1 * (b1 - b2)) + var_u
+    bf2 = -2.0 * b1 * ds * (b1 - b2) - 2.0 * var_u
+    c1 = (
+        ds * (b1 * b1 - 4.0 * b1 * b2 + b2 * b2)
+        + b1 * ds * (2.0 * b1 - 4.0 * b2)
+        + var_u
+    )
+    c2 = b1 * ds * (-4.0 * b1 + 2.0 * b2) - 4.0 * var_u
+    num = a * b_f
+    den = ds * b1 * c
+    num1 = a1 * b_f + a * bf1
+    num2 = a * bf2
+    den1 = ds * (c + b1 * c1)
+    den2 = ds * b1 * c2
+    j11 = (num1 * den - num * den1) / den**2
+    j12 = (num2 * den - num * den2) / den**2
+    j21 = b1 / b2
+    j22 = 0.5 - (ds * b1 * b1 + var_u) / (2.0 * ds * b2 * b2)
+    return np.array([[j11, j12], [j21, j22]])
+
+
+def test_jacobian_closed_form_matches_fd_on_random_points():
+    for params, beta in _random_points_up_to_two_rounds():
+        closed = jacobian_closed_form(beta, params)
+        fd = jacobian_fd(insider_policy_step, beta, params)
+        # fd truncation error scales with the entry size.
+        tol = 1e-7 * (1.0 + np.max(np.abs(closed)))
+        assert np.max(np.abs(closed - fd)) <= tol
+
+
+def test_jacobian_closed_form_matches_the_hand_algebra():
+    # The complex step has no truncation error to speak of, so the exact
+    # Jacobian meets the hand-expanded one at rounding level.
+    for params, beta in _random_points_up_to_two_rounds():
+        closed = jacobian_closed_form(beta, params)
+        tol = 1e-12 * (1.0 + np.max(np.abs(closed)))
+        assert np.max(np.abs(closed - _hand_jacobian(beta, params))) <= tol
+
+
+def test_jacobian_closed_form_any_n_matches_fd():
+    params = ModelParams(n_periods=5, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    eq = equilibrium_from_params(params)
+    for point in (eq.beta, eq.beta * (1.0 + 1e-2 * np.cos(np.arange(5)))):
+        closed = jacobian_closed_form(point, params)
+        assert closed.shape == (5, 5) and closed.flags.c_contiguous
+        fd = jacobian_fd(insider_policy_step, point, params)
+        assert np.max(np.abs(closed - fd)) <= 1e-7 * (1.0 + np.max(np.abs(closed)))
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 16, 64])
+def test_pinned_derivative_is_the_exact_jacobian_diagonal(n):
+    params = ModelParams(n_periods=n)
+    eq = equilibrium_from_params(params)
+    diagonal = np.diag(jacobian_closed_form(eq.beta, params))
+    pinned = [pinned_coordinate_derivative(k, params, eq) for k in range(1, n + 1)]
+    assert [repr(v) for v in pinned] == [repr(float(v)) for v in diagonal]
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 20])
+def test_exact_jacobian_is_parameter_invariant(n):
+    # At the equilibrium the Jacobian depends on N only, so exact Jacobians
+    # at beta scales of 10^-8 and 10^8 equal the unit one up to rounding.
+    unit = ModelParams(n_periods=n)
+    reference = jacobian_closed_form(equilibrium_from_params(unit).beta, unit)
+    for sigma_u, sigma0 in ((1e-8, 1.0), (1e8, 1.0), (1.0, 1e16), (1.0, 1e-16)):
+        params = ModelParams(n_periods=n, sigma_u=sigma_u, sigma0=sigma0)
+        jac = jacobian_closed_form(equilibrium_from_params(params).beta, params)
+        gap = np.max(np.abs(jac - reference))
+        assert gap <= 1e-12 * np.max(np.abs(reference)), (sigma_u, sigma0, gap)
+
+
+def test_complex_step_keeps_the_overflow_verdicts(unit_params_n3):
+    # beta_1**2 overflows in the maker pass; the complex step reruns the
+    # rounds on numpy scalars like the float path and leaves the domain.
+    eq = equilibrium_from_params(unit_params_n3)
+    beta = eq.beta.copy()
+    beta[0] = 1.5e154
+    overflowing = Equilibrium(beta=beta, lam=eq.lam, alpha=eq.alpha, sigma_sq=eq.sigma_sq)
+    with pytest.raises(StencilDomainError) as excinfo:
+        pinned_coordinate_derivative(1, unit_params_n3, overflowing)
+    assert excinfo.value.coordinate == 1
+    with pytest.raises(OutOfDomainError):
+        jacobian_closed_form([1.5e154, 1.0], ModelParams(n_periods=2))
+
+
+def test_exact_jacobian_matches_an_mpmath_oracle(unit_params_n3):
+    # The same complex step on mpmath values at 50 digits, from the b
+    # recursion solved at that precision, run through the same kernels.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        squares = [mpmath.mpf(1)]
+        for _ in range(2):
+            s = squares[0]
+            squares.insert(0, mpmath.findroot(lambda a: s * (1 - a) ** 2 * (1 + a) - a, 0.3))
+        beta, variance = [], mpmath.mpf(1)
+        for square in squares:
+            beta.append(mpmath.sqrt(square / variance))
+            variance /= 1 + square
+        h = mpmath.mpf("1e-30")
+        columns = []
+        for j in range(3):
+            x = [mpmath.mpc(b) for b in beta]
+            x[j] += mpmath.mpc(0, h)
+            image = operators._strategy_round_trip(x, unit_params_n3)[0]
+            columns.append([v.imag / h for v in image])
+        oracle = mpmath.matrix(columns).T
+        spectrum = sorted(mpmath.eig(oracle, left=False, right=False), key=abs, reverse=True)
+        assert abs(spectrum[0] - mpmath.mpf(EIG_EQ_N3_DIGITS[0])) <= 1e-19
+        assert abs(spectrum[1] - mpmath.mpf(EIG_EQ_N3_DIGITS[1])) <= 1e-19
+        oracle = np.array(oracle.tolist(), dtype=float)
+    jac = jacobian_closed_form(equilibrium_from_params(unit_params_n3).beta, unit_params_n3)
+    assert np.max(np.abs(jac - oracle)) <= 1e-14
+    ev = eigenvalues(jac)
+    assert np.max(np.abs(ev[:2] - np.array(EIG_EQ_N3_DIGITS, dtype=float))) <= 1e-12
 
 
 def test_jacobian_closed_form_two_round_reference(unit_params_n2):
@@ -375,7 +515,7 @@ def test_jacobian_closed_form_single_round(unit_params_n1):
 
 def test_jacobian_closed_form_errors(unit_params_n3, unit_params_n2):
     with pytest.raises(ValueError):
-        jacobian_closed_form(EQ_BETA_N3, unit_params_n3)
+        jacobian_closed_form(EQ_BETA_N3, unit_params_n2)
     with pytest.raises(OutOfDomainError):
         jacobian_closed_form([0.5, 0.0], unit_params_n2)
 
