@@ -329,12 +329,8 @@ def _cmd_simulate(args) -> int:
         _reject_ignored(args, "--strategy", strategy_scale=1.0)
     params = _params_from(args)
     eq = equilibrium_from_params(params)
-    strategy = (
-        np.asarray(args.strategy, dtype=float)
-        if args.strategy is not None
-        else args.strategy_scale * eq.beta
-    )
-    pricing = np.asarray(args.pricing, dtype=float) if args.pricing is not None else eq.lam
+    strategy = args.strategy if args.strategy is not None else args.strategy_scale * eq.beta
+    pricing = args.pricing if args.pricing is not None else eq.lam
     config = SimConfig(
         params=params,
         n_paths=args.paths,
@@ -345,8 +341,8 @@ def _cmd_simulate(args) -> int:
     )
     sim = simulate(config)
     result = {
-        "strategy_beta": strategy,
-        "pricing_lambda": pricing,
+        "strategy_beta": config.strategy_beta,
+        "pricing_lambda": config.pricing_lambda,
         "mean_profit": sim.mean_profit,
         "mean_profit_se": sim.mean_profit_se,
         "terminal_variance_estimate": sim.terminal_variance_estimate,

@@ -12,7 +12,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model import ModelParams, equilibrium_from_params
+from .model import ModelParams, _count, equilibrium_from_params
 from .operators import _pinned_map, insider_policy_step
 from .stability import (
     VERDICT_CONVERGED,
@@ -183,7 +183,7 @@ def perturbation_battery(
         coords = range(1, params.n_periods + 1)
     rows = []
     for coord in coords:
-        coord = int(coord)
+        coord = _count(coord, "coord", 1)
         step = _pinned_map(coord, eq, params)
         target = float(eq.beta[coord - 1])
         start = target + bump

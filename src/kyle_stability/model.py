@@ -33,6 +33,10 @@ __all__ = [
     "verify_kyle_recursions",
 ]
 
+# The largest sigma_u: sigma_u**2 <= float max / 4 leaves the recursions headroom.
+_SIGMA_U_MAX = math.sqrt(float(np.finfo(float).max) / 4.0)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Market primitives for an N-round model.
@@ -44,7 +48,8 @@ class ModelParams:
     delta : float
         Length of one round.  Positive.
     sigma_u : float
-        Noise-trade volatility per unit time.  Positive.
+        Noise-trade volatility per unit time.  Positive, and at most about
+        6.70e153, so that ``sigma_u ** 2`` stays within float max / 4.
     sigma0 : float
         Prior variance of the asset value.  Positive.
     """
@@ -55,18 +60,25 @@ class ModelParams:
     sigma0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_periods, (int, np.integer)) or isinstance(
-            self.n_periods, bool
-        ):
-            raise ValueError("n_periods must be an integer")
-        if self.n_periods < 1:
-            raise ValueError("n_periods must be at least 1")
+        object.__setattr__(self, "n_periods", _count(self.n_periods, "n_periods", 1))
         for name in ("delta", "sigma_u", "sigma0"):
             value = float(getattr(self, name))
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and positive")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "n_periods", int(self.n_periods))
+        if self.sigma_u > _SIGMA_U_MAX:
+            raise ValueError(
+                f"sigma_u must be at most {_SIGMA_U_MAX:.4g} (sigma_u**2 <= float max / 4)"
+            )
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int; it must be an integer, not a bool, and at least ``low``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return int(value)
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -184,10 +196,7 @@ def solve_b_recursion(n_periods: int) -> BCoefficients:
     ValueError
         If ``n_periods`` is not a positive integer.
     """
-    if not isinstance(n_periods, (int, np.integer)) or isinstance(n_periods, bool):
-        raise ValueError("n_periods must be an integer")
-    if n_periods < 1:
-        raise ValueError("n_periods must be at least 1")
+    n_periods = _count(n_periods, "n_periods", 1)
     squares = np.empty(n_periods)
     squares[-1] = 1.0
     for n in range(n_periods - 1, 0, -1):

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, equilibrium_from_params
-from .operators import insider_response
+from .model import ModelParams, _count, _readonly, equilibrium_from_params
+from .operators import _as_floats, insider_response
 
 __all__ = [
     "SimConfig",
@@ -52,16 +52,6 @@ __all__ = [
 ]
 
 _SEED_MODULUS = 2**64
-
-
-def _readonly_vector(x, n: int, name: str) -> np.ndarray:
-    arr = np.array(x, dtype=float)
-    if arr.ndim != 1 or arr.size != n:
-        raise ValueError(f"{name} must be a vector of length {n}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -84,30 +74,13 @@ class SimConfig:
     block_size: int = 1 << 16
 
     def __post_init__(self) -> None:
+        for name, low in (("n_paths", 1), ("seed", 0), ("block_size", 1)):
+            object.__setattr__(self, name, _count(getattr(self, name), name, low))
+        if self.seed >= _SEED_MODULUS:
+            raise ValueError("seed must be below 2**64")
         n = self.params.n_periods
-        if not isinstance(self.n_paths, (int, np.integer)) or isinstance(
-            self.n_paths, bool
-        ):
-            raise ValueError("n_paths must be an integer")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be positive")
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ValueError("seed must be an integer")
-        if not 0 <= int(self.seed) < _SEED_MODULUS:
-            raise ValueError("seed must be in [0, 2**64)")
-        if self.block_size < 1:
-            raise ValueError("block_size must be positive")
-        object.__setattr__(self, "n_paths", int(self.n_paths))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "block_size", int(self.block_size))
-        object.__setattr__(
-            self, "strategy_beta", _readonly_vector(self.strategy_beta, n, "strategy_beta")
-        )
-        object.__setattr__(
-            self,
-            "pricing_lambda",
-            _readonly_vector(self.pricing_lambda, n, "pricing_lambda"),
-        )
+        for name in ("strategy_beta", "pricing_lambda"):
+            object.__setattr__(self, name, _readonly(_as_floats(getattr(self, name), n, name)))
 
 
 @dataclass(frozen=True)

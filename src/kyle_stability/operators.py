@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Equilibrium, ModelParams
+from .model import Equilibrium, ModelParams, _count
 
 __all__ = [
     "DOMAIN_RTOL",
@@ -307,7 +307,7 @@ def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):
     One-element lists are the shape the iteration loop plays.
     """
     n = params.n_periods
-    if not 1 <= coord <= n:
+    if _count(coord, "coord", 1) > n:
         raise ValueError("coord must be between 1 and n_periods")
     pinned = _as_floats(eq.beta, n, "beta")
     i = coord - 1

@@ -74,9 +74,9 @@ def from_jsonable(obj):
     return obj
 
 
-def dumps_report(report: dict, indent: int = 2) -> str:
-    """Serialize a report dict to strict JSON text."""
-    return json.dumps(to_jsonable(report), indent=indent, allow_nan=False)
+def dumps_report(report: dict) -> str:
+    """Serialize a report dict to strict JSON text, indented by 2."""
+    return json.dumps(to_jsonable(report), indent=2, allow_nan=False)
 
 
 def loads_report(text: str) -> dict:

@@ -12,7 +12,8 @@ the last 500 iterates.
 
 :func:`iterate`, :func:`jacobian_fd` and :func:`classify_fixed_point` take
 any callable ``(vector, params) -> OperatorResult`` and see it through one
-adapter on float lists (``operators._list_map``).  For the two round trips,
+adapter on float lists (``operators._list_map``), after the operators' own
+input check (``operators._as_floats``).  For the two round trips,
 :func:`~kyle_stability.operators.insider_policy_step` and
 :func:`~kyle_stability.operators.maker_policy_step`, the adapter runs the
 float passes directly, without building arrays or an ``OperatorResult``
@@ -27,12 +28,13 @@ radius.  Scalar diagnostics for pinned-coordinate restrictions of the
 strategy map live here too: the exact derivative and the iteration of the
 tangent-line model.
 
-A complex step (:func:`_complex_step`) runs the float kernels unchanged on
-Python ``complex`` values and reads ``f'(x) = Im f(x + i h) / h``: no
+Both Jacobians stack one column rule per entry j in C order: a central
+difference (:func:`_central_difference`) or a complex step
+(:func:`_complex_step`), which runs the float kernels unchanged on Python
+``complex`` values and reads ``f'(x) = Im f(x + i h) / h``: no
 difference, so no cancellation (Squire & Trapp, SIAM Review 40, 1998).
-It and the central stencil use one step rule, ``c * |x_j|`` for entry j,
-which follows the size of the point and not its units (see
-:func:`_relative_step`).
+Both take the step ``c * |x_j|``, which follows the size of the point and
+not its units (see :func:`_relative_step`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .model import Equilibrium, ModelParams, equilibrium_from_params
-from .operators import _list_map, _pinned_map, _strategy_round_trip
+from .operators import _as_floats, _list_map, _pinned_map, _strategy_round_trip
 
 __all__ = [
     "VERDICT_CONVERGED",
@@ -77,6 +79,8 @@ VERDICT_MAX_ITER = "max_iter"
 # the central stencil; a complex step takes no difference, so h can be tiny.
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _CS_STEP = 1e-20
+# classify_fixed_point: the relative sup-norm move a fixed point may show.
+_FIXED_POINT_TOL = 1e-8
 _EIG_MAX_SIZE = 64
 # An iteration trace keeps the first and the last _TRACE_HALF iterates.
 _TRACE_HALF = 500
@@ -214,11 +218,9 @@ def iterate(
     IterationTrace
         With float64 arrays for the iterates and the limit.
     """
-    x = np.asarray(start, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("start must be a vector")
+    x = _as_floats(start, params.n_periods, "start")
     step = _list_map(operator, params)
-    return _iterate(step, x.tolist(), np.array, tol=tol, max_iter=max_iter, blowup=blowup)
+    return _iterate(step, x, np.array, tol=tol, max_iter=max_iter, blowup=blowup)
 
 
 def _relative_step(x: list, j: int, scale: float) -> float:
@@ -230,12 +232,23 @@ def _relative_step(x: list, j: int, scale: float) -> float:
     return scale * (abs(x[j]) or max(map(abs, x)) or 1.0)
 
 
-def _as_point(point, params: ModelParams) -> list:
-    """``point`` as a float list; it must be a finite vector of length ``params.n_periods``."""
-    x = np.asarray(point, dtype=float)
-    if x.shape != (params.n_periods,) or not np.all(np.isfinite(x)):
-        raise ValueError(f"point must be a finite vector of length {params.n_periods}")
-    return x.tolist()
+def _central_difference(step, xs: list, j: int) -> list:
+    """Column ``j`` of the Jacobian of the float-list map ``step`` at ``xs``.
+
+    ``(f(x + h e_j) - f(x - h e_j)) / 2h`` with ``h = cbrt(eps) |x_j|``
+    (see :func:`_relative_step`); the plus point is evaluated first.  A
+    non-finite image entry raises :class:`StencilDomainError` for entry
+    ``j + 1``.
+    """
+    h = _relative_step(xs, j, _FD_STEP)
+    x_plus, x_minus = xs.copy(), xs.copy()
+    x_plus[j] += h
+    x_minus[j] -= h
+    f_plus, f_minus = step(x_plus), step(x_minus)
+    if not all(map(math.isfinite, f_plus + f_minus)):
+        raise StencilDomainError(j + 1)
+    width = 2.0 * h
+    return [(p - m) / width for p, m in zip(f_plus, f_minus)]
 
 
 def _complex_step(step, xs: list, j: int) -> list:
@@ -262,8 +275,8 @@ def _complex_step(step, xs: list, j: int) -> list:
 def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     """Jacobian of a policy map by central finite differences.
 
-    Per-coordinate step ``h_j = cbrt(eps) * |x_j|`` (see
-    :func:`_relative_step`).  Any callable ``(vector, params) ->
+    One :func:`_central_difference` per column, step ``cbrt(eps) * |x_j|``,
+    stacked in C order.  Any callable ``(vector, params) ->
     OperatorResult`` works; the two round trips of
     :mod:`~kyle_stability.operators` run on their float passes without
     building arrays per stencil point, and reject a stencil point that
@@ -272,26 +285,9 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     raises ``ValueError``.  Raises :class:`StencilDomainError` naming the
     (1-based) coordinate whose stencil leaves the domain.
     """
-    xs = _as_point(point, params)
+    xs = _as_floats(point, params.n_periods, "point")
     step = _list_map(operator, params)
-    n = len(xs)
-    steps = [_relative_step(xs, j, _FD_STEP) for j in range(n)]
-    plus, minus = [], []
-    for j, h in enumerate(steps):
-        x_plus = xs.copy()
-        x_plus[j] += h
-        x_minus = xs.copy()
-        x_minus[j] -= h
-        f_plus, f_minus = step(x_plus), step(x_minus)
-        if not all(map(math.isfinite, f_plus + f_minus)):
-            raise StencilDomainError(j + 1)
-        plus.append(f_plus)
-        minus.append(f_minus)
-    # Row j of plus - minus is column j of the Jacobian.  The result is laid
-    # out in C order, because numpy's row sums (the inf norm) associate
-    # differently on a transpose.
-    jac = np.subtract(plus, minus).T / (2.0 * np.array(steps))
-    return np.ascontiguousarray(jac)
+    return np.column_stack([_central_difference(step, xs, j) for j in range(len(xs))])
 
 
 def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
@@ -309,7 +305,7 @@ def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
     StencilDomainError
         When a complex step leaves the domain from a point inside it.
     """
-    xs = _as_point(point, params)
+    xs = _as_floats(point, params.n_periods, "point")
 
     def step(values: list) -> list:
         return _strategy_round_trip(values, params)[0]
@@ -358,12 +354,11 @@ def classify_fixed_point(
     params: ModelParams,
     *,
     eps_class: float = 1e-6,
-    fixed_point_tol: float = 1e-8,
 ) -> StabilityReport:
     """Linearize a policy map at a fixed point and classify it.
 
     ``point`` must actually be fixed: one application of the map has to
-    return it within ``fixed_point_tol`` in relative sup norm, otherwise
+    return it within 1e-8 in relative sup norm, otherwise
     :class:`NotAFixedPointError` is raised; one that is not a finite vector
     of length ``params.n_periods`` raises ``ValueError``.  The Jacobian is
     taken by finite differences (:func:`jacobian_fd`).  Any callable
@@ -371,12 +366,12 @@ def classify_fixed_point(
     :mod:`~kyle_stability.operators` run on their float passes without
     building arrays per evaluation.
     """
-    xs = _as_point(point, params)
+    xs = _as_floats(point, params.n_periods, "point")
     image = _list_map(operator, params)(xs)
     if not all(map(math.isfinite, image)):
         raise OutOfDomainError("point is outside the operator domain")
     residual = max(map(abs, map(sub, image, xs)))
-    if residual > fixed_point_tol * (1.0 + max(map(abs, xs))):
+    if residual > _FIXED_POINT_TOL * (1.0 + max(map(abs, xs))):
         raise NotAFixedPointError(
             f"map moves the point by {residual:.3e} in sup norm"
         )

@@ -376,3 +376,41 @@ def test_json_is_strict_with_nonfinite_payload(capsys):
     assert code == 3
     json.loads(out)
     assert "Infinity" not in out
+
+
+# One call per command, kept small: 7 commands x 3 parameters x 11 scales.
+_SCALE_GRID_COMMANDS = {
+    "equilibrium": [],
+    "iterate": ["--start", "1,1,1", "--max-iter", "50"],
+    "jacobian": [],
+    "stability": [],
+    "perturb": ["--max-iter", "50"],
+    "simulate": ["--paths", "100"],
+    "tables": ["--which", "key-results"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--sigma-u", "--sigma0", "--delta"])
+def test_parameter_scale_grid_never_crashes(capsys, flag):
+    # Every scale gets an answer or a documented exit code; an uncaught
+    # exception (exit 1 from the console script) fails the test.
+    for value in (10.0**e for e in range(-300, 301, 60)):
+        for command, extra in _SCALE_GRID_COMMANDS.items():
+            name = "--dt" if (command, flag) == ("perturb", "--delta") else flag
+            code, _, _ = _run(capsys, [command, "--n", "3", name, repr(value), *extra])
+            assert code in (0, 2, 3, 4), (command, flag, value)
+
+
+def test_sigma_u_bound(capsys):
+    code, out, err = _run(capsys, ["equilibrium", "--n", "3", "--sigma-u", "1e160"])
+    assert (code, out) == (2, "")
+    assert "error: sigma_u must be at most 6.704e+153 (sigma_u**2 <= float max / 4)" in err
+    # Just inside the bound every command answers.
+    inside = ["--n", "3", "--sigma-u", "6.70e153"]
+    code, out, _ = _run(capsys, ["equilibrium", *inside])
+    result = loads_report(out)["result"]
+    assert code == 0 and result["recursion_check"]["ok"] is True
+    assert np.all(np.isfinite(result["beta"]))
+    for argv in (["stability"], ["perturb"], ["tables", "--which", "key-results"],
+                 ["jacobian", "--closed-form"]):
+        assert _run(capsys, [*argv, *inside])[0] == 0, argv

@@ -83,6 +83,10 @@ def test_solve_b_recursion_validation():
         solve_b_recursion(0)
     with pytest.raises(ValueError):
         solve_b_recursion(2.5)
+    for not_a_count in (True, 3.0):
+        with pytest.raises(ValueError, match="n_periods must be an integer"):
+            solve_b_recursion(not_a_count)
+    assert solve_b_recursion(np.int64(3)).b.tobytes() == solve_b_recursion(3).b.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -264,11 +268,18 @@ def test_second_order_condition_holds():
         {"n_periods": 2, "sigma0": float("nan")},
         {"n_periods": 2, "delta": float("inf")},
         {"n_periods": True},
+        {"n_periods": 3.0},
+        # sigma_u**2 must stay within float max / 4.
+        {"n_periods": 2, "sigma_u": 1e160},
+        {"n_periods": 2, "sigma_u": 6.71e153},
     ],
 )
 def test_params_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+    # A numpy count and a sigma_u just inside the bound pass.
+    accepted = ModelParams(n_periods=np.int64(3), sigma_u=6.70e153)
+    assert type(accepted.n_periods) is int and accepted.n_periods == 3
 
 
 def test_coefficient_type_invariants():

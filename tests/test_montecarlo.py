@@ -227,6 +227,12 @@ def test_config_validation(unit_params_n3):
         SimConfig(**{**good, "pricing_lambda": [np.inf, 1.0, 1.0]})
     with pytest.raises(ValueError):
         SimConfig(**{**good, "block_size": 0})
+    for name in ("n_paths", "seed", "block_size"):
+        for not_a_count in (True, 3.0):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimConfig(**{**good, name: not_a_count})
+        accepted = SimConfig(**{**good, name: np.int64(3)})
+        assert type(getattr(accepted, name)) is int and getattr(accepted, name) == 3
     # Too few paths for the per-period regression dof.
     with pytest.raises(ValueError):
         simulate(SimConfig(**{**good, "n_paths": 7}))

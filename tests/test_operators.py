@@ -328,6 +328,12 @@ def test_pinned_step_coord_validation(unit_params_n3):
         pinned_coordinate_step(0.5, 0, eq, unit_params_n3)
     with pytest.raises(ValueError):
         pinned_coordinate_step(0.5, 4, eq, unit_params_n3)
+    for not_a_count in (True, 2.0):
+        with pytest.raises(ValueError, match="coord must be an integer"):
+            pinned_coordinate_step(0.5, not_a_count, eq, unit_params_n3)
+    assert pinned_coordinate_step(0.5, np.int64(2), eq, unit_params_n3) == pinned_coordinate_step(
+        0.5, 2, eq, unit_params_n3
+    )
 
 
 def test_fg_requires_three_rounds(unit_params_n2):

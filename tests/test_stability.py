@@ -129,6 +129,9 @@ def test_iterate_validation(unit_params_n3):
         iterate(insider_policy_step, EQ_BETA_N3, unit_params_n3, max_iter=0)
     with pytest.raises(ValueError):
         iterate(insider_policy_step, EQ_BETA_N3, unit_params_n3, blowup=-1.0)
+    # A map that does not check the length itself still gets a checked start.
+    with pytest.raises(ValueError, match="length 3"):
+        iterate(_stub(lambda x: x), [1.0, 1.0], unit_params_n3)
 
 
 def test_iterate_rejects_matrix_start(unit_params_n3):
@@ -288,6 +291,8 @@ def test_jacobian_fd_golden_values(n, side):
     }[side]
     for label, x in (("equilibrium", point), ("scaled", point * 1.01)):
         jac = jacobian_fd(operator, x, params)
+        # The inf norm's row sums associate by layout, so C order is pinned too.
+        assert jac.flags.c_contiguous
         assert [[repr(float(v)) for v in row] for row in jac] == _JACOBIAN_GOLDEN[
             f"{side}-{n}-{label}"
         ]
