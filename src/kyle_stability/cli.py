@@ -4,8 +4,9 @@ Seven subcommands drive the library: ``equilibrium``, ``iterate``,
 ``jacobian``, ``stability``, ``perturb``, ``simulate`` and ``tables``.
 Reports are JSON by default (CSV via ``--format csv``), written to stdout
 or ``--out``.  Exit codes: 0 success, 2 input error, 3 out-of-domain,
-4 non-convergence when ``--expect-converge`` is set, or when
-``tables --which eigenvalues`` finds no second fixed point.
+4 non-convergence when ``--expect-converge`` is set, or when the
+iteration of ``tables --which eigenvalues`` reaches no second fixed point.
+Iteration verdicts map to exit codes by one rule, ``_verdict_exit``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import experiments, reports
-from .model import ModelParams, _b_coefficients, equilibrium_from_params, verify_kyle_recursions
+from .model import ModelParams, _unit_equilibrium, equilibrium_from_params, verify_kyle_recursions
 from .montecarlo import SimConfig, simulate, terminal_variance_check
 from .operators import insider_policy_step, maker_policy_step
 from .stability import (
@@ -211,13 +212,22 @@ def _reject_ignored(args, other: str, **defaults) -> None:
             raise ValueError(f"--{name.replace('_', '-')} has no effect with {other}")
 
 
+def _verdict_exit(verdicts, expect_converge: bool, goal: str = VERDICT_CONVERGED) -> int:
+    """3 when an iteration left the domain, else 4 when one expected to reach ``goal`` did not."""
+    if VERDICT_LEFT_DOMAIN in verdicts:
+        return 3
+    if expect_converge and any(verdict != goal for verdict in verdicts):
+        return 4
+    return 0
+
+
 def _cmd_equilibrium(args) -> int:
     params = _params_from(args)
     eq = equilibrium_from_params(params)
     check = verify_kyle_recursions(eq, params)
     result = {
         "n_periods": params.n_periods,
-        "b": _b_coefficients(params.n_periods).b,
+        "b": _unit_equilibrium(params.n_periods)[0],
         "beta": eq.beta,
         "lam": eq.lam,
         "alpha": eq.alpha,
@@ -247,11 +257,7 @@ def _cmd_iterate(args) -> int:
         "iterates": trace.iterates,
     }
     _emit(args, result)
-    if trace.verdict == VERDICT_LEFT_DOMAIN:
-        return 3
-    if args.expect_converge and trace.verdict != VERDICT_CONVERGED:
-        return 4
-    return 0
+    return _verdict_exit([trace.verdict], args.expect_converge)
 
 
 def _cmd_jacobian(args) -> int:
@@ -314,14 +320,11 @@ def _cmd_perturb(args) -> int:
         blowup=args.blowup,
         return_tol=args.return_tol,
     )
+    returned = "converged-to-equilibrium"
     for row in rows:
-        row["verdict"] = "converged-to-equilibrium" if row["returned"] else row["verdict"]
+        row["verdict"] = returned if row["returned"] else row["verdict"]
     _emit(args, rows)
-    if any(row["verdict"] == VERDICT_LEFT_DOMAIN for row in rows):
-        return 3
-    if args.expect_converge and not all(row["returned"] for row in rows):
-        return 4
-    return 0
+    return _verdict_exit([row["verdict"] for row in rows], args.expect_converge, returned)
 
 
 def _cmd_simulate(args) -> int:
@@ -386,12 +389,8 @@ def _cmd_tables(args) -> int:
             blowup=args.blowup,
         )
     _emit(args, result)
-    if (
-        args.which == "perturbation-limit"
-        and args.expect_converge
-        and result["verdict"] != VERDICT_CONVERGED
-    ):
-        return 4
+    if args.which == "perturbation-limit":
+        return _verdict_exit([result["verdict"]], args.expect_converge)
     return 0
 
 

@@ -9,9 +9,10 @@ is a path of trading intensities ``beta``, price-impact coefficients
 
 All parameter dependence factors through a single parameter-free backward
 recursion for coefficients ``b_1 .. b_N`` with ``b_N = 1``: each backward
-step solves a cubic with a unique root in (0, 1).  The equilibrium for
-arbitrary parameters is an explicit rescaling of that solution, which is
-what :func:`equilibrium_from_params` computes.
+step solves a cubic with a unique root in (0, 1).  The paths at unit
+parameters are built from ``b`` once per N and cached; any parameter set
+only scales them (see ``_scales``), and the checks divide the same scales
+out, so no parameter enters a recursion.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_periods", _count(self.n_periods, "n_periods", 1))
         for name in ("delta", "sigma_u", "sigma0"):
-            value = float(getattr(self, name))
+            try:
+                value = float(getattr(self, name))
+            except OverflowError:  # an int beyond float range
+                value = math.inf
             if not np.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and positive")
             object.__setattr__(self, name, value)
@@ -204,75 +208,63 @@ def solve_b_recursion(n_periods: int) -> BCoefficients:
     return BCoefficients(b=np.sqrt(squares))
 
 
-@lru_cache(maxsize=128)
-def _b_coefficients(n_periods: int) -> BCoefficients:
-    """One solve per N: b does not depend on the parameters and is read-only."""
-    return solve_b_recursion(n_periods)
-
-
-def equilibrium_from_params(
-    params: ModelParams, coeffs: BCoefficients | None = None
-) -> Equilibrium:
-    """Construct the equilibrium coefficient paths for one parameter set.
-
-    Parameters
-    ----------
-    params : ModelParams
-        Market primitives.
-    coeffs : BCoefficients, optional
-        Precomputed parameter-free coefficients for ``params.n_periods``
-        rounds.  When omitted, solved once per number of rounds and cached.
-
-    Returns
-    -------
-    Equilibrium
-        Paths satisfying the full recursion system: the variance path is
-        ``Sigma_n = Sigma_{n-1} / (1 + b_n^2)``, intensities rescale as
-        ``beta_n = b_n sigma_u / sqrt(Sigma_{n-1} delta)``, price impacts
-        follow the projection formula, and the curvature path is rebuilt
-        backwards from the terminal condition ``alpha_N = 0``.
-
-    Raises
-    ------
-    ValueError
-        If ``coeffs`` is supplied with a mismatched number of rounds.
+def _scales(params: ModelParams) -> tuple[float, float]:
+    """``(s, L)``: ``beta``, ``lam``, ``alpha`` and ``sigma_sq`` are the unit paths
+    times ``s = sigma_u / (sqrt(sigma0) sqrt(delta))``, ``L = sqrt(sigma0) /
+    (sqrt(delta) sigma_u)``, ``1 / L`` and ``sigma0``.  Under the ``sigma_u``
+    bound neither denominator overflows.
     """
-    if coeffs is None:
-        coeffs = _b_coefficients(params.n_periods)
-    elif coeffs.n_periods != params.n_periods:
-        raise ValueError("coefficient vector does not match n_periods")
+    root_sigma0, root_delta = math.sqrt(params.sigma0), math.sqrt(params.delta)
+    return params.sigma_u / (root_sigma0 * root_delta), root_sigma0 / (root_delta * params.sigma_u)
 
-    n = params.n_periods
-    delta = params.delta
-    var_u = params.sigma_u**2
-    b = coeffs.b
 
-    beta = np.empty(n)
-    lam = np.empty(n)
-    sigma_sq = np.empty(n + 1)
-    sigma_sq[0] = params.sigma0
-    for i in range(n):
-        prev = sigma_sq[i]
-        beta[i] = b[i] * params.sigma_u / np.sqrt(prev * delta)
-        sigma_sq[i + 1] = prev * var_u / (beta[i] ** 2 * prev * delta + var_u)
-        lam[i] = beta[i] * sigma_sq[i + 1] / var_u
+@lru_cache(maxsize=128)
+def _unit_equilibrium(n_periods: int) -> tuple:
+    """Read-only ``(b, beta, lam, alpha, sigma_sq)`` at ``delta = sigma_u = sigma0 = 1``.
 
-    alpha = np.empty(n)
-    alpha[-1] = 0.0
-    for i in range(n - 1, 0, -1):
+    ``beta_n = b_n / sqrt(Sigma_{n-1})``, ``Sigma_n = Sigma_{n-1} /
+    (beta_n^2 Sigma_{n-1} + 1)``, ``lam_n = beta_n Sigma_n``, then ``alpha``
+    backwards from ``alpha_N = 0``: the general rescaling with its unit
+    factors dropped, so the bits are those of a direct unit solve.
+    """
+    b = solve_b_recursion(n_periods).b
+    beta, lam, sigma_sq = [], [], [1.0]
+    for b_n in b.tolist():
+        prev = sigma_sq[-1]
+        beta.append(b_n / math.sqrt(prev))
+        sigma_sq.append(prev / (beta[-1] ** 2 * prev + 1.0))
+        lam.append(beta[-1] * sigma_sq[-1])
+    alpha = [0.0] * n_periods
+    for i in range(n_periods - 1, 0, -1):
         alpha[i - 1] = 1.0 / (4.0 * lam[i] * (1.0 - alpha[i] * lam[i]))
+    return (b, *map(_readonly, (beta, lam, alpha, sigma_sq)))
 
-    return Equilibrium(beta=beta, lam=lam, alpha=alpha, sigma_sq=sigma_sq)
+
+def equilibrium_from_params(params: ModelParams) -> Equilibrium:
+    """Equilibrium coefficient paths for one parameter set.
+
+    The unit-parameter paths, cached per N, times the scales of
+    ``_scales``.  They satisfy the full recursion system: ``Sigma_n =
+    Sigma_{n-1} / (1 + b_n^2)``, ``beta_n = b_n sigma_u / sqrt(Sigma_{n-1}
+    delta)``, the projection formula for ``lam`` and the curvature
+    recursion from ``alpha_N = 0``.
+    """
+    s, scale_lam = _scales(params)
+    _, beta, lam, alpha, sigma_sq = _unit_equilibrium(params.n_periods)
+    return Equilibrium(beta=s * beta, lam=scale_lam * lam,
+                       alpha=alpha / scale_lam, sigma_sq=params.sigma0 * sigma_sq)
 
 
 def implied_b(eq: Equilibrium, params: ModelParams) -> np.ndarray:
     """Recover the parameter-free coefficients from an equilibrium.
 
     Inverts the rescaling used by :func:`equilibrium_from_params`:
-    ``b_n = beta_n sqrt(Sigma_{n-1} delta) / sigma_u``.  Equilibria for any
-    two parameter sets with the same number of rounds share this vector.
+    ``b_n = beta_n sqrt(Sigma_{n-1} delta) / sigma_u``, as ``(beta_n / s)
+    sqrt(Sigma_{n-1} / sigma0)``.  Equilibria for any two parameter sets with
+    the same number of rounds share this vector.
     """
-    return eq.beta * np.sqrt(eq.sigma_sq[:-1] * params.delta) / params.sigma_u
+    s, _ = _scales(params)
+    return eq.beta / s * np.sqrt(eq.sigma_sq[:-1] / params.sigma0)
 
 
 @dataclass(frozen=True)
@@ -330,7 +322,8 @@ def verify_kyle_recursions(
         second-order condition is satisfied.  The curvature family is
         checked for rounds 2 .. N (the stored path starts at ``alpha_1``)
         together with the terminal condition ``alpha_N = 0``, judged
-        through the dimensionless product ``alpha_N lam_N``.
+        through the dimensionless product ``alpha_N lam_N``.  The residuals
+        are those of the unit recursions, after dividing out ``_scales``.
 
     Raises
     ------
@@ -343,11 +336,12 @@ def verify_kyle_recursions(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
-    delta = params.delta
-    var_u = params.sigma_u**2
-    beta, lam, alpha, sigma_sq = eq.beta, eq.lam, eq.alpha, eq.sigma_sq
+    # The check runs in unit parameters, where every quantity is O(1).
+    s, scale_lam = _scales(params)
+    beta, lam = eq.beta / s, eq.lam / scale_lam
+    alpha, sigma_sq = eq.alpha * scale_lam, eq.sigma_sq / params.sigma0
 
-    sigma_res = _relative_gap(sigma_sq[0], params.sigma0)
+    sigma_res = _relative_gap(sigma_sq[0], 1.0)
     lam_res = 0.0
     alpha_res = abs(alpha[-1] * lam[-1])
     beta_res = 0.0
@@ -355,11 +349,12 @@ def verify_kyle_recursions(
 
     for i in range(n):
         prev = sigma_sq[i]
-        den = beta[i] ** 2 * prev * delta + var_u
+        den = beta[i] ** 2 * prev + 1.0
         lam_res = max(lam_res, _relative_gap(lam[i], beta[i] * prev / den))
-        sigma_res = max(sigma_res, _relative_gap(sigma_sq[i + 1], prev * var_u / den))
-        u = 1.0 - alpha[i] * lam[i]
-        if not alpha[i] * lam[i] < 1.0:
+        sigma_res = max(sigma_res, _relative_gap(sigma_sq[i + 1], prev / den))
+        alpha_lam = alpha[i] * lam[i]
+        u = 1.0 - alpha_lam
+        if not alpha_lam < 1.0:
             second_order = False
         if lam[i] * u == 0.0:
             # Degenerate candidate: the fixed-point equations are undefined.
@@ -367,24 +362,11 @@ def verify_kyle_recursions(
             if i > 0:
                 alpha_res = np.inf
             continue
-        beta_res = max(
-            beta_res,
-            _relative_gap(
-                beta[i], (1.0 - 2.0 * alpha[i] * lam[i]) / (2.0 * delta * lam[i] * u)
-            ),
-        )
+        beta_gap = _relative_gap(beta[i], (1.0 - 2.0 * alpha_lam) / (2.0 * lam[i] * u))
+        beta_res = max(beta_res, beta_gap)
         if i > 0:
-            alpha_res = max(
-                alpha_res, _relative_gap(alpha[i - 1], 1.0 / (4.0 * lam[i] * u))
-            )
+            alpha_res = max(alpha_res, _relative_gap(alpha[i - 1], 1.0 / (4.0 * lam[i] * u)))
 
-    residuals = {
-        "lambda": lam_res,
-        "sigma": sigma_res,
-        "alpha": alpha_res,
-        "beta": beta_res,
-    }
+    residuals = {"lambda": lam_res, "sigma": sigma_res, "alpha": alpha_res, "beta": beta_res}
     ok = second_order and all(r <= tol for r in residuals.values())
-    return RecursionReport(
-        ok=ok, residuals=residuals, second_order_ok=second_order, tol=tol
-    )
+    return RecursionReport(ok=ok, residuals=residuals, second_order_ok=second_order, tol=tol)

@@ -215,7 +215,8 @@ def simulate(config: SimConfig) -> SimResult:
     Paths are processed in blocks of ``config.block_size``, each split
     across workers; cross-block sums use compensated accumulation.
     Results are bit-reproducible for a fixed config, whatever the number
-    of workers.
+    of workers.  Raises ``ValueError`` when the moment or profit sums
+    overflow float range (very large ``sigma_u``, for one).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -251,10 +252,14 @@ def simulate(config: SimConfig) -> SimResult:
             for done in others:
                 done.result()
 
-            moments.add(w.T @ w)
-            profit_sum.add(float(np.sum(profit)))
-            profit_sq_sum.add(float(np.sum(profit * profit)))
+            # An overflow here stays non-finite in the totals, checked below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                moments.add(w.T @ w)
+                profit_sum.add(float(np.sum(profit)))
+                profit_sq_sum.add(float(np.sum(profit * profit)))
 
+    if not np.all(np.isfinite([*moments.total.flat, profit_sum.total, profit_sq_sum.total])):
+        raise ValueError("path moments overflow float range: parameters too large to simulate")
     n_paths = config.n_paths
     mean_profit = profit_sum.total / n_paths
     profit_var = max(

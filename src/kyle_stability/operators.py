@@ -15,8 +15,9 @@ play against a fresh prior.
 
 Out-of-domain results carry ``in_domain=False`` and an all-infinite value
 vector rather than raising; iteration drivers treat that as leaving the
-domain.  A round trip whose intermediate or final path is not finite (the
-maker's variance recursion overflowing) has left the domain in the same
+domain.  The maker's variance recursion runs on Python floats, which raise
+on an overflowing ``b**2`` or a zero denominator; the rounds of that pass
+then read NaN, so a round trip through it has left the domain in the same
 way.
 
 Every public operator runs on two private passes over Python floats:
@@ -127,36 +128,30 @@ def _checked(values: list, n: int, name: str) -> list:
     return values
 
 
-def _maker_rounds(beta: list, params: ModelParams, prev, lam: list) -> tuple[list, list]:
-    delta = params.delta
-    var_u = params.sigma_u**2
-    sigma_sq = [prev]
-    for b in beta:
-        den = b**2 * prev * delta + var_u
-        lam.append(b * prev / den)
-        prev = prev * var_u / den
-        sigma_sq.append(prev)
-    return lam, sigma_sq
-
-
 def _maker_pass(beta: list, params: ModelParams, prev=None, lam=()) -> tuple[list, list]:
     """Forward variance recursion over floats: ``(lam, sigma_sq)``.
 
     Resumes after the rounds whose prices ``lam`` are given, from the
     variance ``prev`` they left (default ``params.sigma0``); ``beta`` covers
-    the remaining rounds and ``sigma_sq`` starts at ``prev``.
+    the remaining rounds and ``sigma_sq`` starts at ``prev``.  Python floats
+    raise where ``b**2`` overflows or a denominator is 0 (``sigma_u**2``
+    underflowed); the pass has then left the domain, and its own rounds
+    read NaN.
     """
+    delta = params.delta
+    var_u = params.sigma_u**2
     prev = params.sigma0 if prev is None else prev
+    prices, sigma_sq = list(lam), [prev]
     try:
-        return _maker_rounds(beta, params, prev, list(lam))
+        for b in beta:
+            den = b**2 * prev * delta + var_u
+            prices.append(b * prev / den)
+            prev = prev * var_u / den
+            sigma_sq.append(prev)
     except ArithmeticError:
-        # Python floats raise where IEEE arithmetic gives inf or nan (b**2
-        # overflowing, or 0/0 once sigma_u**2 underflows); numpy scalars
-        # give the IEEE results, so rerun the same rounds on them.  Complex
-        # entries (a complex-step derivative) stay complex.
-        with np.errstate(all="ignore"):
-            lam, sigma_sq = _maker_rounds(list(np.asarray(beta)), params, prev, list(lam))
-        return np.asarray(lam).tolist(), np.asarray(sigma_sq).tolist()
+        nan = [math.nan] * len(beta)
+        return [*lam, *nan], [sigma_sq[0], *nan]
+    return prices, sigma_sq
 
 
 def _insider_pass(lam: list, params: ModelParams):

@@ -104,6 +104,13 @@ def test_iterate_exit_three_when_maker_pass_overflows(capsys):
     assert code == 3
     result = loads_report(out)["result"]
     assert (result["verdict"], result["iterations_used"]) == ("left_domain", 1)
+    # Against lambda = 1e-160 the strategy is about 5e159, whose square
+    # overflows: the maker round prices at NaN, not at 0, which would read
+    # as a converged limit outside the domain.
+    code, out, _ = _run(capsys, ["iterate", "--operator", "maker", "--n", "1", "--start", "1e-160"])
+    assert code == 3
+    result = loads_report(out)["result"]
+    assert (result["verdict"], result["limit"]) == ("left_domain", None)
 
 
 def test_perturb_last_coordinate_returns(capsys):
@@ -352,6 +359,23 @@ def test_tables_perturbation_limit(capsys):
     assert np.max(np.abs(np.asarray(result["limit"]) - SECOND_FP_N3)) <= 1e-10
 
 
+def test_tables_perturbation_limit_exit_three_on_domain_exit(capsys, monkeypatch):
+    from kyle_stability import experiments
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            experiments, "variance_perturbation_experiment", lambda *a, **k: {"verdict": "left_domain"}
+        )
+        code, out, _ = _run(capsys, ["tables", "--which", "perturbation-limit"])
+        assert (code, loads_report(out)["result"]) == (3, {"verdict": "left_domain"})
+    # The operators square sigma_u, which underflows here.
+    code, out, _ = _run(
+        capsys, ["tables", "--which", "perturbation-limit", "--n", "3", "--sigma-u", "1e-200"]
+    )
+    assert code == 3
+    assert loads_report(out)["result"]["verdict"] == "left_domain"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = _run(
@@ -414,3 +438,29 @@ def test_sigma_u_bound(capsys):
     for argv in (["stability"], ["perturb"], ["tables", "--which", "key-results"],
                  ["jacobian", "--closed-form"]):
         assert _run(capsys, [*argv, *inside])[0] == 0, argv
+
+
+def test_simulate_rejects_overflowing_moments(capsys):
+    # At sigma_u = 1e153 the moment matrix w.T @ w overflows; 1e152 is fine.
+    argv = ["simulate", "--n", "3", "--paths", "1000", "--sigma-u"]
+    code, out, err = _run(capsys, [*argv, "1e153"])
+    assert (code, out) == (2, "")
+    assert "error: path moments overflow float range" in err
+    code, out, _ = _run(capsys, [*argv, "1e152"])
+    result = loads_report(out)["result"]
+    assert code == 0
+    for regression in result["efficiency"]:
+        assert np.all(np.isfinite(regression["coef"]))
+    assert np.isfinite(result["mean_profit"])
+
+
+@pytest.mark.parametrize(
+    "scales", [["--sigma-u", "1e-200"], ["--sigma0", "1e300", "--delta", "1e300"]]
+)
+def test_equilibrium_at_extreme_scales(capsys, scales):
+    code, out, err = _run(capsys, ["equilibrium", "--n", "3", *scales])
+    result = loads_report(out)["result"]
+    assert (code, err) == (0, "")
+    assert result["recursion_check"]["ok"] is True
+    beta = np.asarray(result["beta"])
+    assert np.all(np.isfinite(beta)) and np.all(beta > 0.0)

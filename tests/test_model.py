@@ -16,7 +16,7 @@ from kyle_stability import (
     solve_b_recursion,
     verify_kyle_recursions,
 )
-from kyle_stability.model import _b_coefficients, _backward_step
+from kyle_stability.model import _backward_step, _scales, _unit_equilibrium
 
 from conftest import BUMPED_BETA_N3, EQ_BETA_N3, bumped_params_n3, random_params
 
@@ -119,14 +119,6 @@ def test_equilibrium_full_paths_n3(unit_params_n3):
     assert np.allclose(eq.lam, lam, rtol=0, atol=1e-12)
     assert np.allclose(eq.alpha, alpha, rtol=0, atol=1e-12)
     assert np.allclose(eq.sigma_sq, sigma_sq, rtol=0, atol=1e-12)
-
-
-def test_equilibrium_accepts_precomputed_coefficients(unit_params_n3):
-    coeffs = solve_b_recursion(3)
-    eq = equilibrium_from_params(unit_params_n3, coeffs)
-    assert np.max(np.abs(eq.beta - EQ_BETA_N3)) < 1e-12
-    with pytest.raises(ValueError):
-        equilibrium_from_params(unit_params_n3, solve_b_recursion(2))
 
 
 def test_verify_construction_passes():
@@ -272,6 +264,8 @@ def test_second_order_condition_holds():
         # sigma_u**2 must stay within float max / 4.
         {"n_periods": 2, "sigma_u": 1e160},
         {"n_periods": 2, "sigma_u": 6.71e153},
+        # An int beyond float range.
+        {"n_periods": 3, "sigma_u": 10**400},
     ],
 )
 def test_params_validation_rejects(kwargs):
@@ -310,13 +304,86 @@ def test_equilibrium_length_mismatch_rejected(unit_params_n3):
 
 @pytest.mark.parametrize("n_periods", [1, 3, 8, 64])
 def test_cached_b_coefficients_equal_a_fresh_solve(n_periods):
-    cached = _b_coefficients(n_periods)
-    assert _b_coefficients(n_periods) is cached
-    assert not cached.b.flags.writeable
-    fresh = solve_b_recursion(n_periods)
-    assert cached.b.tobytes() == fresh.b.tobytes()
+    cached = _unit_equilibrium(n_periods)
+    assert _unit_equilibrium(n_periods) is cached
+    assert not any(path.flags.writeable for path in cached)
+    b, beta, lam, alpha, sigma_sq = cached
+    assert b.tobytes() == solve_b_recursion(n_periods).b.tobytes()
+    # Any parameter set is the unit solution times the three scales.
     params = ModelParams(n_periods=n_periods, delta=0.37, sigma_u=2.9, sigma0=0.013)
-    implicit = equilibrium_from_params(params)
-    explicit = equilibrium_from_params(params, fresh)
-    for name in ("beta", "lam", "alpha", "sigma_sq"):
-        assert getattr(implicit, name).tobytes() == getattr(explicit, name).tobytes()
+    s, scale_lam = _scales(params)
+    eq = equilibrium_from_params(params)
+    assert eq.beta.tobytes() == (s * beta).tobytes()
+    assert eq.lam.tobytes() == (scale_lam * lam).tobytes()
+    assert eq.alpha.tobytes() == (alpha / scale_lam).tobytes()
+    assert eq.sigma_sq.tobytes() == (params.sigma0 * sigma_sq).tobytes()
+
+
+# Each parameter over 1e-300 .. 1e300 with the others at 1, then sigma0 and
+# delta together at both ends.  sigma_u above 6.704e153 stays rejected.
+_SCALE_GRID = [
+    *({name: 10.0**e} for name in ("sigma_u", "sigma0", "delta") for e in range(-300, 301, 60)),
+    {"sigma0": 1e300, "delta": 1e300},
+    {"sigma0": 1e-300, "delta": 1e-300},
+]
+
+
+@pytest.mark.parametrize("scales", _SCALE_GRID, ids=repr)
+def test_equilibrium_at_every_parameter_scale(scales):
+    for n in (1, 3, 8, 64):
+        if scales.get("sigma_u", 1.0) > 6.704e153:
+            with pytest.raises(ValueError, match="sigma_u must be at most"):
+                ModelParams(n_periods=n, **scales)
+            continue
+        params = ModelParams(n_periods=n, **scales)
+        eq = equilibrium_from_params(params)
+        for name in ("beta", "lam", "alpha", "sigma_sq"):
+            assert np.all(np.isfinite(getattr(eq, name))), (n, name)
+        assert np.all(eq.beta > 0.0), n
+        report = verify_kyle_recursions(eq, params)
+        assert report.ok, (n, report.residuals)
+        b = solve_b_recursion(n).b
+        assert np.max(np.abs(implied_b(eq, params) - b) / b) <= 1e-14, n
+
+
+def _mpmath_equilibrium(mpmath, params):
+    """The equilibrium at 50 digits: b by bracketed root finding, then the
+    rescaling recursion with the parameters as exact mpf values."""
+    n = params.n_periods
+    squares = [mpmath.mpf(1)]
+    for _ in range(n - 1):
+        s = squares[0]
+        gap = lambda a, s=s: s * (1 - a) ** 2 * (1 + a) - a  # noqa: E731
+        squares.insert(0, mpmath.findroot(gap, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson"))
+    delta, sigma_u, sigma0 = (mpmath.mpf(v) for v in (params.delta, params.sigma_u, params.sigma0))
+    var_u = sigma_u**2
+    beta, lam, sigma_sq = [], [], [sigma0]
+    for square in squares:
+        prev = sigma_sq[-1]
+        beta.append(mpmath.sqrt(square) * sigma_u / mpmath.sqrt(prev * delta))
+        sigma_sq.append(prev * var_u / (beta[-1] ** 2 * prev * delta + var_u))
+        lam.append(beta[-1] * sigma_sq[-1] / var_u)
+    alpha = [mpmath.mpf(0)] * n
+    for i in range(n - 1, 0, -1):
+        alpha[i - 1] = 1 / (4 * lam[i] * (1 - alpha[i] * lam[i]))
+    return {"beta": beta, "lam": lam, "alpha": alpha, "sigma_sq": sigma_sq}
+
+
+def test_equilibrium_matches_an_mpmath_oracle():
+    # 60 seeded parameter sets over 10^-3 .. 10^3: every entry of every path
+    # within 1e-15 relative of a 50-digit solve.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2307)
+    with mpmath.workdps(50):
+        for n in (2, 3, 5, 8):
+            for _ in range(15):
+                delta, sigma_u, sigma0 = (float(10.0**e) for e in rng.uniform(-3.0, 3.0, 3))
+                params = ModelParams(n_periods=n, delta=delta, sigma_u=sigma_u, sigma0=sigma0)
+                eq = equilibrium_from_params(params)
+                for name, exact in _mpmath_equilibrium(mpmath, params).items():
+                    for got, want in zip(getattr(eq, name).tolist(), exact):
+                        if want == 0:
+                            assert got == 0.0, (n, name)
+                            continue
+                        error = float(abs((mpmath.mpf(got) - want) / want))
+                        assert error <= 1e-15, (params, name, error)

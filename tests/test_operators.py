@@ -193,12 +193,12 @@ def test_overflowing_round_is_out_of_domain(unit_params_n2):
 
 
 def test_overflowing_strategy_leaves_domain(unit_params_n3):
-    # beta_1**2 overflows, so the maker's variance path turns NaN from round
-    # 2 on (the IEEE results of float64 arithmetic); the round trip reports
-    # the NaN pricing path as leaving the domain instead of raising.
+    # beta_1**2 overflows, so the maker pass prices every round at NaN and
+    # keeps only its starting variance; the round trip reports the NaN
+    # pricing path as leaving the domain instead of raising.
     maker = market_maker_response([1e200, 1e200, 1.0], unit_params_n3)
-    assert _reprs(maker.lam) == ["0.0", "nan", "nan"]
-    assert _reprs(maker.sigma_sq) == ["1.0", "0.0", "nan", "nan"]
+    assert _reprs(maker.lam) == ["nan", "nan", "nan"]
+    assert _reprs(maker.sigma_sq) == ["1.0", "nan", "nan", "nan"]
     result = insider_policy_step([1e200, 1e200, 1.0], unit_params_n3)
     assert not result.in_domain
     assert np.all(np.isinf(result.value))

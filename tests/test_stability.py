@@ -275,6 +275,9 @@ def test_jacobian_fd_relative_step_at_zero_entries():
 # Exact reprs of finite-difference Jacobians at (0.37, 2.9, 0.013), at the
 # equilibrium and at 1.01 times it, and of the spectral radii there; they
 # were captured when every stencil point ran through the public operators.
+# The equilibrium points ("beta-N", "lam-N") are stored too, so the
+# Jacobians stay pinned to the same inputs whatever rounding the
+# equilibrium construction does.
 _JACOBIAN_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "jacobian_golden.json").read_text()
 )
@@ -284,11 +287,9 @@ _JACOBIAN_GOLDEN = json.loads(
 @pytest.mark.parametrize("side", ["insider", "maker"])
 def test_jacobian_fd_golden_values(n, side):
     params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
-    eq = equilibrium_from_params(params)
-    operator, point = {
-        "insider": (insider_policy_step, eq.beta),
-        "maker": (maker_policy_step, eq.lam),
-    }[side]
+    operator, path = {"insider": (insider_policy_step, "beta"), "maker": (maker_policy_step, "lam")}[side]
+    point = np.array([float(v) for v in _JACOBIAN_GOLDEN[f"{path}-{n}"]])
+    assert np.allclose(point, getattr(equilibrium_from_params(params), path), rtol=1e-14, atol=0)
     for label, x in (("equilibrium", point), ("scaled", point * 1.01)):
         jac = jacobian_fd(operator, x, params)
         # The inf norm's row sums associate by layout, so C order is pinned too.
