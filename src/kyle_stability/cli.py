@@ -205,6 +205,11 @@ def _emit(args, result) -> None:
         sys.stdout.write(text)
 
 
+def _iteration(args) -> dict:
+    """The iteration flags as keywords of the library's iteration functions."""
+    return {"tol": args.tol, "max_iter": args.max_iter, "blowup": args.blowup}
+
+
 def _reject_ignored(args, other: str, **defaults) -> None:
     """Raise ValueError (exit 2) for a flag that ``other`` would ignore."""
     for name, default in defaults.items():
@@ -240,14 +245,7 @@ def _cmd_equilibrium(args) -> int:
 
 def _cmd_iterate(args) -> int:
     params = _params_from(args)
-    trace = iterate(
-        _OPERATORS[args.operator],
-        args.start,
-        params,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        blowup=args.blowup,
-    )
+    trace = iterate(_OPERATORS[args.operator], args.start, params, **_iteration(args))
     result = {
         "operator": args.operator,
         "verdict": trace.verdict,
@@ -262,7 +260,7 @@ def _cmd_iterate(args) -> int:
 
 def _cmd_jacobian(args) -> int:
     params = _params_from(args)
-    point = args.point if args.point is not None else _default_point(args.operator, params)
+    point = _point(args, params)
     if args.closed_form:
         if args.operator != "insider":
             raise ValueError("closed form is only available for the insider-side map")
@@ -280,14 +278,17 @@ def _cmd_jacobian(args) -> int:
     return 0
 
 
-def _default_point(operator: str, params: ModelParams) -> np.ndarray:
+def _point(args, params: ModelParams):
+    """``--point``, by default the equilibrium path of the operator's side."""
+    if args.point is not None:
+        return args.point
     eq = equilibrium_from_params(params)
-    return eq.beta if operator == "insider" else eq.lam
+    return eq.beta if args.operator == "insider" else eq.lam
 
 
 def _cmd_stability(args) -> int:
     params = _params_from(args)
-    point = args.point if args.point is not None else _default_point(args.operator, params)
+    point = _point(args, params)
     report = classify_fixed_point(
         _OPERATORS[args.operator], point, params, eps_class=args.eps_class
     )
@@ -312,13 +313,7 @@ def _cmd_perturb(args) -> int:
     else:
         coords = [params.n_periods if args.coord == "last" else args.coord]
     rows = experiments.perturbation_battery(
-        params,
-        coords=coords,
-        bump=args.delta,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        blowup=args.blowup,
-        return_tol=args.return_tol,
+        params, coords=coords, bump=args.delta, return_tol=args.return_tol, **_iteration(args)
     )
     returned = "converged-to-equilibrium"
     for row in rows:
@@ -374,19 +369,11 @@ def _cmd_tables(args) -> int:
         # The table exits 4 without a second fixed point, flag or not.
         _reject_ignored(args, "--which eigenvalues", expect_converge=False)
         result = experiments.eigenvalue_table(
-            params,
-            variance_bump=args.variance_bump,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            blowup=args.blowup,
+            params, variance_bump=args.variance_bump, **_iteration(args)
         )
     else:
         result = experiments.variance_perturbation_experiment(
-            params,
-            variance_bump=args.variance_bump,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            blowup=args.blowup,
+            params, variance_bump=args.variance_bump, **_iteration(args)
         )
     _emit(args, result)
     if args.which == "perturbation-limit":

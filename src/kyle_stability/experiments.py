@@ -85,14 +85,7 @@ def variance_perturbation_experiment(
     bumped = replace(params, sigma_u=float(np.sqrt(params.sigma_u**2 + variance_bump)))
     eq = equilibrium_from_params(params)
     start = equilibrium_from_params(bumped).beta
-    trace = iterate(
-        insider_policy_step,
-        start,
-        params,
-        tol=tol,
-        max_iter=max_iter,
-        blowup=blowup,
-    )
+    trace = iterate(insider_policy_step, start, params, tol=tol, max_iter=max_iter, blowup=blowup)
     out = {
         "start": start.tolist(),
         "equilibrium": eq.beta.tolist(),
@@ -142,23 +135,18 @@ def eigenvalue_table(
             "variance-perturbation iteration did not converge; "
             f"verdict {perturbed['verdict']}"
         )
+
+    def summary(point: np.ndarray) -> dict:
+        report = classify_fixed_point(insider_policy_step, point, params)
+        return {
+            "point": point.tolist(),
+            "eigenvalues": report.eigenvalues.tolist(),
+            "spectral_radius": report.spectral_radius,
+            "classification": report.classification,
+        }
+
     second = np.asarray(perturbed["limit"])
-    report_eq = classify_fixed_point(insider_policy_step, eq.beta, params)
-    report_second = classify_fixed_point(insider_policy_step, second, params)
-    return {
-        "equilibrium": {
-            "point": eq.beta.tolist(),
-            "eigenvalues": report_eq.eigenvalues.tolist(),
-            "spectral_radius": report_eq.spectral_radius,
-            "classification": report_eq.classification,
-        },
-        "second_fixed_point": {
-            "point": second.tolist(),
-            "eigenvalues": report_second.eigenvalues.tolist(),
-            "spectral_radius": report_second.spectral_radius,
-            "classification": report_second.classification,
-        },
-    }
+    return {"equilibrium": summary(eq.beta), "second_fixed_point": summary(second)}
 
 
 def perturbation_battery(

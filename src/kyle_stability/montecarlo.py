@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _count, _readonly, equilibrium_from_params
+from .model import ModelParams, _count, _readonly, _scales, equilibrium_from_params
 from .operators import _as_floats, insider_response
 
 __all__ = [
@@ -216,7 +216,8 @@ def simulate(config: SimConfig) -> SimResult:
     across workers; cross-block sums use compensated accumulation.
     Results are bit-reproducible for a fixed config, whatever the number
     of workers.  Raises ``ValueError`` when the moment or profit sums
-    overflow float range (very large ``sigma_u``, for one).
+    overflow float range, or underflow to a singular regression (very
+    large or very small ``sigma_u``, for one).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -268,9 +269,12 @@ def simulate(config: SimConfig) -> SimResult:
     mean_profit_se = np.sqrt(profit_var / n_paths)
 
     m = moments.total
-    efficiency = tuple(
-        _efficiency_regression(m, n, period, n_paths) for period in range(1, n + 1)
-    )
+    try:
+        efficiency = tuple(_efficiency_regression(m, n, k, n_paths) for k in range(1, n + 1))
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "path moments underflow float range: parameters too small to simulate"
+        ) from None
 
     # Terminal pricing error: mean from column 0 cross-moment, then ddof=1.
     r_sum = m[0, n + n]
@@ -336,13 +340,11 @@ def expected_equilibrium_profit(params: ModelParams) -> float:
     Uses the value-function representation: the expected profit is
     ``alpha_0 sigma0 + delta_0`` where the intercept path solves
     ``delta_{n-1} = delta_n + alpha_n lam_n^2 sigma_u^2 delta`` backwards
-    from zero.
+    from zero: in unit parameters, times ``sigma_u sqrt(sigma0 delta) =
+    sigma0 / L`` (see ``model._scales``).
     """
-    eq = equilibrium_from_params(params)
-    inner = insider_response(eq.lam, params)
-    alpha_full = inner.alpha
-    var_u = params.sigma_u**2
-    intercept = 0.0
-    for i in range(params.n_periods, 0, -1):
-        intercept += alpha_full[i] * eq.lam[i - 1] ** 2 * var_u * params.delta
-    return float(alpha_full[0] * params.sigma0 + intercept)
+    unit = ModelParams(n_periods=params.n_periods)
+    lam = equilibrium_from_params(unit).lam
+    alpha = insider_response(lam, unit).alpha
+    intercept = sum(alpha[i] * lam[i - 1] ** 2 for i in range(params.n_periods, 0, -1))
+    return float((alpha[0] + intercept) * (params.sigma0 / _scales(params)[1]))

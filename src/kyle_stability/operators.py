@@ -16,25 +16,27 @@ play against a fresh prior.
 Out-of-domain results carry ``in_domain=False`` and an all-infinite value
 vector rather than raising; iteration drivers treat that as leaving the
 domain.  The maker's variance recursion runs on Python floats, which raise
-on an overflowing ``b**2`` or a zero denominator; the rounds of that pass
-then read NaN, so a round trip through it has left the domain in the same
-way.
+on an overflowing ``b**2``; the rounds of that pass then read NaN, so a
+round trip through it has left the domain in the same way.
 
-Every public operator runs on two private passes over Python floats:
-``_maker_pass`` (forward variance recursion, resumable from a known
-variance and earlier prices) and ``_insider_pass`` (backward recursion to
-``beta``, ``alpha``, the strategy denominators and the domain verdict).
+Every public operator runs on two private passes over Python floats, in
+unit parameters (``delta = sigma_u = sigma0 = 1``): ``_maker_pass``
+(forward variance recursion, resumable from a known variance and earlier
+prices) and ``_insider_pass`` (backward recursion to ``beta``, ``alpha``,
+the strategy denominators and the domain verdict).  The scales ``s`` and
+``L`` of ``model._scales`` map in and out inside their loops: ``T_p(x) =
+s T_1(x / s)`` for strategies and ``P_p(l) = L P_1(l / L)`` for prices.
 Public functions validate input once and build numpy arrays only for their
-results; no numpy call sits in the per-round loop.  ``_strategy_round_trip``
-and ``_pricing_round_trip`` compose the passes once, for the public round
-trips and for ``_list_map``, which hands them to the iteration loop and the
-difference stencils as maps on float lists.  The pinned-coordinate
-map solves the maker rounds before its coordinate once; a step reruns the
-later maker rounds and the whole insider pass, whose domain test covers
-every round.  Both passes also run on Python ``complex`` values, which is
-how the stability module takes exact complex-step derivatives.  ``b**2``
-stays a power (libm ``pow``), not ``b * b``: they differ in the last bit
-for about one input in 1,250, which golden tests pin.
+results.  ``_strategy_round_trip`` and ``_pricing_round_trip`` compose the
+passes once, for the public round trips and for ``_list_map``, which hands
+them to the iteration loop and the difference stencils as maps on float
+lists.  The pinned-coordinate map solves the maker rounds before its
+coordinate once; a step reruns the later maker rounds and the whole insider
+pass, whose domain test covers every round.  Both passes also run on Python
+``complex`` values, which is how the stability module takes exact
+complex-step derivatives.  ``b**2`` stays a power (libm ``pow``), not ``b *
+b``: they differ in the last bit for about one input in 1,250, which golden
+tests pin.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Equilibrium, ModelParams, _count
+from .model import Equilibrium, ModelParams, _count, _scales
 
 __all__ = [
     "DOMAIN_RTOL",
@@ -128,44 +130,41 @@ def _checked(values: list, n: int, name: str) -> list:
     return values
 
 
-def _maker_pass(beta: list, params: ModelParams, prev=None, lam=()) -> tuple[list, list]:
-    """Forward variance recursion over floats: ``(lam, sigma_sq)``.
+def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0, lam=()) -> tuple[list, list]:
+    """Forward variance recursion in unit parameters: ``(lam, sigma_sq)``.
 
-    Resumes after the rounds whose prices ``lam`` are given, from the
-    variance ``prev`` they left (default ``params.sigma0``); ``beta`` covers
-    the remaining rounds and ``sigma_sq`` starts at ``prev``.  Python floats
-    raise where ``b**2`` overflows or a denominator is 0 (``sigma_u**2``
-    underflowed); the pass has then left the domain, and its own rounds
-    read NaN.
+    Runs on ``beta / scale`` and returns the prices times ``out``.  Resumes
+    after the rounds whose prices ``lam`` are given, from the variance
+    ``prev`` they left; ``beta`` covers the remaining rounds and
+    ``sigma_sq`` starts at ``prev``.  Every denominator is at least 1, so
+    only an overflowing ``b**2`` raises; the pass has then left the domain,
+    and its own rounds read NaN.
     """
-    delta = params.delta
-    var_u = params.sigma_u**2
-    prev = params.sigma0 if prev is None else prev
     prices, sigma_sq = list(lam), [prev]
     try:
         for b in beta:
-            den = b**2 * prev * delta + var_u
-            prices.append(b * prev / den)
-            prev = prev * var_u / den
+            b /= scale
+            den = b**2 * prev + 1.0
+            prices.append(out * (b * prev / den))
+            prev /= den
             sigma_sq.append(prev)
-    except ArithmeticError:
+    except OverflowError:
         nan = [math.nan] * len(beta)
         return [*lam, *nan], [sigma_sq[0], *nan]
     return prices, sigma_sq
 
 
-def _insider_pass(lam: list, params: ModelParams):
-    """Backward value-function recursion over floats.
+def _insider_pass(lam: list, scale=1.0, out=1.0):
+    """Backward value-function recursion in unit parameters, on ``lam / scale``.
 
     Returns ``(beta, alpha, denominators, in_domain)``, the first three as
-    lists.  When a round fails the domain test (see ``DOMAIN_RTOL``) the
-    recursion stops there: ``beta`` is all infinity, the unreached entries
-    of ``alpha`` and ``denominators`` stay NaN and ``in_domain`` is False.
+    lists, ``beta`` times ``out``.  When a round fails the domain test (see
+    ``DOMAIN_RTOL``) the recursion stops there: ``beta`` is all infinity,
+    the unreached entries of ``alpha`` and ``denominators`` stay NaN and
+    ``in_domain`` is False.
     """
     n = len(lam)
-    # Constants bound to locals: this loop is the hottest code of a pinned
-    # step.  (2 delta) lam u is how 2.0 * delta * lam * u associates anyway.
-    two_delta = 2.0 * params.delta
+    # Constants bound to locals: this loop is the hottest code of a pinned step.
     rtol, big, tiny = DOMAIN_RTOL, _FLOAT_MAX, 1.0 / _FLOAT_MAX
     beta = [0.0] * n
     alpha = [math.nan] * (n + 1)
@@ -173,11 +172,11 @@ def _insider_pass(lam: list, params: ModelParams):
     dens = [math.nan] * n
     alpha_next = 0.0
     for i in range(n - 1, -1, -1):
-        lam_i = lam[i]
+        lam_i = lam[i] / scale
         alpha_lam = alpha_next * lam_i
         u = 1.0 - alpha_lam
         num_beta = 1.0 - 2.0 * alpha_lam
-        dens[i] = den_beta = two_delta * lam_i * u
+        dens[i] = den_beta = 2.0 * lam_i * u
         den_alpha = 4.0 * lam_i * u
         if not (
             abs(u) > rtol * (1.0 + abs(alpha_lam))
@@ -185,9 +184,16 @@ def _insider_pass(lam: list, params: ModelParams):
             and tiny < abs(den_alpha)
         ):
             return [math.inf] * n, alpha, dens, False
-        beta[i] = num_beta / den_beta
+        beta[i] = out * (num_beta / den_beta)
         alpha_next = alpha[i] = 1.0 / den_alpha
     return beta, alpha, dens, True
+
+
+def _finite(value: list, in_domain: bool) -> tuple[list, bool]:
+    """All infinity and out of the domain unless every entry is finite."""
+    if all(map(math.isfinite, value)):
+        return value, in_domain
+    return [math.inf] * len(value), False
 
 
 def market_maker_response(beta, params: ModelParams) -> MakerResponse:
@@ -195,11 +201,12 @@ def market_maker_response(beta, params: ModelParams) -> MakerResponse:
 
     Runs the variance recursion forward from ``params.sigma0``:
     ``lam_n = beta_n Sigma_{n-1} / (beta_n^2 Sigma_{n-1} delta + sigma_u^2)``
-    and ``Sigma_n = Sigma_{n-1} sigma_u^2 / (same denominator)``.  Defined
-    for every finite ``beta``; the denominator is at least ``sigma_u^2``.
+    and ``Sigma_n = Sigma_{n-1} sigma_u^2 / (same denominator)``, in unit
+    parameters on ``beta / s``.  Defined for every finite ``beta``.
     """
-    lam, sigma_sq = _maker_pass(_as_floats(beta, params.n_periods, "beta"), params)
-    return MakerResponse(lam=np.array(lam), sigma_sq=np.array(sigma_sq))
+    s, scale_lam = _scales(params)
+    lam, sigma_sq = _maker_pass(_as_floats(beta, params.n_periods, "beta"), s, scale_lam)
+    return MakerResponse(lam=np.array(lam), sigma_sq=params.sigma0 * np.array(sigma_sq))
 
 
 def insider_response(lam, params: ModelParams) -> InsiderResponse:
@@ -207,58 +214,66 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
 
     Runs the value-function recursion backwards from ``alpha_N = 0``:
     ``beta_n = (1 - 2 alpha_n lam_n) / (2 delta lam_n (1 - alpha_n lam_n))``
-    and ``alpha_{n-1} = 1 / (4 lam_n (1 - alpha_n lam_n))``.  When a
-    denominator is judged zero the recursion stops: ``beta`` is filled with
-    infinity, the unreached part of ``alpha`` and ``denominators`` with
-    NaN, and ``in_domain`` is False.  See ``DOMAIN_RTOL`` for the test.
+    and ``alpha_{n-1} = 1 / (4 lam_n (1 - alpha_n lam_n))``, in unit
+    parameters on ``lam / L``.  When a denominator is judged zero (see
+    ``DOMAIN_RTOL``) the recursion stops: ``beta`` is filled with infinity,
+    the unreached part of ``alpha`` and ``denominators`` with NaN, and
+    ``in_domain`` is False; so is a ``beta`` that overflows.
     """
-    lam = _as_floats(lam, params.n_periods, "lam")
-    beta, alpha, dens, in_domain = _insider_pass(lam, params)
+    s, scale_lam = _scales(params)
+    lam = [value / scale_lam for value in _as_floats(lam, params.n_periods, "lam")]
+    beta, alpha, dens, in_domain = _insider_pass(lam, 1.0, s)
+    beta, in_domain = _finite(beta, in_domain)
     # alpha is NaN above a failed round, so unreached rounds read False.
     second_order = [alpha[i + 1] * lam_i < 1.0 for i, lam_i in enumerate(lam)]
     return InsiderResponse(
         beta=np.array(beta),
-        alpha=np.array(alpha),
+        alpha=np.array([a / scale_lam for a in alpha]),
         in_domain=in_domain,
         second_order_ok=np.array(second_order),
-        denominators=np.array(dens),
+        denominators=np.array([d / s for d in dens]),
     )
 
 
-def _strategy_round_trip(beta: list, params: ModelParams) -> tuple[list, list, bool]:
-    """``(value, denominators, in_domain)``; the value is all infinity outside the domain."""
-    value, _, dens, in_domain = _insider_pass(_maker_pass(beta, params)[0], params)
+def _strategy_round_trip(beta: list, scale=1.0) -> tuple[list, list, bool]:
+    """``(value, unit denominators, in_domain)``; the value is all infinity outside the domain."""
+    value, _, dens, in_domain = _insider_pass(_maker_pass(beta, scale)[0], 1.0, scale)
     return value, dens, in_domain
 
 
-def _pricing_round_trip(lam: list, params: ModelParams) -> tuple[list, list, bool]:
-    """``(value, denominators, in_domain)``; the value is all infinity outside the domain."""
-    beta, _, dens, in_domain = _insider_pass(lam, params)
-    value = _maker_pass(beta, params)[0] if in_domain else beta
-    if not all(map(math.isfinite, value)):
-        # An in-domain strategy can still overflow the maker recursion.
-        value, in_domain = [math.inf] * len(value), False
+def _pricing_round_trip(lam: list, scale=1.0) -> tuple[list, list, bool]:
+    """``(value, unit denominators, in_domain)``; the value is all infinity outside the domain."""
+    beta, _, dens, in_domain = _insider_pass(lam, scale)
+    # An in-domain strategy can still overflow the maker recursion.
+    value, in_domain = _finite(_maker_pass(beta, 1.0, scale)[0] if in_domain else beta, in_domain)
     return value, dens, in_domain
+
+
+def _operator_result(round_trip, x, params: ModelParams, name: str, side: int) -> OperatorResult:
+    """A public round trip: ``round_trip`` at scale ``_scales(params)[side]``, denominators over s."""
+    scales = _scales(params)
+    value, dens, in_domain = round_trip(_as_floats(x, params.n_periods, name), scales[side])
+    value, in_domain = _finite(value, in_domain)
+    dens = np.array([d / scales[0] for d in dens])
+    return OperatorResult(value=np.array(value), in_domain=in_domain, denominators=dens)
 
 
 def insider_policy_step(beta, params: ModelParams) -> OperatorResult:
     """Strategy round trip: maker response, then insider response."""
-    value, dens, in_domain = _strategy_round_trip(_as_floats(beta, params.n_periods, "beta"), params)
-    return OperatorResult(value=np.array(value), in_domain=in_domain, denominators=np.array(dens))
+    return _operator_result(_strategy_round_trip, beta, params, "beta", 0)
 
 
 def maker_policy_step(lam, params: ModelParams) -> OperatorResult:
     """Pricing round trip: insider response, then maker response."""
-    value, dens, in_domain = _pricing_round_trip(_as_floats(lam, params.n_periods, "lam"), params)
-    return OperatorResult(value=np.array(value), in_domain=in_domain, denominators=np.array(dens))
+    return _operator_result(_pricing_round_trip, lam, params, "lam", 1)
 
 
-# The two round trips as defined here, captured once.  A wrapper bound to
-# their names later (a tracer, a test double) is any other callable, so it
-# is called like one.
+# The two round trips as defined here, with their input and the index of
+# their scale in ``_scales``.  A wrapper bound to their names later (a
+# tracer, a test double) is any other callable, so it is called like one.
 _ROUND_TRIPS = (
-    (insider_policy_step, _strategy_round_trip, "beta"),
-    (maker_policy_step, _pricing_round_trip, "lam"),
+    (insider_policy_step, _strategy_round_trip, "beta", 0),
+    (maker_policy_step, _pricing_round_trip, "lam", 1),
 )
 
 
@@ -274,11 +289,12 @@ def _list_map(operator, params: ModelParams):
     arrays, and a result with ``in_domain=False`` maps to infinity.
     """
     n = params.n_periods
-    for function, round_trip, name in _ROUND_TRIPS:
+    for function, round_trip, name, side in _ROUND_TRIPS:
         if operator is function:
+            scale = _scales(params)[side]
 
             def step(values: list) -> list:
-                return round_trip(_checked(values, n, name), params)[0]
+                return round_trip(_checked(values, n, name), scale)[0]
 
             return step
 
@@ -304,14 +320,15 @@ def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):
     n = params.n_periods
     if _count(coord, "coord", 1) > n:
         raise ValueError("coord must be between 1 and n_periods")
+    s, _ = _scales(params)
     pinned = _as_floats(eq.beta, n, "beta")
     i = coord - 1
-    head, sigma_sq = _maker_pass(pinned[:i], params)
-    tail = pinned[coord:]
+    head, sigma_sq = _maker_pass(pinned[:i], s)
+    tail, prev = pinned[coord:], sigma_sq[-1]
 
     def step(xs: list) -> list:
-        lam = _maker_pass([xs[0], *tail], params, sigma_sq[-1], head)[0]
-        return [_insider_pass(lam, params)[0][i]]
+        lam = _maker_pass([xs[0], *tail], s, 1.0, prev, head)[0]
+        return [_insider_pass(lam, 1.0, s)[0][i]]
 
     return step
 
@@ -341,7 +358,8 @@ def pinned_step_polynomials(
     For N >= 3 the scalar map of :func:`pinned_coordinate_step` at
     ``coord = N - 2`` is a rational function of ``x``; this evaluates its
     numerator (degree 7) and denominator (degree 6) separately so callers
-    can study poles of the map through sign changes of ``g``.
+    can study poles of the map through sign changes of ``g``: the unit
+    polynomials at ``x / s``, with ``f`` times ``s``.
 
     Raises
     ------
@@ -351,30 +369,29 @@ def pinned_step_polynomials(
     n = params.n_periods
     if n < 3:
         raise ValueError("pinned-step polynomials need at least 3 rounds")
-    vec = np.array(eq.beta, dtype=float)
-    vec[n - 3] = float(x)
+    s, _ = _scales(params)
+    vec = np.array(eq.beta, dtype=float) / s
+    vec[n - 3] = float(x) / s
     b_k = vec[n - 3]
     b_next = vec[n - 2]
     b_last = vec[n - 1]
     # Sums of squared strategy entries up to N - 2 (with x) and N - 3.
     head = float(np.sum(vec[: n - 2] ** 2))
     head3 = float(np.sum(vec[: n - 3] ** 2))
-    ds = params.delta * params.sigma0
-    var_u = params.sigma_u**2
-    q = ds * head + var_u
+    q = head + 1.0
 
     f = q * (
-        b_next**2 * q * (ds * (head + 4.0 * b_k * b_last + b_last**2) + var_u)
-        + b_next**4 * ds * (ds * (head + 2.0 * b_k * b_last) + var_u)
-        - 4.0 * b_next**3 * b_last * ds * q
+        b_next**2 * q * (head + 4.0 * b_k * b_last + b_last**2 + 1.0)
+        + b_next**4 * (head + 2.0 * b_k * b_last + 1.0)
+        - 4.0 * b_next**3 * b_last * q
         - 4.0 * b_next * b_last * q**2
         + 2.0 * b_k * b_last * q**2
     )
-    g = 2.0 * b_k * ds * (
-        -4.0 * b_next**3 * b_last * ds * q
-        + b_next**2 * q * (ds * (head3 + (b_k + b_last) ** 2) + var_u)
+    g = 2.0 * b_k * (
+        -4.0 * b_next**3 * b_last * q
+        + b_next**2 * q * (head3 + (b_k + b_last) ** 2 + 1.0)
         - 4.0 * b_next * b_last * q**2
         + b_k * b_last * q**2
-        + b_next**4 * ds * (ds * (head3 + b_k * (b_k + b_last)) + var_u)
+        + b_next**4 * (head3 + b_k * (b_k + b_last) + 1.0)
     )
-    return f, g
+    return s * f, g

@@ -46,7 +46,7 @@ from operator import itemgetter, sub
 
 import numpy as np
 
-from .model import Equilibrium, ModelParams, equilibrium_from_params
+from .model import Equilibrium, ModelParams, _count, _scales, equilibrium_from_params
 from .operators import _as_floats, _list_map, _pinned_map, _strategy_round_trip
 
 __all__ = [
@@ -290,11 +290,19 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     return np.column_stack([_central_difference(step, xs, j) for j in range(len(xs))])
 
 
+def _unit_strategy(xs: list, params: ModelParams):
+    """``(step, xs / s)``: the strategy round trip in unit parameters, and the point there."""
+    s, _ = _scales(params)
+    return (lambda values: _strategy_round_trip(values)[0]), [x / s for x in xs]
+
+
 def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
     """Exact Jacobian of the strategy round trip, for any number of rounds.
 
     One complex step per column (:func:`_complex_step`) through the float
-    passes of :func:`~kyle_stability.operators.insider_policy_step`.
+    passes of :func:`~kyle_stability.operators.insider_policy_step`, in unit
+    parameters at ``x / s``: ``T_p(x) = s T_1(x / s)``, so ``J_p(x) = J_1(x
+    / s)``, and there the step stays a normal float at every scale.
 
     Raises
     ------
@@ -305,11 +313,7 @@ def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
     StencilDomainError
         When a complex step leaves the domain from a point inside it.
     """
-    xs = _as_floats(point, params.n_periods, "point")
-
-    def step(values: list) -> list:
-        return _strategy_round_trip(values, params)[0]
-
+    step, xs = _unit_strategy(_as_floats(point, params.n_periods, "point"), params)
     if not all(map(math.isfinite, step(xs))):
         raise OutOfDomainError("point is outside the operator domain")
     return np.column_stack([_complex_step(step, xs, j) for j in range(len(xs))])
@@ -371,7 +375,7 @@ def classify_fixed_point(
     if not all(map(math.isfinite, image)):
         raise OutOfDomainError("point is outside the operator domain")
     residual = max(map(abs, map(sub, image, xs)))
-    if residual > _FIXED_POINT_TOL * (1.0 + max(map(abs, xs))):
+    if residual > _FIXED_POINT_TOL * max(map(abs, xs)):
         raise NotAFixedPointError(
             f"map moves the point by {residual:.3e} in sup norm"
         )
@@ -394,16 +398,17 @@ def pinned_coordinate_derivative(
     """Derivative of the pinned-coordinate strategy map at the equilibrium.
 
     ``coord`` is 1-based.  The equilibrium is solved on the fly when not
-    supplied.  One complex step (:func:`_complex_step`) on the pinned map,
-    with the step size of the whole strategy: bit for bit the diagonal entry
-    of :func:`jacobian_closed_form` at ``eq.beta``.  A step outside the
-    operator domain raises :class:`StencilDomainError`.
+    supplied.  It is the diagonal entry of :func:`jacobian_closed_form` at
+    ``eq.beta``, taken by the same complex step along coordinate ``coord``
+    alone.  A step outside the operator domain raises
+    :class:`StencilDomainError`.
     """
     if eq is None:
         eq = equilibrium_from_params(params)
-    pinned = _pinned_map(coord, eq, params)
-    i = coord - 1
-    return _complex_step(lambda xs: pinned(xs[i:coord]), eq.beta.tolist(), i)[0]
+    if _count(coord, "coord", 1) > params.n_periods:
+        raise ValueError("coord must be between 1 and n_periods")
+    step, xs = _unit_strategy(_as_floats(eq.beta, params.n_periods, "beta"), params)
+    return _complex_step(step, xs, coord - 1)[coord - 1]
 
 
 def linearized_pinned_iteration(

@@ -454,6 +454,54 @@ def test_simulate_rejects_overflowing_moments(capsys):
     assert np.isfinite(result["mean_profit"])
 
 
+def test_simulate_names_underflowing_moments(capsys):
+    # At sigma_u = 1e-200 the order-flow moments underflow to 0.
+    code, out, err = _run(capsys, ["simulate", "--n", "3", "--paths", "100", "--sigma-u", "1e-200"])
+    assert (code, out) == (2, "")
+    assert "error: path moments underflow float range: parameters too small to simulate" in err
+
+
+@pytest.mark.parametrize(
+    "argv,sigma_u",
+    [
+        (["stability", "--n", "3"], "1e-200"),
+        (["stability", "--n", "3", "--operator", "maker"], "1e-200"),
+        (["tables", "--which", "key-results", "--n", "4"], "1e-200"),
+        (["jacobian", "--n", "5", "--closed-form"], "1e-250"),
+    ],
+)
+def test_stability_at_tiny_noise_matches_unit_noise(capsys, argv, sigma_u):
+    # The operators run in unit parameters, so the verdicts and the spectrum
+    # are those of sigma_u = 1.
+    code, out, err = _run(capsys, [*argv, "--sigma-u", sigma_u])
+    assert (code, err) == (0, "")
+    result, unit = loads_report(out)["result"], loads_report(_run(capsys, argv)[1])["result"]
+    if argv[0] == "tables":
+        assert [row["classification"] for row in result] == [row["classification"] for row in unit]
+        return
+    assert result.get("classification") == unit.get("classification")
+    assert np.allclose(result["eigenvalues"], unit["eigenvalues"], rtol=0.0, atol=1e-9)
+
+
+def test_perturb_battery_at_tiny_noise_stays_in_the_domain(capsys):
+    # The bump --delta is absolute, so it is scaled with sigma_u here.
+    argv = ["perturb", "--n", "3", "--battery", "--sigma-u", "1e-200", "--delta", "1e-203"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    rows = loads_report(out)["result"]
+    assert [row["coord"] for row in rows] == [1, 2, 3]
+    assert all(row["verdict"] != "left_domain" for row in rows)
+
+
+def test_stability_rejects_a_moved_point_at_tiny_scale(capsys):
+    # 1.1 times the equilibrium is not fixed at any scale: the fixed-point
+    # test is relative, not absolute.
+    argv = ["stability", "--n", "3", "--sigma-u", "1e-100", "--point", "5.9e-101,8.3e-101,1.5e-100"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "map moves the point" in err
+
+
 @pytest.mark.parametrize(
     "scales", [["--sigma-u", "1e-200"], ["--sigma0", "1e300", "--delta", "1e300"]]
 )

@@ -9,10 +9,15 @@ from kyle_stability import (
     BCoefficients,
     Equilibrium,
     ModelParams,
+    classify_fixed_point,
     equilibrium_from_params,
     implied_b,
+    insider_policy_step,
     insider_response,
+    jacobian_closed_form,
+    maker_policy_step,
     market_maker_response,
+    pinned_coordinate_derivative,
     solve_b_recursion,
     verify_kyle_recursions,
 )
@@ -344,6 +349,29 @@ def test_equilibrium_at_every_parameter_scale(scales):
         assert report.ok, (n, report.residuals)
         b = solve_b_recursion(n).b
         assert np.max(np.abs(implied_b(eq, params) - b) / b) <= 1e-14, n
+
+
+@pytest.mark.parametrize(
+    "scales", [scales for scales in _SCALE_GRID if scales.get("sigma_u", 1.0) <= 6.704e153],
+    ids=repr,
+)
+def test_stability_is_the_same_at_every_parameter_scale(scales):
+    # The operators run in unit parameters, so the stability verdicts, the
+    # spectral radius and the exact derivatives do not move with the scale.
+    for n in range(1, 9):
+        unit, params = ModelParams(n_periods=n), ModelParams(n_periods=n, **scales)
+        eq_unit, eq = equilibrium_from_params(unit), equilibrium_from_params(params)
+        for operator, path in ((insider_policy_step, "beta"), (maker_policy_step, "lam")):
+            want = classify_fixed_point(operator, getattr(eq_unit, path), unit)
+            got = classify_fixed_point(operator, getattr(eq, path), params)
+            assert got.classification == want.classification, (n, path)
+            rho_gap = abs(got.spectral_radius - want.spectral_radius)
+            assert rho_gap <= 1e-9 * max(1.0, want.spectral_radius), (n, path, rho_gap)
+        jac = jacobian_closed_form(eq.beta, params)
+        assert np.max(np.abs(jac - jacobian_closed_form(eq_unit.beta, unit))) <= 1e-12, n
+        for coord in range(max(1, n - 2), n + 1):
+            want = pinned_coordinate_derivative(coord, unit, eq_unit)
+            assert abs(pinned_coordinate_derivative(coord, params, eq) - want) <= 1e-12, (n, coord)
 
 
 def _mpmath_equilibrium(mpmath, params):

@@ -157,6 +157,16 @@ def test_mean_profit_matches_value_function(unit_params_n3):
     assert abs(result.mean_profit - oracle) <= 4.0 * result.mean_profit_se
 
 
+@pytest.mark.parametrize("sigma_u", [1e-200, 1e150])
+def test_expected_profit_scales_with_the_parameters(sigma_u):
+    # The profit is the unit value times sigma_u sqrt(sigma0 delta), with no
+    # squared sigma_u to underflow or overflow.
+    unit = expected_equilibrium_profit(ModelParams(n_periods=3))
+    assert repr(unit) == "1.1900992913516735"
+    profit = expected_equilibrium_profit(ModelParams(n_periods=3, sigma_u=sigma_u))
+    assert abs(profit - sigma_u * unit) <= 1e-14 * sigma_u * unit
+
+
 def test_half_strategy_underperforms(unit_params_n3):
     eq = equilibrium_from_params(unit_params_n3)
     base = simulate(equilibrium_config(unit_params_n3, n_paths=100_000, seed=SEED))

@@ -207,9 +207,21 @@ def test_overflowing_strategy_leaves_domain(unit_params_n3):
     result = maker_policy_step([1e-300], ModelParams(n_periods=1, sigma0=1e10))
     assert not result.in_domain
     assert np.all(np.isinf(result.value))
-    # With sigma_u**2 underflowing to 0 a zero strategy gives 0/0 = NaN.
+    # A zero strategy reveals nothing at any scale: lambda = 0 and the
+    # variance stays sigma0, also where sigma_u**2 would underflow.
     degenerate = market_maker_response(np.zeros(3), ModelParams(n_periods=3, sigma_u=1e-170))
-    assert np.all(np.isnan(degenerate.lam))
+    assert _reprs(degenerate.lam) == ["0.0", "0.0", "0.0"]
+    assert _reprs(degenerate.sigma_sq) == ["1.0", "1.0", "1.0", "1.0"]
+
+
+def test_maker_round_that_overflows_in_unit_parameters_is_nan():
+    # At sigma0 = 1e300 the strategy 1e5 is 1e155 in unit parameters, whose
+    # square overflows: the price is NaN, not an in-domain 0.
+    params = ModelParams(n_periods=1, sigma0=1e300)
+    assert np.isnan(market_maker_response([1e5], params).lam[0])
+    result = maker_policy_step([5e-6], params)
+    assert not result.in_domain
+    assert np.all(np.isinf(result.value))
 
 
 def test_maker_step_single_round_hand_composition(unit_params_n1):
@@ -358,8 +370,10 @@ def test_equilibrium_reference_digits_fixed(unit_params_n3):
 
 
 # Golden values: exact reprs captured from the numpy-scalar implementation
-# of the two best responses.  The inputs are literals so that the check
-# does not depend on the equilibrium solver's last digits.
+# of the two best responses; the scaled N=8 values were captured again when
+# the kernels moved to unit parameters, and test_round_trips_match_an_mpmath_oracle
+# bounds their error.  The inputs are literals so that the check does not
+# depend on the equilibrium solver's last digits.
 _GOLDEN_BETA3 = [0.5435512891543334, 0.7424350846077103, 1.4060780093880552]
 _GOLDEN_LAM3 = [0.41313348687932283, 0.41465623505820914, 0.35527900775392335]
 _GOLDEN_BETA8 = [
@@ -394,29 +408,29 @@ def _reprs(values) -> list:
         (
             insider_policy_step, _GOLDEN_BETA8, _GOLDEN_PARAMS8, True,
             [
-                "35542933.2272783", "38748089.02118191", "43267793.577976145",
-                "49805490.45445375", "59715506.84023085", "76032130.73022686",
-                "107461982.03651005", "195451984.4026298",
+                "35542933.227278486", "38748089.02118198", "43267793.57797609",
+                "49805490.454453714", "59715506.840230845", "76032130.73022678",
+                "107461982.03651008", "195451984.40262976",
             ],
             [
-                "3.311932646627126e-09", "3.3584710123053553e-09",
-                "3.416326309860634e-09", "3.4926399206962355e-09",
+                "3.311932646627128e-09", "3.3584710123053574e-09",
+                "3.4163263098606356e-09", "3.492639920696236e-09",
                 "3.601623322423474e-09", "3.776301008388484e-09",
-                "4.115581371812542e-09", "5.11634610953863e-09",
+                "4.115581371812542e-09", "5.116346109538631e-09",
             ],
         ),
         (
             maker_policy_step, _GOLDEN_LAM8, _GOLDEN_PARAMS8, True,
             [
-                "2.7960750126291717e-09", "2.8828430438739534e-09",
-                "2.950715241126994e-09", "2.996303592434359e-09",
-                "3.0145812106660127e-09", "2.9952499477969707e-09",
-                "2.9068848277260458e-09", "2.584771677172888e-09",
+                "2.796075012629167e-09", "2.882843043873951e-09",
+                "2.9507152411269933e-09", "2.9963035924343567e-09",
+                "3.014581210666017e-09", "2.995249947796974e-09",
+                "2.9068848277260487e-09", "2.58477167717289e-09",
             ],
             [
-                "3.3236131866180317e-09", "3.358291566421622e-09",
-                "3.4055260988551224e-09", "3.472594245972642e-09",
-                "3.5738913000246913e-09", "3.742681018481999e-09",
+                "3.323613186618031e-09", "3.3582915664216206e-09",
+                "3.4055260988551216e-09", "3.4725942459726412e-09",
+                "3.57389130002469e-09", "3.742681018481998e-09",
                 "4.078103076513206e-09", "5.076303685078514e-09",
             ],
         ),
@@ -450,9 +464,9 @@ def test_round_trip_golden_values(step, point, params, in_domain, value, denomin
         (
             _GOLDEN_LAM8, _GOLDEN_PARAMS8, True,
             [
-                "150438685.8293756", "148885226.34524187", "146820193.26414534",
-                "143984573.0839062", "139903527.56295234", "133594072.67969523",
-                "122606023.09922533", "98496865.24266064", "0.0",
+                "150438685.82937565", "148885226.3452419", "146820193.26414537",
+                "143984573.08390623", "139903527.5629524", "133594072.67969525",
+                "122606023.09922534", "98496865.24266064", "0.0",
             ],
             [True] * 8,
         ),
@@ -551,3 +565,57 @@ def test_pinned_step_input_contract(unit_params_n3):
     for other in (2, 4):
         with pytest.raises(ValueError):
             pinned_coordinate_step(0.5, 1, equilibrium_from_params(ModelParams(other)), unit_params_n3)
+
+
+def _mpmath_round_trips(mpmath, beta, lam, params):
+    """Both round trips and the insider's curvature path at 50 digits,
+    straight from the parameter-frame recursions on the exact inputs."""
+    delta, sigma0 = mpmath.mpf(params.delta), mpmath.mpf(params.sigma0)
+    var_u = mpmath.mpf(params.sigma_u) ** 2
+
+    def maker(strategy):
+        prices, prev = [], sigma0
+        for b in strategy:
+            den = b**2 * prev * delta + var_u
+            prices.append(b * prev / den)
+            prev = prev * var_u / den
+        return prices
+
+    def insider(prices):
+        strategy, alpha = [], [mpmath.mpf(0)]
+        for p in reversed(prices):
+            u = 1 - alpha[0] * p
+            strategy.insert(0, (1 - 2 * alpha[0] * p) / (2 * delta * p * u))
+            alpha.insert(0, 1 / (4 * p * u))
+        return strategy, alpha
+
+    beta, lam = [mpmath.mpf(v) for v in beta], [mpmath.mpf(v) for v in lam]
+    return insider(maker(beta))[0], maker(insider(lam)[0]), insider(lam)[1]
+
+
+def test_round_trips_match_an_mpmath_oracle():
+    # 60 seeded parameter sets over 10^-3 .. 10^3, at points 0.9 - 1.1 times
+    # the equilibrium: every entry within 1e-13 relative of a 50-digit run
+    # of the parameter-frame recursions.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2309)
+    with mpmath.workdps(50):
+        for n in (3, 5, 8):
+            for _ in range(20):
+                delta, sigma_u, sigma0 = (float(10.0**e) for e in rng.uniform(-3.0, 3.0, 3))
+                params = ModelParams(n_periods=n, delta=delta, sigma_u=sigma_u, sigma0=sigma0)
+                eq = equilibrium_from_params(params)
+                beta = eq.beta * rng.uniform(0.9, 1.1, n)
+                lam = eq.lam * rng.uniform(0.9, 1.1, n)
+                strategy = insider_policy_step(beta, params)
+                pricing = maker_policy_step(lam, params)
+                assert strategy.in_domain and pricing.in_domain, params
+                got = (strategy.value, pricing.value, insider_response(lam, params).alpha)
+                paths = _mpmath_round_trips(mpmath, beta, lam, params)
+                for name, values, exact in zip(("strategy", "pricing", "alpha"), got, paths):
+                    for value, want in zip(values.tolist(), exact):
+                        if want == 0:  # the terminal curvature
+                            assert value == 0.0, (params, name)
+                            continue
+                        error = float(abs((mpmath.mpf(value) - want) / want))
+                        assert error <= 1e-13, (params, name, error)

@@ -274,7 +274,7 @@ def test_jacobian_fd_relative_step_at_zero_entries():
 
 # Exact reprs of finite-difference Jacobians at (0.37, 2.9, 0.013), at the
 # equilibrium and at 1.01 times it, and of the spectral radii there; they
-# were captured when every stencil point ran through the public operators.
+# were captured from the unit-parameter kernels, scaled by model._scales.
 # The equilibrium points ("beta-N", "lam-N") are stored too, so the
 # Jacobians stay pinned to the same inputs whatever rounding the
 # equilibrium construction does.
@@ -488,7 +488,7 @@ def test_exact_jacobian_matches_an_mpmath_oracle(unit_params_n3):
         for j in range(3):
             x = [mpmath.mpc(b) for b in beta]
             x[j] += mpmath.mpc(0, h)
-            image = operators._strategy_round_trip(x, unit_params_n3)[0]
+            image = operators._strategy_round_trip(x)[0]
             columns.append([v.imag / h for v in image])
         oracle = mpmath.matrix(columns).T
         spectrum = sorted(mpmath.eig(oracle, left=False, right=False), key=abs, reverse=True)
