@@ -9,13 +9,14 @@ with its standard error, per-round price-efficiency regressions of
 ``v - p_n`` on the observed order flows, and the terminal residual
 variance.
 
-Randomness is counter-based: path ``i`` always consumes the same window of
-the Philox stream for a given seed, no matter how paths are grouped into
-blocks, so results are reproducible and independent of the block split at
-the level of the underlying draws.  Normals are produced by inverting the
-standard normal CDF on 53-bit uniforms.  ``scipy.special`` supplies that
-inverse and is imported on the first draw, not with this module, so
-commands that never simulate do not pay for loading scipy.
+Randomness is counter-based: paths come in fixed chunks of 4096, and
+chunk ``c`` draws its paths' normals, one row per path, from its own
+Philox substream (counter ``c << 64`` under the seed as key) by numpy's
+ziggurat sampler.  Path ``i`` therefore gets the same draws for a given
+seed, no matter how paths are grouped into blocks or workers, so results
+are reproducible and independent of the block split at the level of the
+underlying draws.  A range that starts inside a chunk regenerates the
+chunk's leading rows and drops them.  The package needs numpy alone.
 
 Each block's rows are cut into one contiguous slice per worker (the CPUs
 available to the process, at most four); the main thread runs the first
@@ -25,9 +26,9 @@ and profits; the main thread then forms the moment matrix and the profit
 sums over the whole block, in block order, so no result depends on the
 number of workers.  Inside a slice the draws are laid out round-major
 (one contiguous row per draw) and the moment rows are stored column-major,
-so every round reads and writes contiguous memory.  Workers run only numpy
-and ``ndtri``, which release the interpreter lock, and call no public
-function of the package.
+so every round reads and writes contiguous memory.  Workers run only numpy,
+whose sampler and array kernels release the interpreter lock, and call no
+public function of the package.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 _SEED_MODULUS = 2**64
+# Paths per Philox substream (see ``_block_normals``).
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -136,22 +139,25 @@ def equilibrium_config(
 
 
 def _block_normals(seed: int, start: int, count: int, n_draws: int) -> np.ndarray:
-    """Standard normals for paths ``start .. start + count - 1``.
+    """Standard normals for paths ``start .. start + count - 1``, one row per path.
 
-    Each path owns a fixed window of the Philox word stream.  The window is
-    padded to a multiple of 4 words because one counter increment yields 4
-    output words; the counter can then be advanced to any path boundary.
+    Chunk ``c`` holds paths ``c * _CHUNK`` onwards and draws them path-major
+    from its own Philox substream, counter ``c << 64`` under key ``seed``.
+    A range that starts inside a chunk draws that chunk's leading rows too
+    and drops them, so a path's row never depends on the range.
     """
-    from scipy.special import ndtri
-
-    words_per_path = 4 * ((n_draws + 3) // 4)
-    bits = np.random.Philox(key=seed)
-    bits.advance(start * (words_per_path // 4))
-    gen = np.random.Generator(bits)
-    words = gen.integers(0, _SEED_MODULUS, size=(count, words_per_path), dtype=np.uint64)
-    # 53-bit uniforms strictly inside (0, 1), then inverse normal CDF.
-    uniform = ((words[:, :n_draws] >> np.uint64(11)) + 0.5) * 2.0**-53
-    return ndtri(uniform)
+    stop = start + count
+    out = np.empty((count, n_draws))
+    for c in range(start // _CHUNK, (stop - 1) // _CHUNK + 1):
+        first = c * _CHUNK
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=c << 64))
+        skip = max(start - first, 0)
+        rows = out[first + skip - start : min(first + _CHUNK, stop) - start]
+        if skip:
+            rows[:] = gen.standard_normal((skip + len(rows), n_draws))[skip:]
+        else:
+            gen.standard_normal(out=rows)
+    return out
 
 
 _MAX_WORKERS = 4

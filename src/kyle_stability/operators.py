@@ -206,7 +206,14 @@ def market_maker_response(beta, params: ModelParams) -> MakerResponse:
     """
     s, scale_lam = _scales(params)
     lam, sigma_sq = _maker_pass(_as_floats(beta, params.n_periods, "beta"), s, scale_lam)
-    return MakerResponse(lam=np.array(lam), sigma_sq=params.sigma0 * np.array(sigma_sq))
+    lam, sigma_sq = np.array(lam), params.sigma0 * np.array(sigma_sq)
+    # A unit entry b / s that overflows to infinity prices its round at NaN
+    # but zeroes the variance; every round from there on is undefined.
+    undefined = np.isnan(lam)
+    if undefined.any():
+        first = int(undefined.argmax())
+        lam[first:] = sigma_sq[first + 1 :] = np.nan
+    return MakerResponse(lam=lam, sigma_sq=sigma_sq)
 
 
 def insider_response(lam, params: ModelParams) -> InsiderResponse:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -54,6 +55,38 @@ def test_block_normals_partition_invariance():
     assert np.array_equal(whole, split)
     other = _block_normals(SEED + 1, 0, 7, 5)
     assert not np.array_equal(whole, other)
+
+
+def test_block_normals_range_inside_a_chunk_matches_whole_range():
+    # Paths 4000..12999 start inside the first 4096-path chunk and end
+    # inside the fourth; the leading rows of the first are drawn and dropped.
+    whole = _block_normals(SEED, 0, 13_000, 5)
+    assert np.array_equal(_block_normals(SEED, 4000, 9000, 5), whole[4000:])
+    assert np.array_equal(_block_normals(SEED, 4095, 2, 5), whole[4095:4097])
+
+
+def test_block_normals_streams_are_distinct():
+    # Each chunk has its own substream: no value is shared between two
+    # chunks of one seed, or between the same chunk of two seeds, so no
+    # stream overlaps another, shifted or not.
+    chunk = montecarlo._CHUNK
+    first = _block_normals(SEED, 0, chunk, 5)
+    for other in (_block_normals(SEED, chunk, chunk, 5), _block_normals(SEED + 1, 0, chunk, 5)):
+        assert np.intersect1d(first, other).size == 0
+
+
+def test_block_normals_are_standard_normal():
+    # 2**16 draws at a fixed seed.  Each bound has a false-alarm rate of
+    # 1e-6: 4.89 standard errors for the mean (1/256) and the variance
+    # (sqrt(2)/256), and sqrt(ln(2e6) / 2) / 256 for the Kolmogorov-Smirnov
+    # statistic, by the tail bound 2 exp(-2 n d**2).
+    z = np.sort(_block_normals(SEED, 0, 1 << 14, 4).ravel())
+    n = z.size
+    assert abs(z.mean()) <= 4.89 / 256
+    assert abs(z.var() - 1.0) <= 4.89 * math.sqrt(2.0) / 256
+    cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z.tolist()])
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert ks <= math.sqrt(math.log(2e6) / 2.0) / 256
 
 
 def test_simulate_bitwise_deterministic(unit_params_n3):
@@ -256,65 +289,93 @@ def test_equilibrium_config_fields(unit_params_n3):
     assert config.seed == 3 and config.n_paths == 10
 
 
-def test_simulate_golden_values(unit_params_n3):
-    # Frozen from a build that imported scipy.special at module load; any
-    # change to the draws, the normal transform or the accumulation order
-    # shows up here as a changed digit.
-    config = equilibrium_config(unit_params_n3, n_paths=5000, seed=SEED, block_size=1000)
-    result = simulate(config)
-    assert repr(result.mean_profit) == "1.2018857325445609"
-    assert repr(result.terminal_variance_estimate) == "0.2662173644246332"
-    assert repr(float(result.efficiency[2].t_stat[3])) == "-0.4745081638453364"
+# The golden runs, all at seed SEED: N=3 at the equilibrium in 1,000-row
+# blocks over 5,000 paths, and N=5 in the default 65,536-row blocks over
+# 70,001 paths (one full block and a partial one), at the equilibrium
+# strategy and at half of it.  The digits are those of the 4096-path Philox
+# substreams and numpy's ziggurat sampler; any change to the draws, the
+# normal transform or the accumulation order shows up here as a changed
+# digit, and so would a numpy release that changes its sampler.
+def _golden_n3_config():
+    return equilibrium_config(ModelParams(n_periods=3), n_paths=5000, seed=SEED, block_size=1000)
 
 
-# Default 65,536-row blocks over 70,001 paths: one full block and a partial
-# one.  Captured before the block loop was split across worker threads.
-_GOLDEN_N5 = {
-    1.0: (
-        "1.715755948332408",
-        "0.008544995210181318",
-        "0.18712220058563736",
-        [
-            ["0.19140559246666983", "0.31831670742625123"],
-            ["0.4825358356886102", "0.3482640015771141", "-0.4284548854982087"],
-            ["-0.1627349456113232", "-0.3294816892895483", "0.5863596336635952",
-             "3.387424334851132"],
-            ["0.3024205180871551", "0.05987824541700887", "0.24526930693161736",
-             "1.993427782812497", "-0.9546310329007824"],
-            ["0.19968369806298805", "0.457972575005739", "-0.16664375489734676",
-             "0.8364486568251884", "-1.0383914908585528", "1.4221927805616195"],
-        ],
-    ),
-    0.5: (
-        "1.476772258221692",
-        "0.007521740077645119",
-        "0.5067468706625564",
-        [
-            ["0.34539357797007186", "-42.88759492078291"],
-            ["0.5086024308500011", "-41.645941977087496", "-36.87965988035738"],
-            ["0.12073492368213137", "-40.07866994213872", "-34.52470902038793",
-             "-22.464095920868104"],
-            ["0.4125038446908407", "-36.77483543748851", "-32.04580253988605",
-             "-21.35188294248303", "-7.275172934868884"],
-            ["0.3282443790276948", "-29.741191319310474", "-26.45186608773557",
-             "-17.883415674596975", "-6.165846449217066", "41.630633582852305"],
-        ],
-    ),
-}
-
-
-@pytest.mark.parametrize("scale", [1.0, 0.5])
-def test_simulate_golden_values_default_blocks(scale):
+def _golden_n5_config(scale):
     params = ModelParams(n_periods=5)
     eq = equilibrium_from_params(params)
-    config = SimConfig(
+    return SimConfig(
         params=params,
         n_paths=70_001,
         seed=SEED,
         strategy_beta=eq.beta * scale,
         pricing_lambda=eq.lam,
     )
+
+
+# mean_profit, terminal_variance_estimate, efficiency[2].t_stat[3]
+_GOLDEN_N3 = ("1.2019441673837454", "0.2627225344461106", "0.6385308947470937")
+
+# mean_profit, mean_profit_se, terminal_variance_estimate, every t_stat
+_GOLDEN_N5 = {
+    1.0: (
+        "1.7011397392909897",
+        "0.008545444162807498",
+        "0.18835781811098148",
+        [
+            ["0.8153410992850438", "-0.03906354060355199"],
+            ["1.3093465511366549", "-0.8292198703681807", "0.7774458466473084"],
+            ["1.252244812052544", "-0.34781392911935793", "1.1626820091082188",
+             "0.2539896611759085"],
+            ["1.5880609040177989", "-0.11161271318945863", "0.7474378893720801",
+             "-0.4315533247986067", "-1.0048121349350065"],
+            ["0.7892935205344586", "-0.7797380001160717", "0.1257451939913724",
+             "0.3423530321800417", "0.21969490864211366", "0.573486333517563"],
+        ],
+    ),
+    0.5: (
+        "1.4632833770525575",
+        "0.007515101137370461",
+        "0.5075589928500787",
+        [
+            ["0.691870069790585", "-43.06031387740223"],
+            ["0.9983047745090737", "-42.20392387817998", "-34.91128979470023"],
+            ["1.016672262791758", "-40.00406732693189", "-32.95616422342372",
+             "-24.844374709956536"],
+            ["1.3146564572743422", "-36.81000938330262", "-30.583594496722753",
+             "-23.412683717091188", "-7.411080736276804"],
+            ["0.8192235266133266", "-30.964325816613197", "-25.70927968807121",
+             "-19.05309367282357", "-5.652572460708321", "38.978382061355326"],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_golden_values_agree_with_the_model(n):
+    # Vets the pinned digits by the model rather than by themselves: each
+    # golden mean profit and terminal variance at the equilibrium lies
+    # within 4 standard errors of its model value.
+    if n == 3:
+        config, (mean, term_var, _) = _golden_n3_config(), _GOLDEN_N3
+    else:
+        config, (mean, _, term_var, _) = _golden_n5_config(1.0), _GOLDEN_N5[1.0]
     result = simulate(config)
+    params = config.params
+    assert abs(float(mean) - expected_equilibrium_profit(params)) <= 4.0 * result.mean_profit_se
+    expected_var = equilibrium_from_params(params).sigma_sq[-1]
+    assert abs(float(term_var) - expected_var) <= 4.0 * result.terminal_variance_se
+
+
+def test_simulate_golden_values():
+    result = simulate(_golden_n3_config())
+    assert repr(result.mean_profit) == _GOLDEN_N3[0]
+    assert repr(result.terminal_variance_estimate) == _GOLDEN_N3[1]
+    assert repr(float(result.efficiency[2].t_stat[3])) == _GOLDEN_N3[2]
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_simulate_golden_values_default_blocks(scale):
+    result = simulate(_golden_n5_config(scale))
     mean, mean_se, term_var, t_stats = _GOLDEN_N5[scale]
     assert repr(result.mean_profit) == mean
     assert repr(result.mean_profit_se) == mean_se

@@ -224,6 +224,19 @@ def test_maker_round_that_overflows_in_unit_parameters_is_nan():
     assert np.all(np.isinf(result.value))
 
 
+def test_maker_round_whose_unit_entry_is_infinite_leaves_the_rest_nan():
+    # 1e300 / sigma_u is infinite in unit parameters; its square does not
+    # raise, so the pass itself reads lam = [nan, 0] and a zero variance.
+    # Every round from the first NaN price on is undefined, as for an
+    # overflowing square.
+    maker = market_maker_response([1e300, 1.0], ModelParams(n_periods=2, sigma_u=1e-10))
+    assert _reprs(maker.lam) == ["nan", "nan"]
+    assert _reprs(maker.sigma_sq) == ["1.0", "nan", "nan"]
+    later = market_maker_response([1.0, 1e300, 1.0], ModelParams(n_periods=3, sigma_u=1e-10))
+    assert _reprs(later.lam) == ["1.0", "nan", "nan"]
+    assert _reprs(later.sigma_sq) == ["1.0", "1e-20", "nan", "nan"]
+
+
 def test_maker_step_single_round_hand_composition(unit_params_n1):
     # lambda = 1/4 -> insider beta = 2 -> maker lambda = 2/(4+1) = 0.4.
     result = maker_policy_step([0.25], unit_params_n1)
