@@ -121,7 +121,7 @@ def eigenvalue_table(
     The first point is the equilibrium; the second is the limit of the
     variance-perturbation iteration, run with the given settings (see
     :func:`variance_perturbation_experiment`).  When that iteration does
-    not converge there is no second point, and
+    not converge the iteration reaches no second point, and
     :class:`~kyle_stability.stability.NotConvergedError` is raised.
     """
     if params is None:
@@ -164,8 +164,10 @@ def perturbation_battery(
     round trip (all other coordinates held at the equilibrium) is iterated
     from the equilibrium value bumped by ``bump``.  A row reports the
     verdict and whether the iteration returned to the equilibrium
-    coordinate within ``return_tol``.
+    coordinate within ``return_tol``, which must be non-negative.
     """
+    if not return_tol >= 0.0:
+        raise ValueError("return_tol must be non-negative")
     eq = equilibrium_from_params(params)
     if coords is None:
         coords = range(1, params.n_periods + 1)

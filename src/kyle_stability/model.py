@@ -333,7 +333,7 @@ def verify_kyle_recursions(
     n = params.n_periods
     if eq.n_periods != n:
         raise ValueError("equilibrium paths do not match n_periods")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
 
     # The check runs in unit parameters, where every quantity is O(1).

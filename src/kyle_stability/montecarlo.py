@@ -9,26 +9,20 @@ with its standard error, per-round price-efficiency regressions of
 ``v - p_n`` on the observed order flows, and the terminal residual
 variance.
 
-Randomness is counter-based: paths come in fixed chunks of 4096, and
-chunk ``c`` draws its paths' normals, one row per path, from its own
-Philox substream (counter ``c << 64`` under the seed as key) by numpy's
-ziggurat sampler.  Path ``i`` therefore gets the same draws for a given
-seed, no matter how paths are grouped into blocks or workers, so results
-are reproducible and independent of the block split at the level of the
-underlying draws.  A range that starts inside a chunk regenerates the
-chunk's leading rows and drops them.  The package needs numpy alone.
-
-Each block's rows are cut into one contiguous slice per worker (the CPUs
-available to the process, at most four); the main thread runs the first
-slice and pool threads the others.  A worker draws its own path range,
-runs the path loop on it and writes its rows of the block's moment rows
-and profits; the main thread then forms the moment matrix and the profit
-sums over the whole block, in block order, so no result depends on the
-number of workers.  Inside a slice the draws are laid out round-major
-(one contiguous row per draw) and the moment rows are stored column-major,
-so every round reads and writes contiguous memory.  Workers run only numpy,
-whose sampler and array kernels release the interpreter lock, and call no
-public function of the package.
+The chunk of 4096 paths is the one unit of the work.  Chunk ``c`` draws
+its paths' normals, path by path, from its own Philox substream (counter
+``c << 64`` under the seed as key) by numpy's ziggurat sampler.  Blocks
+are whole chunks, and each block is cut into whole chunks per worker (the
+CPUs available to the process, at most four), all run by a thread pool.
+A worker draws its chunks round-major (one contiguous row per draw) and
+runs the path loop on them into column-major moment rows, both held in
+arrays that the main thread allocates once per run, so every round reads
+and writes contiguous memory; it then writes one moment matrix per chunk.
+The main thread adds these matrices in chunk order into one total, so
+every result is bit-identical for a given seed and inputs, whatever the
+block size and the number of workers.  Workers run only numpy, whose
+sampler and array kernels release the interpreter lock, and call no
+public function of the package, which needs numpy alone.
 """
 
 from __future__ import annotations
@@ -63,10 +57,10 @@ class SimConfig:
 
     ``strategy_beta`` and ``pricing_lambda`` have one entry per round; they
     default to nothing and must be supplied (see :func:`equilibrium_config`
-    for the equilibrium pair).  ``block_size`` only controls how many paths
-    are generated per vectorized batch; the draws consumed by each path do
-    not depend on it.  Peak memory scales with ``block_size * (1 + 2n)``
-    floats, the moment rows of one block.
+    for the equilibrium pair).  ``block_size`` is the number of paths per
+    vectorized batch, rounded up to whole 4096-path chunks; it changes no
+    bit of the result.  Peak memory is about ``(3n + 8)`` floats per path
+    of a block: the draws, the moment rows and the path loop's temporaries.
     """
 
     params: ModelParams
@@ -126,7 +120,11 @@ class TerminalVarianceCheck:
 def equilibrium_config(
     params: ModelParams, n_paths: int, seed: int, block_size: int = 1 << 16
 ) -> SimConfig:
-    """Simulation config with the equilibrium strategy and pricing rule."""
+    """Simulation config with the equilibrium strategy and pricing rule.
+
+    ``block_size`` rounds up to whole 4096-path chunks and changes no bit
+    of the result (see :class:`SimConfig`).
+    """
     eq = equilibrium_from_params(params)
     return SimConfig(
         params=params,
@@ -138,26 +136,20 @@ def equilibrium_config(
     )
 
 
-def _block_normals(seed: int, start: int, count: int, n_draws: int) -> np.ndarray:
-    """Standard normals for paths ``start .. start + count - 1``, one row per path.
+def _block_normals(seed: int, start: int, out: np.ndarray) -> None:
+    """Standard normals for paths ``start`` onwards, round-major, into ``out``.
 
-    Chunk ``c`` holds paths ``c * _CHUNK`` onwards and draws them path-major
-    from its own Philox substream, counter ``c << 64`` under key ``seed``.
-    A range that starts inside a chunk draws that chunk's leading rows too
-    and drops them, so a path's row never depends on the range.
+    ``start`` is a multiple of ``_CHUNK``, and ``out`` has one row per draw
+    and one column per path.  Chunk ``c`` holds paths ``c * _CHUNK``
+    onwards and draws them path-major from its own Philox substream,
+    counter ``c << 64`` under key ``seed``, transposed into its columns.
     """
-    stop = start + count
-    out = np.empty((count, n_draws))
-    for c in range(start // _CHUNK, (stop - 1) // _CHUNK + 1):
-        first = c * _CHUNK
+    n_draws, count = out.shape
+    for lo in range(0, count, _CHUNK):
+        c = (start + lo) // _CHUNK
         gen = np.random.Generator(np.random.Philox(key=seed, counter=c << 64))
-        skip = max(start - first, 0)
-        rows = out[first + skip - start : min(first + _CHUNK, stop) - start]
-        if skip:
-            rows[:] = gen.standard_normal((skip + len(rows), n_draws))[skip:]
-        else:
-            gen.standard_normal(out=rows)
-    return out
+        cols = out[:, lo : lo + _CHUNK]
+        cols[:] = gen.standard_normal((cols.shape[1], n_draws)).T
 
 
 _MAX_WORKERS = 4
@@ -172,26 +164,16 @@ def _worker_count() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-class _Kahan:
-    """Compensated accumulator for scalars or same-shape arrays."""
+def _run_paths(
+    config: SimConfig, start: int, z: np.ndarray, w: np.ndarray, moments: np.ndarray
+) -> None:
+    """Simulate the paths from ``start`` on, one per column of ``z``.
 
-    def __init__(self, zero):
-        self.total = zero
-        self._carry = zero * 0.0
-
-    def add(self, value) -> None:
-        y = value - self._carry
-        t = self.total + y
-        self._carry = (t - self.total) - y
-        self.total = t
-
-
-def _run_paths(config: SimConfig, start: int, w: np.ndarray, profit: np.ndarray) -> None:
-    """Simulate paths ``start .. start + len(profit) - 1`` into ``w`` and ``profit``.
-
-    ``w`` receives each path's moment row
-    ``[1, dy_1..dy_n, (v - p_1)..(v - p_n)]`` and ``profit`` its insider
-    profit; both are row slices of the block's arrays.
+    ``z`` receives the paths' draws (row 0 drives v, row 1 + i the noise
+    trade of round i), ``w`` their moment rows
+    ``W = [1, dy_1..dy_n, (v - p_1)..(v - p_n), profit]`` and
+    ``moments[k]`` the moment matrix of chunk k.  An overflow stays
+    non-finite in the matrices, for ``simulate`` to report.
     """
     params = config.params
     n = params.n_periods
@@ -199,29 +181,33 @@ def _run_paths(config: SimConfig, start: int, w: np.ndarray, profit: np.ndarray)
     lam = config.pricing_lambda
     delta = params.delta
     du_scale = params.sigma_u * np.sqrt(delta)
-    # Round-major: row 0 drives v, row 1 + i the noise trade of round i.
-    z = np.ascontiguousarray(_block_normals(config.seed, start, len(profit), n + 1).T)
-    v = np.sqrt(params.sigma0) * z[0]
-
-    w[:, 0] = 1.0
-    price = np.zeros(len(profit))
-    profit[:] = 0.0
-    for i in range(n):
-        dx = beta[i] * (v - price) * delta
-        # Order flow and pricing error go straight into their columns.
-        dy = np.multiply(du_scale, z[1 + i], out=w[:, 1 + i])
-        dy += dx
-        price += lam[i] * dy
-        profit += np.subtract(v, price, out=w[:, 1 + n + i]) * dx
+    with np.errstate(over="ignore", invalid="ignore"):
+        _block_normals(config.seed, start, z)
+        v = np.sqrt(params.sigma0) * z[0]
+        w[:, 0] = 1.0
+        profit = w[:, -1]
+        profit[:] = 0.0
+        price = np.zeros(len(w))
+        for i in range(n):
+            dx = beta[i] * (v - price) * delta
+            # Order flow and pricing error go straight into their columns.
+            dy = np.multiply(du_scale, z[1 + i], out=w[:, 1 + i])
+            dy += dx
+            price += lam[i] * dy
+            profit += np.subtract(v, price, out=w[:, 1 + n + i]) * dx
+        for k, lo in enumerate(range(0, len(w), _CHUNK)):
+            rows = w[lo : lo + _CHUNK]
+            np.matmul(rows.T, rows, out=moments[k])
 
 
 def simulate(config: SimConfig) -> SimResult:
     """Run the simulation and aggregate profit and efficiency statistics.
 
-    Paths are processed in blocks of ``config.block_size``, each split
-    across workers; cross-block sums use compensated accumulation.
-    Results are bit-reproducible for a fixed config, whatever the number
-    of workers.  Raises ``ValueError`` when the moment or profit sums
+    Paths are processed in blocks of ``config.block_size`` rounded up to
+    whole chunks, each cut into whole chunks per worker.  Every chunk's
+    moment matrix is added in chunk order into one total, so results are
+    bit-identical for a fixed seed and inputs, whatever the block size and
+    the number of workers.  Raises ``ValueError`` when the moment sums
     overflow float range, or underflow to a singular regression (very
     large or very small ``sigma_u``, for one).
     """
@@ -233,48 +219,43 @@ def simulate(config: SimConfig) -> SimResult:
     if config.n_paths < 2 * n + 2:
         raise ValueError("n_paths must be at least 2 * n_periods + 2 for the statistics")
 
-    # Moment matrix of W = [1, dy_1..dy_n, (v - p_1)..(v - p_n)] per path.
-    dim = 1 + 2 * n
-    moments = _Kahan(np.zeros((dim, dim)))
-    profit_sum = _Kahan(0.0)
-    profit_sq_sum = _Kahan(0.0)
-
+    dim = 2 * n + 2
+    m = np.zeros((dim, dim))
+    block = -(-config.block_size // _CHUNK) * _CHUNK
     workers = _worker_count()
+    # The draws and the column-major moment rows of one block, allocated
+    # once by this thread and reused by every block: arrays made per block
+    # were handed back to the system and faulted in again block after
+    # block, and arrays that pool threads make stay in those threads'
+    # allocator arenas, so that peak memory varied from run to run.
+    z = np.empty((n + 1, min(block, config.n_paths)))
+    w = np.empty((z.shape[1], dim), order="F")
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for block_start in range(0, config.n_paths, config.block_size):
-            count = min(config.block_size, config.n_paths - block_start)
-            # Column-major, so each round's two column writes are contiguous.
-            w = np.empty((count, dim), order="F")
-            profit = np.empty(count)
-            cuts = [count * k // workers for k in range(workers + 1)]
-            slices = [
-                (block_start + lo, w[lo:hi], profit[lo:hi])
-                for lo, hi in zip(cuts, cuts[1:])
-                if lo < hi
-            ]
-            # The main thread runs the first slice itself, so one worker
-            # starts no thread.
-            others = [pool.submit(_run_paths, config, *rows) for rows in slices[1:]]
-            _run_paths(config, *slices[0])
-            for done in others:
-                done.result()
-
-            # An overflow here stays non-finite in the totals, checked below.
+        for block_start in range(0, config.n_paths, block):
+            count = min(block, config.n_paths - block_start)
+            chunks = -(-count // _CHUNK)
+            moments = np.empty((chunks, dim, dim))
+            cuts = [chunks * k // workers for k in range(workers + 1)]
+            jobs = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                if lo < hi:
+                    rows = slice(lo * _CHUNK, min(hi * _CHUNK, count))
+                    args = (block_start + rows.start, z[:, rows], w[rows], moments[lo:hi])
+                    jobs.append(pool.submit(_run_paths, config, *args))
+            for job in jobs:
+                job.result()
+            # An overflow here stays non-finite in the total, checked below.
             with np.errstate(over="ignore", invalid="ignore"):
-                moments.add(w.T @ w)
-                profit_sum.add(float(np.sum(profit)))
-                profit_sq_sum.add(float(np.sum(profit * profit)))
+                for chunk_moments in moments:
+                    m += chunk_moments
 
-    if not np.all(np.isfinite([*moments.total.flat, profit_sum.total, profit_sq_sum.total])):
+    if not np.all(np.isfinite(m)):
         raise ValueError("path moments overflow float range: parameters too large to simulate")
     n_paths = config.n_paths
-    mean_profit = profit_sum.total / n_paths
-    profit_var = max(
-        (profit_sq_sum.total - n_paths * mean_profit**2) / (n_paths - 1), 0.0
-    )
+    mean_profit = m[0, -1] / n_paths
+    profit_var = max((m[-1, -1] - n_paths * mean_profit**2) / (n_paths - 1), 0.0)
     mean_profit_se = np.sqrt(profit_var / n_paths)
 
-    m = moments.total
     try:
         efficiency = tuple(_efficiency_regression(m, n, k, n_paths) for k in range(1, n + 1))
     except np.linalg.LinAlgError:

@@ -149,8 +149,7 @@ def _iterate(step, x: list, entry, *, tol=1e-12, max_iter=10_000, blowup=1e8) ->
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    max_iter = _count(max_iter, "max_iter", 1)
     if not blowup > 0.0:
         raise ValueError("blowup must be positive")
     if not all(map(math.isfinite, x)):

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kyle_stability
 from kyle_stability.cli import main
 from kyle_stability.reports import loads_report
 
@@ -135,6 +140,13 @@ def test_perturb_accepts_negative_exponent_delta(capsys):
     report = loads_report(out)
     assert report["inputs"]["delta"] == -1e-3
     assert report["result"][0]["returned"] is True
+
+
+@pytest.mark.parametrize("return_tol", ["-1", "nan"])
+def test_perturb_rejects_bad_return_tol(capsys, return_tol):
+    code, out, err = _run(capsys, ["perturb", "--n", "3", "--return-tol", return_tol])
+    assert (code, out) == (2, "")
+    assert "error: return_tol must be non-negative" in err
 
 
 def test_iterate_accepts_vector_starting_with_negative_exponent(capsys):
@@ -441,7 +453,7 @@ def test_sigma_u_bound(capsys):
 
 
 def test_simulate_rejects_overflowing_moments(capsys):
-    # At sigma_u = 1e153 the moment matrix w.T @ w overflows; 1e152 is fine.
+    # At sigma_u = 1e153 the chunk moment matrices overflow; 1e152 is fine.
     argv = ["simulate", "--n", "3", "--paths", "1000", "--sigma-u"]
     code, out, err = _run(capsys, [*argv, "1e153"])
     assert (code, out) == (2, "")
@@ -452,6 +464,23 @@ def test_simulate_rejects_overflowing_moments(capsys):
     for regression in result["efficiency"]:
         assert np.all(np.isfinite(regression["coef"]))
     assert np.isfinite(result["mean_profit"])
+
+
+def test_simulate_overflow_prints_one_error_line():
+    # The path loop overflows in the worker threads; numpy's floating-point
+    # warnings would print before the error line unless silenced there.
+    src = str(Path(kyle_stability.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["simulate", "--n", "3", "--paths", "1000", "--strategy", "1e200,1,1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kyle_stability.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "error: path moments overflow float range: parameters too large to simulate"
+    ]
 
 
 def test_simulate_names_underflowing_moments(capsys):

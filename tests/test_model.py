@@ -205,6 +205,8 @@ def test_verify_tol_validation(unit_params_n3):
     eq = equilibrium_from_params(unit_params_n3)
     with pytest.raises(ValueError):
         verify_kyle_recursions(eq, unit_params_n3, tol=0.0)
+    with pytest.raises(ValueError):
+        verify_kyle_recursions(eq, unit_params_n3, tol=float("nan"))
 
 
 def test_parameter_invariance_of_implied_b():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from kyle_stability import (
     terminal_variance_check,
 )
 from kyle_stability import montecarlo
-from kyle_stability.montecarlo import _block_normals
 
 SEED = 20240901
 
@@ -42,27 +42,27 @@ def _profit_oracle(params):
     return alpha * params.sigma0 + delta_acc
 
 
+def _normals(seed, start, count, n_draws):
+    out = np.empty((n_draws, count))
+    montecarlo._block_normals(seed, start, out)
+    return out
+
+
 def test_block_normals_partition_invariance():
-    whole = _block_normals(SEED, 0, 7, 5)
-    split = np.vstack(
-        [
-            _block_normals(SEED, 0, 3, 5),
-            _block_normals(SEED, 3, 2, 5),
-            _block_normals(SEED, 5, 2, 5),
-        ]
-    )
-    assert whole.shape == (7, 5)
+    # Round-major: column j holds path start + j, and chunk c's columns are
+    # its path-major Philox draws, transposed.  Ranges split at chunk
+    # boundaries tile the whole range, and a range may be a view.
+    chunk = montecarlo._CHUNK
+    whole = _normals(SEED, 0, 3 * chunk + 7, 5)
+    split = np.empty((5, 3 * chunk + 7))
+    montecarlo._block_normals(SEED, 0, split[:, :chunk])
+    montecarlo._block_normals(SEED, chunk, split[:, chunk : 3 * chunk])
+    montecarlo._block_normals(SEED, 3 * chunk, split[:, 3 * chunk :])
     assert np.array_equal(whole, split)
-    other = _block_normals(SEED + 1, 0, 7, 5)
-    assert not np.array_equal(whole, other)
-
-
-def test_block_normals_range_inside_a_chunk_matches_whole_range():
-    # Paths 4000..12999 start inside the first 4096-path chunk and end
-    # inside the fourth; the leading rows of the first are drawn and dropped.
-    whole = _block_normals(SEED, 0, 13_000, 5)
-    assert np.array_equal(_block_normals(SEED, 4000, 9000, 5), whole[4000:])
-    assert np.array_equal(_block_normals(SEED, 4095, 2, 5), whole[4095:4097])
+    gen = np.random.Generator(np.random.Philox(key=SEED, counter=1 << 64))
+    assert np.array_equal(whole[:, chunk : 2 * chunk], gen.standard_normal((chunk, 5)).T)
+    other = _normals(SEED + 1, 0, 7, 5)
+    assert not np.array_equal(whole[:, :7], other)
 
 
 def test_block_normals_streams_are_distinct():
@@ -70,8 +70,8 @@ def test_block_normals_streams_are_distinct():
     # chunks of one seed, or between the same chunk of two seeds, so no
     # stream overlaps another, shifted or not.
     chunk = montecarlo._CHUNK
-    first = _block_normals(SEED, 0, chunk, 5)
-    for other in (_block_normals(SEED, chunk, chunk, 5), _block_normals(SEED + 1, 0, chunk, 5)):
+    first = _normals(SEED, 0, chunk, 5)
+    for other in (_normals(SEED, chunk, chunk, 5), _normals(SEED + 1, 0, chunk, 5)):
         assert np.intersect1d(first, other).size == 0
 
 
@@ -80,7 +80,7 @@ def test_block_normals_are_standard_normal():
     # 1e-6: 4.89 standard errors for the mean (1/256) and the variance
     # (sqrt(2)/256), and sqrt(ln(2e6) / 2) / 256 for the Kolmogorov-Smirnov
     # statistic, by the tail bound 2 exp(-2 n d**2).
-    z = np.sort(_block_normals(SEED, 0, 1 << 14, 4).ravel())
+    z = np.sort(_normals(SEED, 0, 1 << 14, 4).ravel())
     n = z.size
     assert abs(z.mean()) <= 4.89 / 256
     assert abs(z.var() - 1.0) <= 4.89 * math.sqrt(2.0) / 256
@@ -89,26 +89,20 @@ def test_block_normals_are_standard_normal():
     assert ks <= math.sqrt(math.log(2e6) / 2.0) / 256
 
 
+# Block sizes below, at and above one 4096-path chunk, and not a multiple
+# of it; 10,000 rounds up to three chunks, so blocks of several chunks
+# follow one another.
+_BLOCK_SIZES = (1, 512, 1000, 4096, 10_000, 65_536)
+
+
 def test_simulate_bitwise_deterministic(unit_params_n3):
-    config = equilibrium_config(unit_params_n3, n_paths=5000, seed=SEED)
-    first = simulate(config)
-    second = simulate(config)
-    assert first.mean_profit == second.mean_profit
-    assert first.mean_profit_se == second.mean_profit_se
-    assert first.terminal_variance_estimate == second.terminal_variance_estimate
-    for a, b in zip(first.efficiency, second.efficiency):
-        assert np.array_equal(a.coef, b.coef) and np.array_equal(a.se, b.se)
-    # Block size must not change the totals beyond float re-association.
-    small_blocks = SimConfig(
-        params=config.params,
-        n_paths=5000,
-        seed=SEED,
-        strategy_beta=config.strategy_beta,
-        pricing_lambda=config.pricing_lambda,
-        block_size=512,
-    )
-    third = simulate(small_blocks)
-    assert abs(third.mean_profit - first.mean_profit) <= 1e-12
+    config = equilibrium_config(unit_params_n3, n_paths=30_000, seed=SEED)
+    first = _bits(simulate(config))
+    assert _bits(simulate(config)) == first
+    # Blocks are whole chunks, and chunk moments are summed in chunk order,
+    # so the block size changes no bit.
+    for block_size in _BLOCK_SIZES:
+        assert _bits(simulate(replace(config, block_size=block_size))) == first
 
 
 def test_zero_strategy_profit_exactly_zero(unit_params_n3):
@@ -289,13 +283,14 @@ def test_equilibrium_config_fields(unit_params_n3):
     assert config.seed == 3 and config.n_paths == 10
 
 
-# The golden runs, all at seed SEED: N=3 at the equilibrium in 1,000-row
-# blocks over 5,000 paths, and N=5 in the default 65,536-row blocks over
-# 70,001 paths (one full block and a partial one), at the equilibrium
-# strategy and at half of it.  The digits are those of the 4096-path Philox
-# substreams and numpy's ziggurat sampler; any change to the draws, the
-# normal transform or the accumulation order shows up here as a changed
-# digit, and so would a numpy release that changes its sampler.
+# The golden runs, all at seed SEED: N=3 at the equilibrium over 5,000
+# paths (one full chunk and a partial one) in 1,000-row blocks, which round
+# up to one chunk, and N=5 over 70,001 paths (17 full chunks and a partial
+# one) at the equilibrium strategy and at half of it.  The digits are those of the 4096-path Philox substreams,
+# numpy's ziggurat sampler and chunk moments summed in chunk order; any
+# change to the draws, the normal transform or the accumulation order
+# shows up here as a changed digit, and so would a numpy release that
+# changes its sampler.
 def _golden_n3_config():
     return equilibrium_config(ModelParams(n_periods=3), n_paths=5000, seed=SEED, block_size=1000)
 
@@ -313,38 +308,38 @@ def _golden_n5_config(scale):
 
 
 # mean_profit, terminal_variance_estimate, efficiency[2].t_stat[3]
-_GOLDEN_N3 = ("1.2019441673837454", "0.2627225344461106", "0.6385308947470937")
+_GOLDEN_N3 = ("1.2019441673837454", "0.2627225344461106", "0.6385308947470932")
 
 # mean_profit, mean_profit_se, terminal_variance_estimate, every t_stat
 _GOLDEN_N5 = {
     1.0: (
-        "1.7011397392909897",
-        "0.008545444162807498",
-        "0.18835781811098148",
+        "1.7011397392909893",
+        "0.008545444162807503",
+        "0.18835781811098143",
         [
-            ["0.8153410992850438", "-0.03906354060355199"],
-            ["1.3093465511366549", "-0.8292198703681807", "0.7774458466473084"],
-            ["1.252244812052544", "-0.34781392911935793", "1.1626820091082188",
-             "0.2539896611759085"],
-            ["1.5880609040177989", "-0.11161271318945863", "0.7474378893720801",
-             "-0.4315533247986067", "-1.0048121349350065"],
-            ["0.7892935205344586", "-0.7797380001160717", "0.1257451939913724",
-             "0.3423530321800417", "0.21969490864211366", "0.573486333517563"],
+            ["0.8153410992850443", "-0.03906354060355256"],
+            ["1.3093465511366567", "-0.8292198703681801", "0.7774458466473088"],
+            ["1.2522448120525453", "-0.34781392911935893", "1.1626820091082186",
+             "0.25398966117590704"],
+            ["1.5880609040177984", "-0.11161271318945928", "0.74743788937208",
+             "-0.4315533247986056", "-1.004812134935007"],
+            ["0.7892935205344594", "-0.7797380001160725", "0.12574519399137252",
+             "0.34235303218004093", "0.2196949086421134", "0.5734863335175636"],
         ],
     ),
     0.5: (
         "1.4632833770525575",
         "0.007515101137370461",
-        "0.5075589928500787",
+        "0.5075589928500783",
         [
-            ["0.691870069790585", "-43.06031387740223"],
-            ["0.9983047745090737", "-42.20392387817998", "-34.91128979470023"],
-            ["1.016672262791758", "-40.00406732693189", "-32.95616422342372",
-             "-24.844374709956536"],
-            ["1.3146564572743422", "-36.81000938330262", "-30.583594496722753",
-             "-23.412683717091188", "-7.411080736276804"],
-            ["0.8192235266133266", "-30.964325816613197", "-25.70927968807121",
-             "-19.05309367282357", "-5.652572460708321", "38.978382061355326"],
+            ["0.6918700697905846", "-43.06031387740226"],
+            ["0.9983047745090738", "-42.203923878179964", "-34.91128979470025"],
+            ["1.0166722627917575", "-40.00406732693188", "-32.95616422342373",
+             "-24.844374709956522"],
+            ["1.314656457274341", "-36.81000938330264", "-30.583594496722775",
+             "-23.41268371709118", "-7.411080736276807"],
+            ["0.8192235266133264", "-30.9643258166132", "-25.709279688071224",
+             "-19.053093672823575", "-5.652572460708325", "38.97838206135534"],
         ],
     ),
 }
@@ -399,27 +394,47 @@ def _bits(result):
 
 
 def test_worker_count_changes_no_bit(monkeypatch):
-    # 2,500-row blocks over 7,001 paths: three full blocks and a partial
-    # one, cut into uneven slices by three workers.  A short switch
-    # interval makes the threads interleave often.
+    # 25,000 paths are six full chunks and a partial one: one block of
+    # seven chunks at 65,536-row blocks, cut 3/4, 2/2/3 and 1/2/2/2, blocks
+    # of 3, 3 and 1 chunks at 10,000, and one chunk per block below.  A
+    # short switch interval makes the threads interleave often.
     params = ModelParams(n_periods=4, delta=0.37, sigma_u=2.9, sigma0=0.013)
     eq = equilibrium_from_params(params)
     config = SimConfig(
         params=params,
-        n_paths=7001,
+        n_paths=25_000,
         seed=SEED,
         strategy_beta=eq.beta * 0.8,
         pricing_lambda=eq.lam,
-        block_size=2500,
     )
     interval = sys.getswitchinterval()
-    results = {}
+    results = set()
     try:
         sys.setswitchinterval(1e-6)
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 4):
             monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-            results[workers] = _bits(simulate(config))
+            for block_size in _BLOCK_SIZES:
+                results.add(repr(_bits(simulate(replace(config, block_size=block_size)))))
     finally:
         sys.setswitchinterval(interval)
-    assert results[2] == results[1]
-    assert results[3] == results[1]
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_simulate_draws_each_path_once_from_chunk_boundaries(monkeypatch, workers):
+    # 70,001 paths in 65,536-row blocks: a three-way cut of the first block
+    # at arbitrary rows would start inside a chunk and redraw its rows.
+    calls = []
+
+    def spy(seed, start, out):
+        calls.append((start, out.shape[1]))
+        draw(seed, start, out)
+
+    draw = montecarlo._block_normals
+    monkeypatch.setattr(montecarlo, "_block_normals", spy)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    simulate(_golden_n5_config(1.0))
+    assert all(start % montecarlo._CHUNK == 0 for start, _ in calls)
+    assert sum(count for _, count in calls) == 70_001
+    ends = sorted((start, start + count) for start, count in calls)
+    assert [lo for lo, _ in ends] == [0] + [hi for _, hi in ends[:-1]]

@@ -127,6 +127,9 @@ def test_iterate_validation(unit_params_n3):
         iterate(insider_policy_step, EQ_BETA_N3, unit_params_n3, tol=0.0)
     with pytest.raises(ValueError):
         iterate(insider_policy_step, EQ_BETA_N3, unit_params_n3, max_iter=0)
+    for not_a_count in (True, 1.5):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            iterate(insider_policy_step, EQ_BETA_N3, unit_params_n3, max_iter=not_a_count)
     with pytest.raises(ValueError):
         iterate(insider_policy_step, EQ_BETA_N3, unit_params_n3, blowup=-1.0)
     # A map that does not check the length itself still gets a checked start.
