@@ -156,7 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--strategy", type=_vector, default=None, help="explicit strategy vector")
     p_sim.add_argument("--pricing", type=_vector, default=None, help="explicit pricing vector")
-    p_sim.add_argument("--block-size", type=int, default=1 << 16)
+    p_sim.add_argument(
+        "--block-size", type=int, default=1 << 16,
+        help="paths handed to the worker threads at a time, rounded up to 4096-path chunks"
+        " (default 65536); changes no result bit, and each worker streams its share"
+        " through a scratch of at most 16,384 paths",
+    )
 
     p_tab = sub.add_parser("tables", help="reproduce the headline tables and experiments")
     _add_model_flags(

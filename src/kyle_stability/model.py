@@ -18,6 +18,7 @@ out, so no parameter enters a recursion.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,6 +37,8 @@ __all__ = [
 
 # The largest sigma_u: sigma_u**2 <= float max / 4 leaves the recursions headroom.
 _SIGMA_U_MAX = math.sqrt(float(np.finfo(float).max) / 4.0)
+# The window of both scales in ``_scales``: the normal floats.
+_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,15 @@ class ModelParams:
         if self.sigma_u > _SIGMA_U_MAX:
             raise ValueError(
                 f"sigma_u must be at most {_SIGMA_U_MAX:.4g} (sigma_u**2 <= float max / 4)"
+            )
+        try:
+            scales = _scales(self)
+        except OverflowError:
+            scales = (math.inf,)
+        if not all(_NORMAL_MIN <= scale <= _NORMAL_MAX for scale in scales):
+            raise ValueError(
+                "sigma_u / sqrt(sigma0 delta) and sqrt(sigma0 / delta) / sigma_u must lie in "
+                f"[{_NORMAL_MIN:.4g}, {_NORMAL_MAX:.4g}], the normal floats"
             )
 
 
@@ -208,14 +220,27 @@ def solve_b_recursion(n_periods: int) -> BCoefficients:
     return BCoefficients(b=np.sqrt(squares))
 
 
+def _root(x: float) -> tuple[float, int]:
+    """``(r, e)`` with ``sqrt(x) = r 2**e``, ``r`` in [0.7, 1.5): the root of the mantissa."""
+    m, e = math.frexp(x)
+    return math.sqrt(math.ldexp(m, e % 2)), e // 2
+
+
 def _scales(params: ModelParams) -> tuple[float, float]:
     """``(s, L)``: ``beta``, ``lam``, ``alpha`` and ``sigma_sq`` are the unit paths
     times ``s = sigma_u / (sqrt(sigma0) sqrt(delta))``, ``L = sqrt(sigma0) /
-    (sqrt(delta) sigma_u)``, ``1 / L`` and ``sigma0``.  Under the ``sigma_u``
-    bound neither denominator overflows.
+    (sqrt(delta) sigma_u)``, ``1 / L`` and ``sigma0``.
+
+    The mantissas and the powers of two are combined apart, so no
+    intermediate underflows or overflows, and the bits are those of the
+    direct quotients wherever these stay normal.  Raises ``OverflowError``
+    when a scale overflows; :class:`ModelParams` admits only parameter sets
+    whose two scales are normal floats.
     """
-    root_sigma0, root_delta = math.sqrt(params.sigma0), math.sqrt(params.delta)
-    return params.sigma_u / (root_sigma0 * root_delta), root_sigma0 / (root_delta * params.sigma_u)
+    r0, e0 = _root(params.sigma0)
+    rd, ed = _root(params.delta)
+    u, eu = math.frexp(params.sigma_u)
+    return math.ldexp(u / (r0 * rd), eu - e0 - ed), math.ldexp(r0 / (rd * u), e0 - ed - eu)
 
 
 @lru_cache(maxsize=128)

@@ -14,11 +14,14 @@ its paths' normals, path by path, from its own Philox substream (counter
 ``c << 64`` under the seed as key) by numpy's ziggurat sampler.  Blocks
 are whole chunks, and each block is cut into whole chunks per worker (the
 CPUs available to the process, at most four), all run by a thread pool.
-A worker draws its chunks round-major (one contiguous row per draw) and
-runs the path loop on them into column-major moment rows, both held in
-arrays that the main thread allocates once per run, so every round reads
-and writes contiguous memory; it then writes one moment matrix per chunk.
-The main thread adds these matrices in chunk order into one total, so
+A worker streams its share in passes of up to four chunks through its own
+scratch: it draws a pass round-major (one contiguous row per draw) and
+runs the path loop on it into column-major moment rows, so every round
+reads and writes contiguous memory, then writes one moment matrix per
+chunk.  The main thread allocates each worker's scratch once per run, no
+larger than one pass or than the worker's share of a block, so memory
+does not grow with the block size or the number of paths.  It adds the
+chunk matrices in chunk order into one total, so
 every result is bit-identical for a given seed and inputs, whatever the
 block size and the number of workers.  Workers run only numpy, whose
 sampler and array kernels release the interpreter lock, and call no
@@ -49,6 +52,8 @@ __all__ = [
 _SEED_MODULUS = 2**64
 # Paths per Philox substream (see ``_block_normals``).
 _CHUNK = 4096
+# Chunks per pass of a worker through its scratch (see ``_run_paths``).
+_PASS = 4
 
 
 @dataclass(frozen=True)
@@ -57,10 +62,12 @@ class SimConfig:
 
     ``strategy_beta`` and ``pricing_lambda`` have one entry per round; they
     default to nothing and must be supplied (see :func:`equilibrium_config`
-    for the equilibrium pair).  ``block_size`` is the number of paths per
-    vectorized batch, rounded up to whole 4096-path chunks; it changes no
-    bit of the result.  Peak memory is about ``(3n + 8)`` floats per path
-    of a block: the draws, the moment rows and the path loop's temporaries.
+    for the equilibrium pair).  ``block_size`` is the number of paths
+    handed to the worker threads at a time, rounded up to whole 4096-path
+    chunks; it changes no bit of the result.  It sets only the moment
+    buffer, one ``(2n + 2)``-square matrix per chunk of a block.  Each
+    worker holds ``3n + 3`` floats (the draws and the moment rows) per path
+    of its pass, 16,384 paths or its share of a block if that is smaller.
     """
 
     params: ModelParams
@@ -122,8 +129,9 @@ def equilibrium_config(
 ) -> SimConfig:
     """Simulation config with the equilibrium strategy and pricing rule.
 
-    ``block_size`` rounds up to whole 4096-path chunks and changes no bit
-    of the result (see :class:`SimConfig`).
+    ``block_size`` rounds up to whole 4096-path chunks, changes no bit of
+    the result and leaves each worker's scratch at one pass (see
+    :class:`SimConfig`).
     """
     eq = equilibrium_from_params(params)
     return SimConfig(
@@ -165,15 +173,17 @@ def _worker_count() -> int:
 
 
 def _run_paths(
-    config: SimConfig, start: int, z: np.ndarray, w: np.ndarray, moments: np.ndarray
+    config: SimConfig, start: int, count: int, z: np.ndarray, w: np.ndarray, moments: np.ndarray
 ) -> None:
-    """Simulate the paths from ``start`` on, one per column of ``z``.
+    """Simulate paths ``start`` to ``start + count`` in passes through ``z`` and ``w``.
 
-    ``z`` receives the paths' draws (row 0 drives v, row 1 + i the noise
-    trade of round i), ``w`` their moment rows
-    ``W = [1, dy_1..dy_n, (v - p_1)..(v - p_n), profit]`` and
-    ``moments[k]`` the moment matrix of chunk k.  An overflow stays
-    non-finite in the matrices, for ``simulate`` to report.
+    ``start`` is a multiple of ``_CHUNK``.  Each pass of up to ``_PASS``
+    chunks draws its paths into the first columns of ``z`` (row 0 drives
+    v, row 1 + i the noise trade of round i), runs the path loop into the
+    first rows of ``w``, the moment rows ``W = [1, dy_1..dy_n, (v -
+    p_1)..(v - p_n), profit]``, and writes the moment matrix of the
+    range's chunk k into ``moments[k]``.  An overflow stays non-finite in
+    the matrices, for ``simulate`` to report.
     """
     params = config.params
     n = params.n_periods
@@ -181,31 +191,43 @@ def _run_paths(
     lam = config.pricing_lambda
     delta = params.delta
     du_scale = params.sigma_u * np.sqrt(delta)
+    root_sigma0 = np.sqrt(params.sigma0)
     with np.errstate(over="ignore", invalid="ignore"):
-        _block_normals(config.seed, start, z)
-        v = np.sqrt(params.sigma0) * z[0]
-        w[:, 0] = 1.0
-        profit = w[:, -1]
-        profit[:] = 0.0
-        price = np.zeros(len(w))
-        for i in range(n):
-            dx = beta[i] * (v - price) * delta
-            # Order flow and pricing error go straight into their columns.
-            dy = np.multiply(du_scale, z[1 + i], out=w[:, 1 + i])
-            dy += dx
-            price += lam[i] * dy
-            profit += np.subtract(v, price, out=w[:, 1 + n + i]) * dx
-        for k, lo in enumerate(range(0, len(w), _CHUNK)):
-            rows = w[lo : lo + _CHUNK]
-            np.matmul(rows.T, rows, out=moments[k])
+        for first in range(0, count, _PASS * _CHUNK):
+            rows = min(_PASS * _CHUNK, count - first)
+            zp, wp = z[:, :rows], w[:rows]
+            _block_normals(config.seed, start + first, zp)
+            v = root_sigma0 * zp[0]
+            wp[:, 0] = 1.0
+            profit = wp[:, -1]
+            profit[:] = 0.0
+            price = np.zeros(rows)
+            for i in range(n):
+                dx = beta[i] * (v - price) * delta
+                # Order flow and pricing error go straight into their columns.
+                dy = np.multiply(du_scale, zp[1 + i], out=wp[:, 1 + i])
+                dy += dx
+                price += lam[i] * dy
+                profit += np.subtract(v, price, out=wp[:, 1 + n + i]) * dx
+            for lo in range(0, rows, _CHUNK):
+                chunk = wp[lo : lo + _CHUNK]
+                np.matmul(chunk.T, chunk, out=moments[(first + lo) // _CHUNK])
+
+
+def _shares(count: int, workers: int) -> list:
+    """Row ranges ``(lo, hi)`` of ``count`` block rows per worker, in whole chunks."""
+    chunks = -(-count // _CHUNK)
+    cuts = [chunks * k // workers * _CHUNK for k in range(workers + 1)]
+    return [(lo, min(hi, count)) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def simulate(config: SimConfig) -> SimResult:
     """Run the simulation and aggregate profit and efficiency statistics.
 
     Paths are processed in blocks of ``config.block_size`` rounded up to
-    whole chunks, each cut into whole chunks per worker.  Every chunk's
-    moment matrix is added in chunk order into one total, so results are
+    whole chunks, each cut into whole chunks per worker; a worker runs its
+    share in passes of up to ``_PASS`` chunks.  Every chunk's moment
+    matrix is added in chunk order into one total, so results are
     bit-identical for a fixed seed and inputs, whatever the block size and
     the number of workers.  Raises ``ValueError`` when the moment sums
     overflow float range, or underflow to a singular regression (very
@@ -219,39 +241,43 @@ def simulate(config: SimConfig) -> SimResult:
     if config.n_paths < 2 * n + 2:
         raise ValueError("n_paths must be at least 2 * n_periods + 2 for the statistics")
 
+    n_paths = config.n_paths
     dim = 2 * n + 2
     m = np.zeros((dim, dim))
     block = -(-config.block_size // _CHUNK) * _CHUNK
     workers = _worker_count()
-    # The draws and the column-major moment rows of one block, allocated
-    # once by this thread and reused by every block: arrays made per block
-    # were handed back to the system and faulted in again block after
-    # block, and arrays that pool threads make stay in those threads'
-    # allocator arenas, so that peak memory varied from run to run.
-    z = np.empty((n + 1, min(block, config.n_paths)))
-    w = np.empty((z.shape[1], dim), order="F")
+    # Each worker's scratch holds the draws and the column-major moment
+    # rows of its longest pass: a pass of _PASS chunks, or its whole share
+    # of the first or the last block if that is shorter.  The scratch and
+    # the chunk moment buffer are allocated once by this thread and reused
+    # by every pass and block: arrays made per block were faulted in again
+    # block after block, and arrays that pool threads make stay in those
+    # threads' allocator arenas, so that peak memory varied from run to run.
+    widths = [0] * workers
+    for count in {min(block, n_paths), (n_paths - 1) % block + 1}:
+        for k, (lo, hi) in enumerate(_shares(count, workers)):
+            widths[k] = max(widths[k], min(hi - lo, _PASS * _CHUNK))
+    scratch = [(np.empty((n + 1, width)), np.empty((width, dim), order="F")) for width in widths]
+    moments = np.empty((-(-min(block, n_paths) // _CHUNK), dim, dim))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for block_start in range(0, config.n_paths, block):
-            count = min(block, config.n_paths - block_start)
-            chunks = -(-count // _CHUNK)
-            moments = np.empty((chunks, dim, dim))
-            cuts = [chunks * k // workers for k in range(workers + 1)]
-            jobs = []
-            for lo, hi in zip(cuts, cuts[1:]):
-                if lo < hi:
-                    rows = slice(lo * _CHUNK, min(hi * _CHUNK, count))
-                    args = (block_start + rows.start, z[:, rows], w[rows], moments[lo:hi])
-                    jobs.append(pool.submit(_run_paths, config, *args))
+        for block_start in range(0, n_paths, block):
+            count = min(block, n_paths - block_start)
+            jobs = [
+                pool.submit(
+                    _run_paths, config, block_start + lo, hi - lo, z, w, moments[lo // _CHUNK :]
+                )
+                for (lo, hi), (z, w) in zip(_shares(count, workers), scratch)
+                if lo < hi
+            ]
             for job in jobs:
                 job.result()
             # An overflow here stays non-finite in the total, checked below.
             with np.errstate(over="ignore", invalid="ignore"):
-                for chunk_moments in moments:
+                for chunk_moments in moments[: -(-count // _CHUNK)]:
                     m += chunk_moments
 
     if not np.all(np.isfinite(m)):
         raise ValueError("path moments overflow float range: parameters too large to simulate")
-    n_paths = config.n_paths
     mean_profit = m[0, -1] / n_paths
     profit_var = max((m[-1, -1] - n_paths * mean_profit**2) / (n_paths - 1), 0.0)
     mean_profit_se = np.sqrt(profit_var / n_paths)

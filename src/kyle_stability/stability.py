@@ -286,7 +286,7 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     """
     xs = _as_floats(point, params.n_periods, "point")
     step = _list_map(operator, params)
-    return np.column_stack([_central_difference(step, xs, j) for j in range(len(xs))])
+    return np.array([_central_difference(step, xs, j) for j in range(len(xs))], order="F").T
 
 
 def _unit_strategy(xs: list, params: ModelParams):
@@ -315,7 +315,7 @@ def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
     step, xs = _unit_strategy(_as_floats(point, params.n_periods, "point"), params)
     if not all(map(math.isfinite, step(xs))):
         raise OutOfDomainError("point is outside the operator domain")
-    return np.column_stack([_complex_step(step, xs, j) for j in range(len(xs))])
+    return np.array([_complex_step(step, xs, j) for j in range(len(xs))], order="F").T
 
 
 def eigenvalues(matrix) -> np.ndarray:

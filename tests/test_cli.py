@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
@@ -426,15 +427,54 @@ _SCALE_GRID_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("flag", ["--sigma-u", "--sigma0", "--delta"])
+# Joint corners: two or three parameters at extreme scales at once.  They
+# drive s = sigma_u / sqrt(sigma0 delta) and L = sqrt(sigma0 / delta) /
+# sigma_u above and below the normal floats, and (1e-150 for sigma0 and
+# delta) through a subnormal product sqrt(sigma0) sqrt(delta).
+_JOINT_SCALES = (1e-300, 1e-150, 1e150)
+
+
+@pytest.mark.parametrize(
+    "flag",
+    ["--sigma-u", "--sigma0", "--delta", "--sigma-u,--delta", "--sigma-u,--sigma0",
+     "--sigma0,--delta", "--sigma-u,--sigma0,--delta"],
+)
 def test_parameter_scale_grid_never_crashes(capsys, flag):
     # Every scale gets an answer or a documented exit code; an uncaught
-    # exception (exit 1 from the console script) fails the test.
-    for value in (10.0**e for e in range(-300, 301, 60)):
+    # exception (exit 1 from the console script) fails the test, and so
+    # does a non-finite equilibrium strategy.
+    flags = flag.split(",")
+    if len(flags) == 1:
+        points = [(10.0**e,) for e in range(-300, 301, 60)]
+    else:
+        points = itertools.product(_JOINT_SCALES, repeat=len(flags))
+    for point in points:
         for command, extra in _SCALE_GRID_COMMANDS.items():
-            name = "--dt" if (command, flag) == ("perturb", "--delta") else flag
-            code, _, _ = _run(capsys, [command, "--n", "3", name, repr(value), *extra])
-            assert code in (0, 2, 3, 4), (command, flag, value)
+            scales = []
+            for name, value in zip(flags, point):
+                name = "--dt" if (command, name) == ("perturb", "--delta") else name
+                scales += [name, repr(value)]
+            code, out, _ = _run(capsys, [command, "--n", "3", *scales, *extra])
+            assert code in (0, 2, 3, 4), (command, scales)
+            if command == "equilibrium" and code == 0:
+                beta = np.asarray(loads_report(out)["result"]["beta"])
+                assert np.all(np.isfinite(beta)) and np.all(beta > 0.0), scales
+
+
+def test_scales_outside_the_normal_floats_exit_two(capsys):
+    # L = sqrt(sigma0 / delta) / sigma_u overflows in the first set, its
+    # denominator underflowing to 0; s = sigma_u / sqrt(sigma0 delta)
+    # overflows in the second.
+    for scales in (["--sigma-u", "1e-300", "--delta", "1e-300"],
+                   ["--sigma-u", "1e150", "--sigma0", "1e-300", "--delta", "1e-300"]):
+        for argv in (["equilibrium"], ["stability"], ["simulate", "--paths", "1000"],
+                     ["jacobian", "--closed-form"], ["tables", "--which", "key-results"]):
+            code, out, err = _run(capsys, [*argv, "--n", "3", *scales])
+            assert (code, out) == (2, ""), (argv, scales)
+            assert err == (
+                "error: sigma_u / sqrt(sigma0 delta) and sqrt(sigma0 / delta) / sigma_u"
+                " must lie in [2.225e-308, 1.798e+308], the normal floats\n"
+            )
 
 
 def test_sigma_u_bound(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -396,8 +397,10 @@ def _bits(result):
 def test_worker_count_changes_no_bit(monkeypatch):
     # 25,000 paths are six full chunks and a partial one: one block of
     # seven chunks at 65,536-row blocks, cut 3/4, 2/2/3 and 1/2/2/2, blocks
-    # of 3, 3 and 1 chunks at 10,000, and one chunk per block below.  A
-    # short switch interval makes the threads interleave often.
+    # of 3, 3 and 1 chunks at 10,000, and one chunk per block below.  At
+    # five-chunk blocks one worker runs a full pass and a one-chunk pass,
+    # then a block of one chunk and the partial one.  A short switch
+    # interval makes the threads interleave often.
     params = ModelParams(n_periods=4, delta=0.37, sigma_u=2.9, sigma0=0.013)
     eq = equilibrium_from_params(params)
     config = SimConfig(
@@ -413,7 +416,7 @@ def test_worker_count_changes_no_bit(monkeypatch):
         sys.setswitchinterval(1e-6)
         for workers in (1, 2, 3, 4):
             monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-            for block_size in _BLOCK_SIZES:
+            for block_size in (*_BLOCK_SIZES, 5 * montecarlo._CHUNK):
                 results.add(repr(_bits(simulate(replace(config, block_size=block_size)))))
     finally:
         sys.setswitchinterval(interval)
@@ -438,3 +441,39 @@ def test_simulate_draws_each_path_once_from_chunk_boundaries(monkeypatch, worker
     assert sum(count for _, count in calls) == 70_001
     ends = sorted((start, start + count) for start, count in calls)
     assert [lo for lo, _ in ends] == [0] + [hi for _, hi in ends[:-1]]
+
+
+def test_simulate_memory_is_flat_in_block_size_and_paths(monkeypatch):
+    # numpy reports its buffers to tracemalloc.  Two workers each stream
+    # their share of a block through one scratch of 3n + 3 floats per path
+    # of a pass; on top of it come each worker's path-major draws of one
+    # chunk, eight pass-length vectors of the path loop, and one moment
+    # matrix per chunk of a block.  Block-sized draw and moment-row arrays
+    # (39.3 MB at N=24 and 65,536 paths) would break the bound.
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+    n, workers, rows = 24, 2, montecarlo._PASS * montecarlo._CHUNK
+    params = ModelParams(n_periods=n)
+
+    def peak(n_paths, block_size):
+        config = equilibrium_config(params, n_paths=n_paths, seed=SEED, block_size=block_size)
+        tracemalloc.start()
+        try:
+            simulate(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def bound(n_paths, block_size):
+        chunks = -(-min(n_paths, block_size) // montecarlo._CHUNK)
+        scratch = rows * (3 * n + 3 + 8) + montecarlo._CHUNK * (n + 1)
+        return 8 * (workers * scratch + chunks * (2 * n + 2) ** 2)
+
+    peaks = {block: peak(250_000, block) for block in (4096, 1 << 16, 1 << 20)}
+    for block, value in peaks.items():
+        assert value <= bound(250_000, block), block
+    # Below one pass per worker a block's shares are smaller than a pass.
+    assert peaks[4096] <= peaks[1 << 16]
+    assert peaks[1 << 20] <= 1.1 * peaks[1 << 16]
+    fewer = peak(100_000, 1 << 16)
+    assert fewer <= bound(100_000, 1 << 16)
+    assert abs(fewer - peaks[1 << 16]) <= 0.1 * peaks[1 << 16]
