@@ -37,8 +37,6 @@ __all__ = [
 
 # The largest sigma_u: sigma_u**2 <= float max / 4 leaves the recursions headroom.
 _SIGMA_U_MAX = math.sqrt(float(np.finfo(float).max) / 4.0)
-# The window of both scales in ``_scales``: the normal floats.
-_NORMAL_MIN, _NORMAL_MAX = sys.float_info.min, sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -56,6 +54,9 @@ class ModelParams:
         6.70e153, so that ``sigma_u ** 2`` stays within float max / 4.
     sigma0 : float
         Prior variance of the asset value.  Positive.
+
+    The scales ``s = sigma_u / sqrt(sigma0 delta)`` and ``L = sqrt(sigma0 /
+    delta) / sigma_u`` of ``_scales`` must both be normal floats.
     """
 
     n_periods: int
@@ -78,13 +79,13 @@ class ModelParams:
                 f"sigma_u must be at most {_SIGMA_U_MAX:.4g} (sigma_u**2 <= float max / 4)"
             )
         try:
-            scales = _scales(self)
+            normal = min(_scales(self)) >= sys.float_info.min
         except OverflowError:
-            scales = (math.inf,)
-        if not all(_NORMAL_MIN <= scale <= _NORMAL_MAX for scale in scales):
+            normal = False
+        if not normal:
             raise ValueError(
                 "sigma_u / sqrt(sigma0 delta) and sqrt(sigma0 / delta) / sigma_u must lie in "
-                f"[{_NORMAL_MIN:.4g}, {_NORMAL_MAX:.4g}], the normal floats"
+                f"[{sys.float_info.min:.4g}, {sys.float_info.max:.4g}], the normal floats"
             )
 
 

@@ -417,3 +417,33 @@ def test_equilibrium_matches_an_mpmath_oracle():
                             continue
                         error = float(abs((mpmath.mpf(got) - want) / want))
                         assert error <= 1e-15, (params, name, error)
+
+
+def test_scales_are_the_direct_quotients_without_underflow():
+    # Where sqrt(sigma0) sqrt(delta) and sqrt(delta) sigma_u are normal
+    # floats, the scales carry the bits of the direct quotients.
+    rng = np.random.default_rng(5)
+    for logs in rng.uniform(-150.0, 150.0, size=(200, 3)):
+        delta, sigma_u, sigma0 = 10.0 ** logs
+        root_sigma0, root_delta = np.sqrt(sigma0), np.sqrt(delta)
+        direct = (sigma_u / (root_sigma0 * root_delta), root_sigma0 / (root_delta * sigma_u))
+        assert _scales(ModelParams(3, delta, sigma_u, sigma0)) == direct
+    # sqrt(sigma0) sqrt(delta) = 1e-160 is subnormal; the scales are still
+    # exact to rounding: s = 1e-200 / 1e-160 and L = 1 / 1e-200.
+    s, scale_lam = _scales(ModelParams(3, delta=1e-160, sigma_u=1e-200, sigma0=1e-160))
+    assert abs(s - 1e-40) <= 2e-16 * 1e-40
+    assert abs(scale_lam - 1e200) <= 2e-16 * 1e200
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [
+        {"sigma_u": 1e-300, "delta": 1e-300},  # L overflows
+        {"sigma_u": 1e150, "sigma0": 1e-300, "delta": 1e-300},  # s overflows
+        {"sigma_u": 1e-300, "sigma0": 1e150, "delta": 1e150},  # s underflows
+        {"sigma_u": 1e150, "sigma0": 1e-300, "delta": 1e300},  # L underflows
+    ],
+)
+def test_params_reject_scales_outside_the_normal_floats(scales):
+    with pytest.raises(ValueError, match=r"must lie in \[2.225e-308, 1.798e\+308\]"):
+        ModelParams(n_periods=3, **scales)
