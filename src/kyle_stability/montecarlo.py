@@ -201,14 +201,17 @@ def _run_paths(
             wp[:, 0] = 1.0
             profit = wp[:, -1]
             profit[:] = 0.0
-            price = np.zeros(rows)
+            price, dx, tmp = np.zeros(rows), np.empty(rows), np.empty(rows)
             for i in range(n):
-                dx = beta[i] * (v - price) * delta
-                # Order flow and pricing error go straight into their columns.
+                # dx = beta_i (v - price) delta; order flow and pricing
+                # error go straight into their columns.
+                np.subtract(v, price, out=dx)
+                dx *= beta[i]
+                dx *= delta
                 dy = np.multiply(du_scale, zp[1 + i], out=wp[:, 1 + i])
                 dy += dx
-                price += lam[i] * dy
-                profit += np.subtract(v, price, out=wp[:, 1 + n + i]) * dx
+                price += np.multiply(dy, lam[i], out=tmp)
+                profit += np.multiply(np.subtract(v, price, out=wp[:, 1 + n + i]), dx, out=tmp)
             for lo in range(0, rows, _CHUNK):
                 chunk = wp[lo : lo + _CHUNK]
                 np.matmul(chunk.T, chunk, out=moments[(first + lo) // _CHUNK])
