@@ -234,7 +234,8 @@ def simulate(config: SimConfig) -> SimResult:
     bit-identical for a fixed seed and inputs, whatever the block size and
     the number of workers.  Raises ``ValueError`` when the moment sums
     overflow float range, or underflow to a singular regression (very
-    large or very small ``sigma_u``, for one).
+    large or very small ``sigma_u``, for one), or when a regression's
+    covariance overflows (parameter scales far apart).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -321,7 +322,15 @@ def _efficiency_regression(
     dof = n_paths - len(idx)
     resid_ss = max(float(m[y_col, y_col] - coef @ xty), 0.0)
     sigma_sq = resid_ss / dof
-    cov = sigma_sq * np.linalg.inv(xtx)
+    # Moments of very different scales (sigma0 = 1e150 with delta = 1e-300,
+    # for one) put entries beyond float range in the covariance.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = sigma_sq * np.linalg.inv(xtx)
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(
+            "regression covariance overflows float range: "
+            "parameter scales too far apart to simulate"
+        )
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     t_stat = np.divide(coef, se, out=np.zeros_like(coef), where=se > 0.0)
     return EfficiencyRegression(period=period, coef=coef, se=se, t_stat=t_stat)

@@ -21,18 +21,21 @@ round trip through it has left the domain in the same way.
 
 Every public operator runs on two private passes over Python floats, in
 unit parameters (``delta = sigma_u = sigma0 = 1``): ``_maker_pass``
-(forward variance recursion, resumable from a known variance and earlier
-prices) and ``_insider_pass`` (backward recursion to ``beta``, ``alpha``,
-the strategy denominators and the domain verdict).  The scales ``s`` and
-``L`` of ``model._scales`` map in and out inside their loops: ``T_p(x) =
-s T_1(x / s)`` for strategies and ``P_p(l) = L P_1(l / L)`` for prices.
-Public functions validate input once and build numpy arrays only for their
-results.  ``_strategy_round_trip`` and ``_pricing_round_trip`` compose the
-passes once, for the public round trips and for ``_list_map``, which hands
-them to the iteration loop and the difference stencils as maps on float
-lists.  The pinned-coordinate map solves the maker rounds before its
-coordinate once; a step reruns the later maker rounds and the whole insider
-pass, whose domain test covers every round.  Both passes also run on Python
+(forward variance recursion, resumable from a known variance) and
+``_insider_pass`` (backward recursion to ``beta``, ``alpha``, the strategy
+denominators and the domain verdict, resumable from a known curvature and
+later strategies).  The scales ``s`` and ``L`` of ``model._scales`` map in
+and out inside their loops: ``T_p(x) = s T_1(x / s)`` for strategies and
+``P_p(l) = L P_1(l / L)`` for prices.  Public functions validate input
+once and build numpy arrays only for their results.
+``_strategy_round_trip`` and ``_pricing_round_trip`` compose the passes
+once, for the public round trips and for ``_list_map``, which hands them
+to the iteration loop as maps on float lists.
+
+Derivative columns and the pinned-coordinate map change one entry of a
+point at a time; ``_replaced_map`` solves the half pass that never sees
+it once per point, and ``_column_map`` hands the result, or any other
+policy map, to the difference stencils.  Both passes also run on Python
 ``complex`` values, which is how the stability module takes exact
 complex-step derivatives.  ``b**2`` stays a power (libm ``pow``), not ``b *
 b``: they differ in the last bit for about one input in 1,250, which golden
@@ -130,17 +133,16 @@ def _checked(values: list, n: int, name: str) -> list:
     return values
 
 
-def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0, lam=()) -> tuple[list, list]:
+def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0) -> tuple[list, list]:
     """Forward variance recursion in unit parameters: ``(lam, sigma_sq)``.
 
-    Runs on ``beta / scale`` and returns the prices times ``out``.  Resumes
-    after the rounds whose prices ``lam`` are given, from the variance
-    ``prev`` they left; ``beta`` covers the remaining rounds and
-    ``sigma_sq`` starts at ``prev``.  Every denominator is at least 1, so
-    only an overflowing ``b**2`` raises; the pass has then left the domain,
-    and its own rounds read NaN.
+    Runs on ``beta / scale`` and returns the prices times ``out``.  Starts
+    from the variance ``prev``, so it resumes after earlier rounds that
+    left it; ``sigma_sq`` starts at ``prev``.  Every denominator is at
+    least 1, so only an overflowing ``b**2`` raises; the pass has then left
+    the domain, and its rounds read NaN.
     """
-    prices, sigma_sq = list(lam), [prev]
+    prices, sigma_sq = [], [prev]
     try:
         for b in beta:
             b /= scale
@@ -150,28 +152,33 @@ def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0, lam=()) -> tuple[list,
             sigma_sq.append(prev)
     except OverflowError:
         nan = [math.nan] * len(beta)
-        return [*lam, *nan], [sigma_sq[0], *nan]
+        return nan, [sigma_sq[0], *nan]
     return prices, sigma_sq
 
 
-def _insider_pass(lam: list, scale=1.0, out=1.0):
+def _insider_pass(lam: list, scale=1.0, out=1.0, alpha_next=0.0, beta=()):
     """Backward value-function recursion in unit parameters, on ``lam / scale``.
 
     Returns ``(beta, alpha, denominators, in_domain)``, the first three as
-    lists, ``beta`` times ``out``.  When a round fails the domain test (see
+    lists, ``beta`` times ``out``.  Resumes before the rounds whose
+    strategies ``beta`` (times ``out``) are given, from the curvature
+    ``alpha_next`` they left; ``lam`` covers the earlier rounds, and the
+    entries of ``alpha`` past ``alpha_next`` and of ``denominators`` for
+    the given rounds read NaN.  When a round fails the domain test (see
     ``DOMAIN_RTOL``) the recursion stops there: ``beta`` is all infinity,
     the unreached entries of ``alpha`` and ``denominators`` stay NaN and
     ``in_domain`` is False.
     """
-    n = len(lam)
+    m = len(lam)
+    n = m + len(beta)
     # Constants bound to locals: this loop is the hottest code of a pinned step.
     rtol, big, tiny = DOMAIN_RTOL, _FLOAT_MAX, 1.0 / _FLOAT_MAX
-    beta = [0.0] * n
+    strategy = [0.0] * m
+    strategy += beta
     alpha = [math.nan] * (n + 1)
-    alpha[n] = 0.0
+    alpha[m] = alpha_next
     dens = [math.nan] * n
-    alpha_next = 0.0
-    for i in range(n - 1, -1, -1):
+    for i in range(m - 1, -1, -1):
         lam_i = lam[i] / scale
         alpha_lam = alpha_next * lam_i
         u = 1.0 - alpha_lam
@@ -184,15 +191,22 @@ def _insider_pass(lam: list, scale=1.0, out=1.0):
             and tiny < abs(den_alpha)
         ):
             return [math.inf] * n, alpha, dens, False
-        beta[i] = out * (num_beta / den_beta)
+        strategy[i] = out * (num_beta / den_beta)
         alpha_next = alpha[i] = 1.0 / den_alpha
-    return beta, alpha, dens, True
+    return strategy, alpha, dens, True
 
 
 def _finite(value: list, in_domain: bool) -> tuple[list, bool]:
-    """All infinity and out of the domain unless every entry is finite."""
-    if all(map(math.isfinite, value)):
-        return value, in_domain
+    """All infinity and out of the domain unless every entry is finite.
+
+    A complex entry, from a complex step, is finite when both its parts are.
+    """
+    try:
+        if all(map(math.isfinite, value)):
+            return value, in_domain
+    except TypeError:
+        if all(math.isfinite(v.real) and math.isfinite(v.imag) for v in value):
+            return value, in_domain
     return [math.inf] * len(value), False
 
 
@@ -248,9 +262,14 @@ def _strategy_round_trip(beta: list, scale=1.0) -> tuple[list, list, bool]:
     return value, dens, in_domain
 
 
-def _pricing_round_trip(lam: list, scale=1.0) -> tuple[list, list, bool]:
-    """``(value, unit denominators, in_domain)``; the value is all infinity outside the domain."""
-    beta, _, dens, in_domain = _insider_pass(lam, scale)
+def _pricing_round_trip(
+    lam: list, scale=1.0, alpha_next=0.0, beta=()
+) -> tuple[list, list, bool]:
+    """``(value, unit denominators, in_domain)``; the value is all infinity outside the domain.
+
+    ``alpha_next`` and ``beta`` resume the insider pass, as in ``_insider_pass``.
+    """
+    beta, _, dens, in_domain = _insider_pass(lam, scale, 1.0, alpha_next, beta)
     # An in-domain strategy can still overflow the maker recursion.
     value, in_domain = _finite(_maker_pass(beta, 1.0, scale)[0] if in_domain else beta, in_domain)
     return value, dens, in_domain
@@ -284,6 +303,20 @@ _ROUND_TRIPS = (
 )
 
 
+def _round_trip_of(operator):
+    """``(round trip, input name, scale index)`` of one of the two round trips, else None."""
+    for function, *found in _ROUND_TRIPS:
+        if operator is function:
+            return found
+    return None
+
+
+def _replaced(xs: list, j: int, v) -> list:
+    values = xs.copy()
+    values[j] = v
+    return values
+
+
 def _list_map(operator, params: ModelParams):
     """A policy map as a function on lists of floats.
 
@@ -295,15 +328,11 @@ def _list_map(operator, params: ModelParams):
     Any other callable ``(vector, params) -> OperatorResult`` gets float64
     arrays, and a result with ``in_domain=False`` maps to infinity.
     """
-    n = params.n_periods
-    for function, round_trip, name, side in _ROUND_TRIPS:
-        if operator is function:
-            scale = _scales(params)[side]
-
-            def step(values: list) -> list:
-                return round_trip(_checked(values, n, name), scale)[0]
-
-            return step
+    found = _round_trip_of(operator)
+    if found is not None:
+        round_trip, name, side = found
+        n, scale = params.n_periods, _scales(params)[side]
+        return lambda values: round_trip(_checked(values, n, name), scale)[0]
 
     def step(values: list) -> list:
         result = operator(np.array(values), params)
@@ -313,31 +342,88 @@ def _list_map(operator, params: ModelParams):
     return step
 
 
+def _replaced_map(side: int, xs: list, scale):
+    """``image(j, v)``: a round trip at ``xs`` with entry ``j`` set to ``v``.
+
+    ``side`` 0 is the strategy round trip, 1 the pricing round trip, at the
+    scale ``scale``; ``v`` may be a float or a complex number.  The half
+    pass that never sees entry ``j`` is solved here once, at ``xs``: the
+    maker rounds before ``j``, or the insider rounds after it.  ``image``
+    resumes that pass at round ``j`` and runs the other pass whole, so it
+    has the bits of the full round trip.  If the pass at ``xs`` overflows
+    (``_maker_pass`` then reads NaN in every round, including those before
+    the overflow) or leaves the domain, no half of it is reused, and
+    ``image`` runs the full round trip.
+    """
+    if side == 0:
+        # The last round's price is never a prefix.  The variance reads NaN
+        # after an overflow.
+        lam, sigma_sq = _maker_pass(xs[:-1], scale)
+        if sigma_sq[-1] == sigma_sq[-1]:
+
+            def image(j: int, v) -> list:
+                rest = xs[j:]
+                rest[0] = v
+                prices = lam[:j]
+                prices += _maker_pass(rest, scale, 1.0, sigma_sq[j])[0]
+                return _insider_pass(prices, 1.0, scale)[0]
+
+            return image
+    else:
+        # The first round's strategy is never a tail; index k here is round k + 1.
+        beta, alpha, _, in_domain = _insider_pass(xs[1:], scale)
+        if in_domain:
+
+            def image(j: int, v) -> list:
+                head = xs[: j + 1]
+                head[j] = v
+                return _pricing_round_trip(head, scale, alpha[j], beta[j:])[0]
+
+            return image
+    round_trip = _ROUND_TRIPS[side][1]
+    return lambda j, v: round_trip(_replaced(xs, j, v), scale)[0]
+
+
+def _column_map(operator, xs: list, params: ModelParams):
+    """``image(j, v)``: a policy map at ``xs`` with entry ``j`` set to ``v``, as a float list.
+
+    The map the difference stencils and the fixed-point test play, with
+    the conventions of :func:`_list_map`.  The two round trips run on
+    :func:`_replaced_map` and reject a non-finite ``v`` as their public
+    form does; ``xs`` itself has been checked.  Any other callable is
+    called on the whole point.
+    """
+    found = _round_trip_of(operator)
+    if found is None:
+        step = _list_map(operator, params)
+        return lambda j, v: step(_replaced(xs, j, v))
+    _, name, side = found
+    image = _replaced_map(side, xs, _scales(params)[side])
+
+    def checked(j: int, v: float) -> list:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite")
+        return image(j, v)
+
+    return checked
+
+
 def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):
     """Pinned-coordinate restriction as a map on one-element float lists.
 
     ``[x] -> [entry coord of the strategy round trip]``, with the other
-    entries at ``eq.beta``, which is validated here once.  Maker rounds
-    1 .. coord-1 see only pinned entries, so they are solved here once;
-    each step resumes the maker pass at round ``coord`` and runs the whole
-    insider pass, because a round below ``coord`` can still leave the
-    domain.  The image is ``[inf]`` when the step leaves the domain.
-    One-element lists are the shape the iteration loop plays.
+    entries at ``eq.beta``, which is validated here once; each step is one
+    :func:`_replaced_map` image.  The image is ``[inf]`` when the step
+    leaves the domain.  One-element lists are the shape the iteration loop
+    plays.
     """
     n = params.n_periods
     if _count(coord, "coord", 1) > n:
         raise ValueError("coord must be between 1 and n_periods")
     s, _ = _scales(params)
-    pinned = _as_floats(eq.beta, n, "beta")
+    image = _replaced_map(0, _as_floats(eq.beta, n, "beta"), s)
     i = coord - 1
-    head, sigma_sq = _maker_pass(pinned[:i], s)
-    tail, prev = pinned[coord:], sigma_sq[-1]
-
-    def step(xs: list) -> list:
-        lam = _maker_pass([xs[0], *tail], s, 1.0, prev, head)[0]
-        return [_insider_pass(lam, 1.0, s)[0][i]]
-
-    return step
+    return lambda xs: [image(i, xs[0])[i]]
 
 
 def pinned_coordinate_step(x: float, coord: int, eq: Equilibrium, params: ModelParams) -> float:

@@ -12,7 +12,8 @@ the last 500 iterates.
 
 :func:`iterate`, :func:`jacobian_fd` and :func:`classify_fixed_point` take
 any callable ``(vector, params) -> OperatorResult`` and see it through one
-adapter on float lists (``operators._list_map``), after the operators' own
+adapter on float lists (``operators._list_map`` for the iteration,
+``operators._column_map`` for the stencils), after the operators' own
 input check (``operators._as_floats``).  For the two round trips,
 :func:`~kyle_stability.operators.insider_policy_step` and
 :func:`~kyle_stability.operators.maker_policy_step`, the adapter runs the
@@ -34,7 +35,10 @@ difference (:func:`_central_difference`) or a complex step
 ``complex`` values and reads ``f'(x) = Im f(x + i h) / h``: no
 difference, so no cancellation (Squire & Trapp, SIAM Review 40, 1998).
 Both take the step ``c * |x_j|``, which follows the size of the point and
-not its units (see :func:`_relative_step`).
+not its units (see :func:`_relative_step`).  A column rule plays
+``image(j, v)``, the map at the point with entry ``j`` set to ``v``
+(``operators._column_map``), which for the round trips solves the half
+pass that entry ``j`` does not reach once per point.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .model import Equilibrium, ModelParams, _count, _scales, equilibrium_from_params
-from .operators import _as_floats, _list_map, _pinned_map, _strategy_round_trip
+from .operators import (
+    _as_floats, _column_map, _list_map, _pinned_map, _replaced_map, _round_trip_of,
+)
 
 __all__ = [
     "VERDICT_CONVERGED",
@@ -231,44 +237,46 @@ def _relative_step(x: list, j: int, scale: float) -> float:
     return scale * (abs(x[j]) or max(map(abs, x)) or 1.0)
 
 
-def _central_difference(step, xs: list, j: int) -> list:
-    """Column ``j`` of the Jacobian of the float-list map ``step`` at ``xs``.
+def _central_difference(image, xs: list, j: int) -> list:
+    """Column ``j`` of the Jacobian at ``xs`` of the map behind ``image``.
 
-    ``(f(x + h e_j) - f(x - h e_j)) / 2h`` with ``h = cbrt(eps) |x_j|``
-    (see :func:`_relative_step`); the plus point is evaluated first.  A
-    non-finite image entry raises :class:`StencilDomainError` for entry
-    ``j + 1``.
+    ``image(j, v)`` is the map at ``xs`` with entry ``j`` set to ``v``
+    (``operators._column_map``).  ``(f(x + h e_j) - f(x - h e_j)) / 2h``
+    with ``h = cbrt(eps) |x_j|`` (see :func:`_relative_step`); the plus
+    point is evaluated first.  A non-finite image entry raises
+    :class:`StencilDomainError` for entry ``j + 1``.
     """
     h = _relative_step(xs, j, _FD_STEP)
-    x_plus, x_minus = xs.copy(), xs.copy()
-    x_plus[j] += h
-    x_minus[j] -= h
-    f_plus, f_minus = step(x_plus), step(x_minus)
+    f_plus, f_minus = image(j, xs[j] + h), image(j, xs[j] - h)
     if not all(map(math.isfinite, f_plus + f_minus)):
         raise StencilDomainError(j + 1)
     width = 2.0 * h
     return [(p - m) / width for p, m in zip(f_plus, f_minus)]
 
 
-def _complex_step(step, xs: list, j: int) -> list:
-    """Column ``j`` of the Jacobian of the float-list map ``step`` at ``xs``.
+def _complex_step(image, xs: list, j: int) -> list:
+    """Column ``j`` of the Jacobian at ``xs`` of the map behind ``image``.
 
     ``Im f(x + i h e_j) / h`` with ``h = 1e-20 |x_j|`` (see
-    :func:`_relative_step`), exact to rounding.  An image entry whose real
-    or imaginary part is not finite, or an ``OverflowError`` (``abs`` of a
-    complex number raises it on overflow, and in CPython on a NaN after an
-    earlier overflow), raises :class:`StencilDomainError` for entry ``j + 1``.
+    :func:`_relative_step`), exact to rounding; ``image`` is as for
+    :func:`_central_difference`.  An image entry whose real or imaginary
+    part is not finite, or an ``OverflowError`` (``abs`` of a complex
+    number raises it on overflow, and in CPython on a NaN after an earlier
+    overflow), raises :class:`StencilDomainError` for entry ``j + 1``.
     """
     h = _relative_step(xs, j, _CS_STEP)
-    x = xs.copy()
-    x[j] = complex(x[j], h)
     try:
-        image = step(x)
+        values = image(j, complex(xs[j], h))
     except OverflowError:
         raise StencilDomainError(j + 1) from None
-    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in image):
+    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
         raise StencilDomainError(j + 1)
-    return [v.imag / h for v in image]
+    return [v.imag / h for v in values]
+
+
+def _columns(rule, image, xs: list) -> np.ndarray:
+    """The Jacobian of one column ``rule`` per entry, stacked in C order."""
+    return np.array([rule(image, xs, j) for j in range(len(xs))], order="F").T
 
 
 def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
@@ -278,21 +286,22 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     stacked in C order.  Any callable ``(vector, params) ->
     OperatorResult`` works; the two round trips of
     :mod:`~kyle_stability.operators` run on their float passes without
-    building arrays per stencil point, and reject a stencil point that
-    overflows to infinity with ``ValueError``, as their public form does.
-    A point that is not a finite vector of length ``params.n_periods``
-    raises ``ValueError``.  Raises :class:`StencilDomainError` naming the
+    building arrays per stencil point, solve the half pass that a column
+    does not perturb once, and reject a stencil point that overflows to
+    infinity with ``ValueError``, as their public form does.  A point that
+    is not a finite vector of length ``params.n_periods`` raises
+    ``ValueError``.  Raises :class:`StencilDomainError` naming the
     (1-based) coordinate whose stencil leaves the domain.
     """
     xs = _as_floats(point, params.n_periods, "point")
-    step = _list_map(operator, params)
-    return np.array([_central_difference(step, xs, j) for j in range(len(xs))], order="F").T
+    return _columns(_central_difference, _column_map(operator, xs, params), xs)
 
 
-def _unit_strategy(xs: list, params: ModelParams):
-    """``(step, xs / s)``: the strategy round trip in unit parameters, and the point there."""
+def _unit_point(point, params: ModelParams, name: str) -> list:
+    """A strategy vector checked and divided by s, where the complex steps are taken."""
+    xs = _as_floats(point, params.n_periods, name)
     s, _ = _scales(params)
-    return (lambda values: _strategy_round_trip(values)[0]), [x / s for x in xs]
+    return [x / s for x in xs]
 
 
 def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
@@ -312,10 +321,11 @@ def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
     StencilDomainError
         When a complex step leaves the domain from a point inside it.
     """
-    step, xs = _unit_strategy(_as_floats(point, params.n_periods, "point"), params)
-    if not all(map(math.isfinite, step(xs))):
+    xs = _unit_point(point, params, "point")
+    image = _replaced_map(0, xs, 1.0)
+    if not all(map(math.isfinite, image(len(xs) - 1, xs[-1]))):
         raise OutOfDomainError("point is outside the operator domain")
-    return np.array([_complex_step(step, xs, j) for j in range(len(xs))], order="F").T
+    return _columns(_complex_step, image, xs)
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -367,21 +377,30 @@ def classify_fixed_point(
     taken by finite differences (:func:`jacobian_fd`).  Any callable
     ``(vector, params) -> OperatorResult`` works; the two round trips of
     :mod:`~kyle_stability.operators` run on their float passes without
-    building arrays per evaluation.
+    building arrays per evaluation, and the point is checked and its half
+    pass solved once for the residual and the columns.
     """
     xs = _as_floats(point, params.n_periods, "point")
-    image = _list_map(operator, params)(xs)
-    if not all(map(math.isfinite, image)):
+    image = _column_map(operator, xs, params)
+    # Entry N set to itself: for the strategy round trip only the last maker
+    # round is rerun on the pass the columns reuse.
+    fixed = image(len(xs) - 1, xs[-1])
+    if not all(map(math.isfinite, fixed)):
         raise OutOfDomainError("point is outside the operator domain")
-    residual = max(map(abs, map(sub, image, xs)))
+    residual = max(map(abs, map(sub, fixed, xs)))
     if residual > _FIXED_POINT_TOL * max(map(abs, xs)):
         raise NotAFixedPointError(
             f"map moves the point by {residual:.3e} in sup norm"
         )
-    jac = jacobian_fd(operator, xs, params)
+    # The round trips' columns reuse the image map; any other callable goes
+    # through jacobian_fd, where a wrapper (a tracer) sees the stencil points.
+    if _round_trip_of(operator) is None:
+        jac = jacobian_fd(operator, xs, params)
+    else:
+        jac = _columns(_central_difference, image, xs)
     ev = eigenvalues(jac)
     rho = float(np.abs(ev[0])) if ev.size else 0.0
-    inf_norm = float(np.max(np.sum(np.abs(jac), axis=1)))
+    inf_norm = float(np.abs(jac).sum(axis=1).max())
     return StabilityReport(
         jacobian=jac,
         eigenvalues=ev,
@@ -406,8 +425,8 @@ def pinned_coordinate_derivative(
         eq = equilibrium_from_params(params)
     if _count(coord, "coord", 1) > params.n_periods:
         raise ValueError("coord must be between 1 and n_periods")
-    step, xs = _unit_strategy(_as_floats(eq.beta, params.n_periods, "beta"), params)
-    return _complex_step(step, xs, coord - 1)[coord - 1]
+    xs = _unit_point(eq.beta, params, "beta")
+    return _complex_step(_replaced_map(0, xs, 1.0), xs, coord - 1)[coord - 1]
 
 
 def linearized_pinned_iteration(

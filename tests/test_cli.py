@@ -522,6 +522,19 @@ def test_simulate_overflow_prints_one_error_line():
     ]
 
 
+def test_simulate_names_an_overflowing_regression_covariance(capsys, recwarn):
+    # sigma0 = 1e150 with delta = 1e-300 puts the efficiency regressions'
+    # covariance past float range; the command once printed an infinite
+    # standard error at exit 0, after a numpy RuntimeWarning.
+    argv = ["simulate", "--n", "3", "--paths", "100", "--sigma0", "1e150", "--delta", "1e-300"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: regression covariance overflows float range: parameter scales too far apart to simulate"
+    ]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_simulate_names_underflowing_moments(capsys):
     # At sigma_u = 1e-200 the order-flow moments underflow to 0.
     code, out, err = _run(capsys, ["simulate", "--n", "3", "--paths", "100", "--sigma-u", "1e-200"])

@@ -13,6 +13,7 @@ from kyle_stability import (
     insider_response,
     maker_policy_step,
     market_maker_response,
+    operators,
     pinned_coordinate_step,
     pinned_step_polynomials,
 )
@@ -567,6 +568,57 @@ def test_pinned_step_equals_round_trip_entry_bitwise():
                         overflowed += abs(x) > 1.3e154
     assert left_domain > below_k > 0
     assert overflowed > 0
+
+
+def test_pinned_step_keeps_an_entry_that_overflows_at_its_coordinate():
+    # The pinned map solves the maker pass at eq.beta once and reuses its
+    # rounds before the coordinate.  An overflowing b**2 makes every round of
+    # that pass NaN, those before it too, so a prefix taken from it would
+    # read infinity here; the entry is replaced by x and the step is finite.
+    params = ModelParams(n_periods=3)
+    eq = equilibrium_from_params(params)
+    beta = eq.beta.copy()
+    beta[1] = 1.5e154
+    overflowing = Equilibrium(beta=beta, lam=eq.lam, alpha=eq.alpha, sigma_sq=eq.sigma_sq)
+    x = float(eq.beta[1])
+    assert repr(pinned_coordinate_step(x, 2, overflowing, params)) == "0.757586821028276"
+    for k in (2, 3):
+        vec = beta.copy()
+        vec[k - 1] = float(eq.beta[k - 1])
+        full = insider_policy_step(vec, params).value[k - 1]
+        assert pinned_coordinate_step(float(eq.beta[k - 1]), k, overflowing, params) == full
+    # At coordinate 3 the overflowing entry stays and the step leaves the domain.
+    assert full == np.inf
+
+
+def test_resumed_insider_pass_equals_the_full_pass():
+    # Given the strategies and the curvature the rounds after j left, the
+    # backward pass from round j has the bits of the full pass, and the
+    # same verdict when a round at or below j leaves the domain.
+    rng = np.random.default_rng(1017)
+    verdicts = set()
+    for n in (1, 2, 3, 8, 16):
+        eq = equilibrium_from_params(ModelParams(n_periods=n))
+        points = [eq.lam * rng.uniform(0.7, 1.3, n) for _ in range(4)]
+        points += [eq.lam * rng.uniform(-2.0, 2.0, n) for _ in range(4)]
+        points.append(eq.lam.copy())
+        points[-1][n // 2] = 0.0  # round n // 2 leaves the domain
+        for lam in points:
+            for scale, out in ((1.0, 1.0), (3e-7, 2e5)):
+                lam_s = (lam * scale).tolist()
+                beta, alpha, dens, ok = operators._insider_pass(lam_s, scale, out)
+                for j in range(n):
+                    tail = operators._insider_pass(lam_s[j + 1 :], scale, out)
+                    if not tail[3]:
+                        continue
+                    got = operators._insider_pass(lam_s[: j + 1], scale, out, tail[1][0], tail[0])
+                    assert got[3] == ok
+                    verdicts.add(ok)
+                    assert [v.hex() for v in got[0]] == [v.hex() for v in beta]
+                    if ok:
+                        assert [v.hex() for v in got[1][: j + 1]] == [v.hex() for v in alpha[: j + 1]]
+                        assert [v.hex() for v in got[2][: j + 1]] == [v.hex() for v in dens[: j + 1]]
+    assert verdicts == {True, False}
 
 
 def test_pinned_step_input_contract(unit_params_n3):

@@ -27,7 +27,9 @@ from kyle_stability import (
     maker_policy_step,
     operators,
     pinned_coordinate_derivative,
+    stability,
 )
+from kyle_stability.model import _scales
 
 from conftest import (
     EIG_EQ_N3,
@@ -304,19 +306,37 @@ def test_jacobian_fd_golden_values(n, side):
     assert repr(rho) == _JACOBIAN_GOLDEN[f"{side}-{n}-rho"]
 
 
+def _outcome(function, *args):
+    """The bytes of a result array, or the type and coordinate of the error raised."""
+    try:
+        return function(*args).tobytes()
+    except (ValueError, RuntimeError) as error:
+        return type(error), getattr(error, "coordinate", None)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
 @pytest.mark.parametrize("sigma_u", [1.0, 1e-8, 1e8], ids=["unit", "beta-1e-8", "beta-1e8"])
 def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
-    # The round trips skip the array boundary; a lambda around them is any
-    # other callable and takes the array path.  Results must share every bit.
+    # The round trips skip the array boundary and reuse the half pass a
+    # column does not perturb; a lambda around them is any other callable
+    # and takes the array path on whole points.  Results must share every
+    # bit, and a stencil that leaves the domain must raise the same error
+    # for the same coordinate.
     params = ModelParams(n_periods=n, sigma_u=sigma_u)
     eq = equilibrium_from_params(params)
+    exits = 0
     for operator, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
         wrapped = lambda x, p, op=operator: op(x, p)  # noqa: E731
-        for x in (point, point * (1.0 + 1e-3 * np.cos(np.arange(n)))):
-            fast, slow = jacobian_fd(operator, x, params), jacobian_fd(wrapped, x, params)
-            assert fast.flags.c_contiguous
-            assert fast.tobytes() == slow.tobytes()
+        # A zero entry leaves the domain of both round trips; stencils
+        # along the other coordinates keep it.
+        outside = [point.copy() for _ in range(2)]
+        outside[0][0] = outside[1][n // 2] = 0.0
+        for x in (point, point * (1.0 + 1e-3 * np.cos(np.arange(n))), *outside):
+            fast, slow = (_outcome(jacobian_fd, op, x, params) for op in (operator, wrapped))
+            assert fast == slow
+            exits += isinstance(fast, tuple)
+            if not isinstance(fast, tuple):
+                assert jacobian_fd(operator, x, params).flags.c_contiguous
         fast, slow = (classify_fixed_point(op, point, params) for op in (operator, wrapped))
         assert fast.jacobian.tobytes() == slow.jacobian.tobytes()
         assert fast.eigenvalues.tobytes() == slow.eigenvalues.tobytes()
@@ -328,6 +348,7 @@ def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
         assert [v.tobytes() for v in fast.iterates] == [v.tobytes() for v in slow.iterates]
         limits = [None if t.limit is None else t.limit.tobytes() for t in (fast, slow)]
         assert limits[0] == limits[1]
+    assert exits >= (4 if n > 1 else 0)
 
 
 def test_wrapper_bound_to_a_round_trip_name_is_called(monkeypatch, unit_params_n3):
@@ -444,6 +465,58 @@ def test_pinned_derivative_is_the_exact_jacobian_diagonal(n):
     diagonal = np.diag(jacobian_closed_form(eq.beta, params))
     pinned = [pinned_coordinate_derivative(k, params, eq) for k in range(1, n + 1)]
     assert [repr(v) for v in pinned] == [repr(float(v)) for v in diagonal]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 64])
+def test_exact_derivatives_equal_a_complex_step_through_the_full_pass(n):
+    # jacobian_closed_form and pinned_coordinate_derivative resume the maker
+    # pass at the stepped round; a complex step through the whole strategy
+    # round trip, at x / s, must give the same bytes.
+    params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    eq = equilibrium_from_params(params)
+    s, _ = _scales(params)
+
+    def reference(point):
+        xs = (point / s).tolist()
+        columns = []
+        for j in range(n):
+            h = 1e-20 * abs(xs[j])
+            x = list(xs)
+            x[j] = complex(x[j], h)
+            columns.append([v.imag / h for v in operators._strategy_round_trip(x)[0]])
+        return np.array(columns, order="F").T
+
+    for point in (eq.beta, eq.beta * (1.0 + 1e-2 * np.cos(np.arange(n)))):
+        assert jacobian_closed_form(point, params).tobytes() == reference(point).tobytes()
+    pinned = [pinned_coordinate_derivative(k, params, eq) for k in range(1, n + 1)]
+    assert [v.hex() for v in pinned] == [v.hex() for v in np.diag(reference(eq.beta)).tolist()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_pricing_complex_step_matches_fd(n):
+    # The same complex step runs through the pricing round trip, whose
+    # finiteness test reads both parts of a complex entry.  It agrees with
+    # the central stencil to 1e-9 of the largest entry (about 1.5e-10 seen).
+    for scales in ({}, {"sigma_u": 1e-6}, {"sigma0": 1e6, "delta": 0.37}):
+        params = ModelParams(n_periods=n, **scales)
+        eq = equilibrium_from_params(params)
+        _, scale_lam = _scales(params)
+        for lam in (eq.lam, eq.lam * (1.0 + 1e-2 * np.cos(np.arange(n)))):
+            xs = (lam / scale_lam).tolist()
+            image = operators._replaced_map(1, xs, 1.0)
+            exact = np.array([stability._complex_step(image, xs, j) for j in range(n)]).T
+            fd = jacobian_fd(maker_policy_step, lam, params)
+            assert np.max(np.abs(exact - fd)) <= 1e-9 * np.max(np.abs(exact)), scales
+    # Steps out of the domain: a zero price (the insider recursion stops)
+    # and a tiny last price, whose strategy overflows the maker pass.
+    xs = (equilibrium_from_params(ModelParams(n_periods=n)).lam).tolist()
+    for j, value in ((0, 0.0), (n - 1, 1e-160)):
+        point = list(xs)
+        point[j] = value
+        image = operators._replaced_map(1, point, 1.0)
+        with pytest.raises(StencilDomainError) as excinfo:
+            stability._complex_step(image, point, (j + 1) % n)
+        assert excinfo.value.coordinate == (j + 1) % n + 1
 
 
 @pytest.mark.parametrize("n", [3, 5, 8, 20])
