@@ -21,11 +21,11 @@ round trip through it has left the domain in the same way.
 
 Every public operator runs on two private passes over Python floats, in
 unit parameters (``delta = sigma_u = sigma0 = 1``): ``_maker_pass``
-(forward variance recursion, resumable from a known variance) and
-``_insider_pass`` (backward recursion to ``beta``, ``alpha``, the strategy
-denominators and the domain verdict, resumable from a known curvature and
-later strategies).  The scales ``s`` and ``L`` of ``model._scales`` map in
-and out inside their loops: ``T_p(x) = s T_1(x / s)`` for strategies and
+(forward variance recursion, resumable from a known variance and earlier
+prices) and ``_insider_pass`` (backward recursion to ``beta``, ``alpha``,
+the strategy denominators and the domain verdict, resumable from a known
+curvature).  The scales ``s`` and ``L`` of ``model._scales`` map in and
+out inside their loops: ``T_p(x) = s T_1(x / s)`` for strategies and
 ``P_p(l) = L P_1(l / L)`` for prices.  Public functions validate input
 once and build numpy arrays only for their results.
 ``_strategy_round_trip`` and ``_pricing_round_trip`` compose the passes
@@ -72,6 +72,8 @@ __all__ = [
 # depend on the scale of delta, sigma_u or sigma0.
 DOMAIN_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
+# What _insider_pass binds to locals: the relative tolerance and the float range.
+_DOMAIN_BOUNDS = (DOMAIN_RTOL, _FLOAT_MAX, 1.0 / _FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -133,16 +135,17 @@ def _checked(values: list, n: int, name: str) -> list:
     return values
 
 
-def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0) -> tuple[list, list]:
+def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0, lam=()) -> tuple[list, list]:
     """Forward variance recursion in unit parameters: ``(lam, sigma_sq)``.
 
-    Runs on ``beta / scale`` and returns the prices times ``out``.  Starts
-    from the variance ``prev``, so it resumes after earlier rounds that
-    left it; ``sigma_sq`` starts at ``prev``.  Every denominator is at
-    least 1, so only an overflowing ``b**2`` raises; the pass has then left
-    the domain, and its rounds read NaN.
+    Runs on ``beta / scale`` and returns the prices times ``out``.  Resumes
+    after the rounds whose prices ``lam`` are given, from the variance
+    ``prev`` they left; ``beta`` covers the remaining rounds and
+    ``sigma_sq`` starts at ``prev``.  Every denominator is at least 1, so
+    only an overflowing ``b**2`` raises; the pass has then left the domain,
+    and its own rounds read NaN.
     """
-    prices, sigma_sq = [], [prev]
+    prices, sigma_sq = list(lam), [prev]
     try:
         for b in beta:
             b /= scale
@@ -152,33 +155,29 @@ def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0) -> tuple[list, list]:
             sigma_sq.append(prev)
     except OverflowError:
         nan = [math.nan] * len(beta)
-        return nan, [sigma_sq[0], *nan]
+        return [*lam, *nan], [sigma_sq[0], *nan]
     return prices, sigma_sq
 
 
-def _insider_pass(lam: list, scale=1.0, out=1.0, alpha_next=0.0, beta=()):
+def _insider_pass(lam: list, scale=1.0, out=1.0, alpha_next=0.0):
     """Backward value-function recursion in unit parameters, on ``lam / scale``.
 
     Returns ``(beta, alpha, denominators, in_domain)``, the first three as
-    lists, ``beta`` times ``out``.  Resumes before the rounds whose
-    strategies ``beta`` (times ``out``) are given, from the curvature
-    ``alpha_next`` they left; ``lam`` covers the earlier rounds, and the
-    entries of ``alpha`` past ``alpha_next`` and of ``denominators`` for
-    the given rounds read NaN.  When a round fails the domain test (see
-    ``DOMAIN_RTOL``) the recursion stops there: ``beta`` is all infinity,
-    the unreached entries of ``alpha`` and ``denominators`` stay NaN and
-    ``in_domain`` is False.
+    lists, ``beta`` times ``out``.  Starts from the curvature
+    ``alpha_next``, so it resumes before later rounds that left it; the
+    results then cover the rounds of ``lam`` only.  When a round fails the
+    domain test (see ``DOMAIN_RTOL``) the recursion stops there: ``beta``
+    is all infinity, the unreached entries of ``alpha`` and
+    ``denominators`` stay NaN and ``in_domain`` is False.
     """
-    m = len(lam)
-    n = m + len(beta)
+    n = len(lam)
     # Constants bound to locals: this loop is the hottest code of a pinned step.
-    rtol, big, tiny = DOMAIN_RTOL, _FLOAT_MAX, 1.0 / _FLOAT_MAX
-    strategy = [0.0] * m
-    strategy += beta
+    rtol, big, tiny = _DOMAIN_BOUNDS
+    beta = [0.0] * n
     alpha = [math.nan] * (n + 1)
-    alpha[m] = alpha_next
+    alpha[n] = alpha_next
     dens = [math.nan] * n
-    for i in range(m - 1, -1, -1):
+    for i in range(n - 1, -1, -1):
         lam_i = lam[i] / scale
         alpha_lam = alpha_next * lam_i
         u = 1.0 - alpha_lam
@@ -191,9 +190,9 @@ def _insider_pass(lam: list, scale=1.0, out=1.0, alpha_next=0.0, beta=()):
             and tiny < abs(den_alpha)
         ):
             return [math.inf] * n, alpha, dens, False
-        strategy[i] = out * (num_beta / den_beta)
+        beta[i] = out * (num_beta / den_beta)
         alpha_next = alpha[i] = 1.0 / den_alpha
-    return strategy, alpha, dens, True
+    return beta, alpha, dens, True
 
 
 def _finite(value: list, in_domain: bool) -> tuple[list, bool]:
@@ -262,14 +261,9 @@ def _strategy_round_trip(beta: list, scale=1.0) -> tuple[list, list, bool]:
     return value, dens, in_domain
 
 
-def _pricing_round_trip(
-    lam: list, scale=1.0, alpha_next=0.0, beta=()
-) -> tuple[list, list, bool]:
-    """``(value, unit denominators, in_domain)``; the value is all infinity outside the domain.
-
-    ``alpha_next`` and ``beta`` resume the insider pass, as in ``_insider_pass``.
-    """
-    beta, _, dens, in_domain = _insider_pass(lam, scale, 1.0, alpha_next, beta)
+def _pricing_round_trip(lam: list, scale=1.0) -> tuple[list, list, bool]:
+    """``(value, unit denominators, in_domain)``; the value is all infinity outside the domain."""
+    beta, _, dens, in_domain = _insider_pass(lam, scale)
     # An in-domain strategy can still overflow the maker recursion.
     value, in_domain = _finite(_maker_pass(beta, 1.0, scale)[0] if in_domain else beta, in_domain)
     return value, dens, in_domain
@@ -347,41 +341,57 @@ def _replaced_map(side: int, xs: list, scale):
 
     ``side`` 0 is the strategy round trip, 1 the pricing round trip, at the
     scale ``scale``; ``v`` may be a float or a complex number.  The half
-    pass that never sees entry ``j`` is solved here once, at ``xs``: the
-    maker rounds before ``j``, or the insider rounds after it.  ``image``
-    resumes that pass at round ``j`` and runs the other pass whole, so it
-    has the bits of the full round trip.  If the pass at ``xs`` overflows
-    (``_maker_pass`` then reads NaN in every round, including those before
-    the overflow) or leaves the domain, no half of it is reused, and
+    pass that never sees entry ``j`` is solved once, at ``xs``: the insider
+    rounds after ``j`` up front, the maker rounds before ``j`` by the pass
+    that first reaches round ``j``, so only as far as the largest ``j``
+    asked for.  ``image`` resumes that pass at round ``j`` and runs the
+    other pass whole, so it has the bits of the full round trip.  If the
+    insider rounds at ``xs`` leave the domain, none of them is reused, and
     ``image`` runs the full round trip.
     """
     if side == 0:
-        # The last round's price is never a prefix.  The variance reads NaN
-        # after an overflow.
-        lam, sigma_sq = _maker_pass(xs[:-1], scale)
-        if sigma_sq[-1] == sigma_sq[-1]:
+        # The maker rounds solved so far, and per entry j asked for the
+        # prices of the rounds before it, the variance they leave and the
+        # entries after it.
+        lam, sigma_sq, resumes = [], [1.0], [None] * len(xs)
 
-            def image(j: int, v) -> list:
-                rest = xs[j:]
-                rest[0] = v
-                prices = lam[:j]
-                prices += _maker_pass(rest, scale, 1.0, sigma_sq[j])[0]
-                return _insider_pass(prices, 1.0, scale)[0]
+        def image(j: int, v) -> list:
+            resume = resumes[j]
+            if resume is None:
+                tail = xs[j + 1 :]
+                start = len(lam)
+                if j > start:
+                    # One pass from the last round solved, which solves the
+                    # rounds before j on the way.  b**2 overflowing turns every
+                    # round of the pass to NaN, those before the overflow too:
+                    # then none is kept, and a smaller j solves them again.
+                    prices, variances = _maker_pass(
+                        [*xs[start:j], v, *tail], scale, 1.0, sigma_sq[-1], lam
+                    )
+                    if variances[j - start] == variances[j - start]:
+                        lam.extend(prices[start:j])
+                        sigma_sq.extend(variances[1 : j - start + 1])
+                        resumes[j] = lam[:j], sigma_sq[j], tail
+                    return _insider_pass(prices, 1.0, scale)[0]
+                resume = resumes[j] = lam[:j], sigma_sq[j], tail
+            head, prev, tail = resume
+            prices = _maker_pass([v, *tail], scale, 1.0, prev, head)[0]
+            return _insider_pass(prices, 1.0, scale)[0]
 
-            return image
-    else:
-        # The first round's strategy is never a tail; index k here is round k + 1.
-        beta, alpha, _, in_domain = _insider_pass(xs[1:], scale)
-        if in_domain:
+        return image
+    # The first round's strategy is never a tail; index k here is round k + 1.
+    beta, alpha, _, in_domain = _insider_pass(xs[1:], scale)
+    if not in_domain:
+        return lambda j, v: _pricing_round_trip(_replaced(xs, j, v), scale)[0]
 
-            def image(j: int, v) -> list:
-                head = xs[: j + 1]
-                head[j] = v
-                return _pricing_round_trip(head, scale, alpha[j], beta[j:])[0]
+    def image(j: int, v) -> list:
+        head = xs[: j + 1]
+        head[j] = v
+        strategy, _, _, ok = _insider_pass(head, scale, 1.0, alpha[j])
+        strategy += beta[j:]
+        return _finite(_maker_pass(strategy, 1.0, scale)[0] if ok else strategy, ok)[0]
 
-            return image
-    round_trip = _ROUND_TRIPS[side][1]
-    return lambda j, v: round_trip(_replaced(xs, j, v), scale)[0]
+    return image
 
 
 def _column_map(operator, xs: list, params: ModelParams):

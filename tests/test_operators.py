@@ -592,9 +592,9 @@ def test_pinned_step_keeps_an_entry_that_overflows_at_its_coordinate():
 
 
 def test_resumed_insider_pass_equals_the_full_pass():
-    # Given the strategies and the curvature the rounds after j left, the
-    # backward pass from round j has the bits of the full pass, and the
-    # same verdict when a round at or below j leaves the domain.
+    # Given the curvature the rounds after j left, the backward pass from
+    # round j, followed by their strategies, has the bits of the full pass,
+    # and the same verdict when a round at or below j leaves the domain.
     rng = np.random.default_rng(1017)
     verdicts = set()
     for n in (1, 2, 3, 8, 16):
@@ -611,14 +611,66 @@ def test_resumed_insider_pass_equals_the_full_pass():
                     tail = operators._insider_pass(lam_s[j + 1 :], scale, out)
                     if not tail[3]:
                         continue
-                    got = operators._insider_pass(lam_s[: j + 1], scale, out, tail[1][0], tail[0])
+                    got = operators._insider_pass(lam_s[: j + 1], scale, out, tail[1][0])
                     assert got[3] == ok
                     verdicts.add(ok)
-                    assert [v.hex() for v in got[0]] == [v.hex() for v in beta]
+                    assert len(got[0]) == len(got[2]) == len(got[1]) - 1 == j + 1
                     if ok:
+                        assert [v.hex() for v in got[0] + tail[0]] == [v.hex() for v in beta]
                         assert [v.hex() for v in got[1][: j + 1]] == [v.hex() for v in alpha[: j + 1]]
                         assert [v.hex() for v in got[2][: j + 1]] == [v.hex() for v in dens[: j + 1]]
+                    else:
+                        assert got[0] == [np.inf] * (j + 1)
     assert verdicts == {True, False}
+
+
+def _entry_bits(function, *args):
+    """Type and hex parts of each entry of a float list, or the type of the error raised."""
+    try:
+        values = function(*args)
+    except ArithmeticError as error:
+        return type(error)
+    return [(type(v), complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_replaced_map_equals_the_full_round_trip(n):
+    # image(j, v) reuses the half pass that entry j never reaches.  On both
+    # round trips it has the bits of the full round trip at the replaced
+    # point, for float and complex v and in any order of j: also where b**2
+    # overflows before, at or after round j, and where a round after j
+    # leaves the domain unless entry j moves it.
+    rng = np.random.default_rng(1741 + n)
+    eq = equilibrium_from_params(ModelParams(n_periods=n))
+    sides = []
+    for side, base in enumerate((eq.beta.tolist(), eq.lam.tolist())):
+        points = [base, (np.array(base) * rng.uniform(0.7, 1.3, n)).tolist()]
+        for k in range(n):
+            for value in (0.0, 1.5e154, 1e-160):
+                points.append(list(base))
+                points[-1][k] = value
+        sides.append((base, points))
+    if n > 2:
+        # Round 2 of this price path fails (alpha_2 lam_1 = 1 to rounding);
+        # moving round 3 brings it back.
+        failing = list(eq.lam)
+        failing[1] = 1.0 / operators._insider_pass(failing)[1][2]
+        assert not operators._pricing_round_trip(failing)[2]
+        moved = operators._replaced_map(1, failing, 1.0)(2, failing[2] * 1.001)
+        assert all(map(np.isfinite, moved))
+        sides[1][1].append(failing)
+    round_trips = (operators._strategy_round_trip, operators._pricing_round_trip)
+    for side, (base, points) in enumerate(sides):
+        for xs in points:
+            for scale in (1.0, 2.5):
+                image = operators._replaced_map(side, xs, scale)
+                for j in rng.permutation(n).tolist():
+                    x = xs[j] or 1.0
+                    for v in (xs[j], base[j], x * 1.001, complex(xs[j], 1e-20 * x), 0.0):
+                        point = list(xs)
+                        point[j] = v
+                        want = _entry_bits(lambda: round_trips[side](point, scale)[0])
+                        assert _entry_bits(image, j, v) == want, (side, xs, scale, j, v)
 
 
 def test_pinned_step_input_contract(unit_params_n3):

@@ -324,19 +324,20 @@ def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
     # for the same coordinate.
     params = ModelParams(n_periods=n, sigma_u=sigma_u)
     eq = equilibrium_from_params(params)
-    exits = 0
     for operator, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
         wrapped = lambda x, p, op=operator: op(x, p)  # noqa: E731
-        # A zero entry leaves the domain of both round trips; stencils
-        # along the other coordinates keep it.
-        outside = [point.copy() for _ in range(2)]
-        outside[0][0] = outside[1][n // 2] = 0.0
-        for x in (point, point * (1.0 + 1e-3 * np.cos(np.arange(n))), *outside):
+        for x in (point, point * (1.0 + 1e-3 * np.cos(np.arange(n)))):
+            fast, slow = jacobian_fd(operator, x, params), jacobian_fd(wrapped, x, params)
+            assert fast.flags.c_contiguous
+            assert fast.tobytes() == slow.tobytes()
+        # A zero entry leaves the domain of both round trips; stencils along
+        # the other coordinates keep it, so from N = 2 on some column raises.
+        for k in sorted({0, n // 2}) if n > 1 else ():
+            x = point.copy()
+            x[k] = 0.0
             fast, slow = (_outcome(jacobian_fd, op, x, params) for op in (operator, wrapped))
+            assert isinstance(fast, tuple) and fast[0] is StencilDomainError, (k, fast)
             assert fast == slow
-            exits += isinstance(fast, tuple)
-            if not isinstance(fast, tuple):
-                assert jacobian_fd(operator, x, params).flags.c_contiguous
         fast, slow = (classify_fixed_point(op, point, params) for op in (operator, wrapped))
         assert fast.jacobian.tobytes() == slow.jacobian.tobytes()
         assert fast.eigenvalues.tobytes() == slow.eigenvalues.tobytes()
@@ -348,7 +349,6 @@ def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
         assert [v.tobytes() for v in fast.iterates] == [v.tobytes() for v in slow.iterates]
         limits = [None if t.limit is None else t.limit.tobytes() for t in (fast, slow)]
         assert limits[0] == limits[1]
-    assert exits >= (4 if n > 1 else 0)
 
 
 def test_wrapper_bound_to_a_round_trip_name_is_called(monkeypatch, unit_params_n3):
