@@ -13,7 +13,8 @@ The chunk of 4096 paths is the one unit of the work.  Chunk ``c`` draws
 its paths' normals, path by path, from its own Philox substream (counter
 ``c << 64`` under the seed as key) by numpy's ziggurat sampler.  Blocks
 are whole chunks, and each block is cut into whole chunks per worker (the
-CPUs available to the process, at most four), all run by a thread pool.
+CPUs available to the process, at most four): the calling thread runs the
+first share and a thread pool the others, so one worker starts no thread.
 A worker streams its share in passes of up to four chunks through its own
 scratch: it draws a pass round-major (one contiguous row per draw) and
 runs the path loop on it into column-major moment rows, so every round
@@ -238,6 +239,7 @@ def simulate(config: SimConfig) -> SimResult:
     covariance overflows (parameter scales far apart).
     """
     from concurrent.futures import ThreadPoolExecutor
+    from contextlib import nullcontext
 
     n = config.params.n_periods
     # Positive residual degrees of freedom for the widest regression, and
@@ -263,16 +265,18 @@ def simulate(config: SimConfig) -> SimResult:
             widths[k] = max(widths[k], min(hi - lo, _PASS * _CHUNK))
     scratch = [(np.empty((n + 1, width)), np.empty((width, dim), order="F")) for width in widths]
     moments = np.empty((-(-min(block, n_paths) // _CHUNK), dim, dim))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # The calling thread runs the first share of each block, and a pool of
+    # workers - 1 threads the others; one worker starts no thread.
+    with ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext() as pool:
         for block_start in range(0, n_paths, block):
             count = min(block, n_paths - block_start)
-            jobs = [
-                pool.submit(
-                    _run_paths, config, block_start + lo, hi - lo, z, w, moments[lo // _CHUNK :]
-                )
+            first, *rest = [
+                (config, block_start + lo, hi - lo, z, w, moments[lo // _CHUNK :])
                 for (lo, hi), (z, w) in zip(_shares(count, workers), scratch)
                 if lo < hi
             ]
+            jobs = [pool.submit(_run_paths, *share) for share in rest]
+            _run_paths(*first)
             for job in jobs:
                 job.result()
             # An overflow here stays non-finite in the total, checked below.

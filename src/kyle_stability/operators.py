@@ -35,11 +35,16 @@ to the iteration loop as maps on float lists.
 Derivative columns and the pinned-coordinate map change one entry of a
 point at a time; ``_replaced_map`` solves the half pass that never sees
 it once per point, and ``_column_map`` hands the result, or any other
-policy map, to the difference stencils.  Both passes also run on Python
-``complex`` values, which is how the stability module takes exact
-complex-step derivatives.  ``b**2`` stays a power (libm ``pow``), not ``b *
-b``: they differ in the last bit for about one input in 1,250, which golden
-tests pin.
+policy map, to the difference stencils.  For large N,
+``_strategy_stencil_rows`` and ``_pricing_stencil_rows`` evaluate all 2N
+central-difference stencil points of a round trip at once, as the rows of
+a numpy array, with the operations of the float passes in their order and
+so with their bits.  Both passes also run on Python ``complex`` values,
+which is how the stability module takes exact complex-step derivatives.
+``b**2`` stays a power (libm ``pow``), not ``b * b``: they differ in the
+last bit for about one input in 1,250, which golden tests pin.  numpy's
+``x**2`` is ``x * x`` and its array ``power`` is another ``pow``, so the
+rows take every square that differs per row by Python ``**`` too.
 """
 
 from __future__ import annotations
@@ -392,6 +397,129 @@ def _replaced_map(side: int, xs: list, scale):
         return _finite(_maker_pass(strategy, 1.0, scale)[0] if ok else strategy, ok)[0]
 
     return image
+
+
+def _squares(values: list) -> list:
+    """``b**2`` per float by libm ``pow``, as the float passes take it; NaN where it overflows."""
+    try:
+        return [b**2 for b in values]
+    except OverflowError:
+        return list(map(_square, values))
+
+
+def _square(b: float) -> float:
+    try:
+        return b**2
+    except OverflowError:
+        return math.nan
+
+
+def _insider_rows(lam: np.ndarray, alpha_next: np.ndarray, out, step: int):
+    """``_insider_pass`` on every column of ``lam`` (rounds by rows), already in unit prices.
+
+    Round i runs on the rows from ``step * i`` on, starting from their
+    curvature in ``alpha_next``.  Only the curvature recursion runs round
+    by round; the domain tests and ``beta`` follow for all rounds at once.
+    Returns ``(beta, ok)``: ``beta`` times ``out``, which reads ``out`` at
+    the rounds a row does not run, and the rows' domain verdicts.  A row
+    keeps running past a failed round, so the caller ignores
+    floating-point warnings and discards it.
+    """
+    rtol, big, tiny = _DOMAIN_BOUNDS
+    # Rounds a row does not run keep values that pass the domain test.
+    alpha_lam = np.zeros_like(lam)
+    u, den_beta, den_alpha = np.ones_like(lam), np.ones_like(lam), np.ones_like(lam)
+    two_lam, four_lam = 2.0 * lam, 4.0 * lam
+    for i in range(lam.shape[0] - 1, -1, -1):
+        r = step * i
+        alpha = alpha_next[r:]
+        u_i = np.subtract(1.0, np.multiply(alpha, lam[i, r:], out=alpha_lam[i, r:]), out=u[i, r:])
+        np.multiply(two_lam[i, r:], u_i, out=den_beta[i, r:])
+        np.divide(1.0, np.multiply(four_lam[i, r:], u_i, out=den_alpha[i, r:]), out=alpha)
+    num_beta = 1.0 - 2.0 * alpha_lam
+    ok = (
+        (np.abs(u) > rtol * (1.0 + np.abs(alpha_lam)))
+        & (np.abs(num_beta) / big < np.abs(den_beta))
+        & (tiny < np.abs(den_alpha))
+    ).all(axis=0)
+    return out * (num_beta / den_beta), ok
+
+
+def _entry_replaced(units: list, values: list) -> np.ndarray:
+    """Rounds by rows: ``units`` in every row, but row r holds ``values[r]`` at entry r // 2."""
+    table = np.repeat(np.array(units)[:, None], len(values), axis=1)
+    rows = np.arange(len(values))
+    table[rows // 2, rows] = values
+    return table
+
+
+def _strategy_stencil_rows(xs: list, scale, values: list) -> np.ndarray:
+    """The strategy round trip at ``xs`` with entry ``r // 2`` set to ``values[r]``, as row r.
+
+    Every row has the bits of ``image(r // 2, values[r])`` of
+    :func:`_replaced_map`: the stored maker prefix up to its entry j, then
+    the rows that start at round j advance together with those that
+    started before, each with the operations and squares of
+    ``_maker_pass``, and the insider recursion runs on every row at once.
+    A multiplication or division by 1.0 that the float passes do is
+    exact, so it is left out.  Rows outside the domain read infinity.
+    """
+    n, m = len(xs), len(values)
+    lam, sigma_sq = _maker_pass(xs, scale)
+    units = [x / scale for x in xs]
+    rows_v = [v / scale for v in values]
+    b = _entry_replaced(units, rows_v)
+    b2 = _entry_replaced(_squares(units), _squares(rows_v))
+    prices = np.repeat(np.array(lam)[:, None], m, axis=1)
+    prev = np.repeat(sigma_sq[:n], 2)
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            a = 2 * k + 2
+            p, price = prev[:a], prices[k, :a]
+            den = np.multiply(b2[k, :a], p)
+            den += 1.0
+            np.multiply(b[k, :a], p, out=price)
+            price /= den
+            p /= den
+        beta, ok = _insider_rows(prices, np.zeros(m), scale, 0)
+    beta[:, ~ok] = math.inf
+    return beta.T
+
+
+def _pricing_stencil_rows(xs: list, scale, values: list):
+    """The pricing round trip at ``xs`` with entry ``r // 2`` set to ``values[r]``, as row r.
+
+    Every row has the bits of ``image(r // 2, values[r])`` of
+    :func:`_replaced_map`: the stored insider tail after its entry j, the
+    insider rounds from j down on the rows still active, then the maker
+    pass on every row at once, each with the operations and squares of
+    the float passes.  Rows outside the domain read infinity.  None when
+    the stored insider rounds leave the domain, where every image runs
+    the full round trip.
+    """
+    n, m = len(xs), len(values)
+    tail, alpha, _, in_domain = _insider_pass(xs[1:], scale)
+    if not in_domain:
+        return None
+    lam = _entry_replaced([x / scale for x in xs], [v / scale for v in values])
+    # Row r runs the insider rounds up to its entry r // 2; later rounds
+    # keep the stored strategy and its square.
+    ran = np.arange(m) // 2 >= np.arange(n)[:, None]
+    with np.errstate(all="ignore"):
+        beta, ok = _insider_rows(lam, np.repeat(alpha, 2), 1.0, 2)
+        strategy = np.where(ran, beta, np.array([math.nan, *tail])[:, None])
+        b2 = np.repeat(np.array([math.nan, *_squares(tail)])[:, None], m, axis=1)
+        b2[ran] = _squares(strategy[ran].tolist())
+        prices, prev = np.empty_like(strategy), np.ones(m)
+        for k in range(n):
+            den = np.multiply(b2[k], prev)
+            den += 1.0
+            price = np.multiply(strategy[k], prev)
+            price /= den
+            np.multiply(scale, price, out=prices[k])
+            prev /= den
+    prices[:, ~ok] = math.inf
+    return prices.T
 
 
 def _column_map(operator, xs: list, params: ModelParams):

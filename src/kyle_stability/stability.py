@@ -38,7 +38,13 @@ Both take the step ``c * |x_j|``, which follows the size of the point and
 not its units (see :func:`_relative_step`).  A column rule plays
 ``image(j, v)``, the map at the point with entry ``j`` set to ``v``
 (``operators._column_map``), which for the round trips solves the half
-pass that entry ``j`` does not reach once per point.
+pass that entry ``j`` does not reach once per point.  From
+``_ROWS_MIN_N`` entries on, the central differences of a bare round trip
+take all 2N stencil points at once, as numpy rows with the bits of
+``image(j, v)`` (``operators._strategy_stencil_rows`` and
+``_pricing_stencil_rows``), and check them column by column as
+:func:`_central_difference` does.  A wrapper, a complex step and the
+pinned map stay on ``image``.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ import numpy as np
 
 from .model import Equilibrium, ModelParams, _count, _scales, equilibrium_from_params
 from .operators import (
-    _as_floats, _column_map, _list_map, _pinned_map, _replaced_map, _round_trip_of,
+    _as_floats, _column_map, _list_map, _pinned_map, _pricing_stencil_rows, _replaced,
+    _replaced_map, _round_trip_of, _strategy_round_trip, _strategy_stencil_rows,
 )
 
 __all__ = [
@@ -88,6 +95,11 @@ _CS_STEP = 1e-20
 # classify_fixed_point: the relative sup-norm move a fixed point may show.
 _FIXED_POINT_TOL = 1e-8
 _EIG_MAX_SIZE = 64
+# From this many entries on, the central differences of a bare round trip
+# evaluate their 2N stencil points at once as numpy rows: measured, the rows
+# overtake one float pass per point at about N = 10 on the strategy round
+# trip and N = 13 on the pricing round trip (BENCH_18.json).
+_ROWS_MIN_N = 14
 # An iteration trace keeps the first and the last _TRACE_HALF iterates.
 _TRACE_HALF = 500
 
@@ -279,6 +291,52 @@ def _columns(rule, image, xs: list) -> np.ndarray:
     return np.array([rule(image, xs, j) for j in range(len(xs))], order="F").T
 
 
+def _stencil_columns(side: int, name: str, xs: list, scale) -> np.ndarray | None:
+    """The central differences at ``xs`` of a bare round trip, from its stencil rows.
+
+    ``operators._strategy_stencil_rows`` or ``_pricing_stencil_rows``
+    evaluates every stencil point at once, with the bits of
+    ``image(j, v)``; the columns keep the bits, and the errors in column
+    order, of :func:`_central_difference` on the checked map of
+    ``operators._column_map``.  None when the rows do not apply.
+    """
+    steps = [_relative_step(xs, j, _FD_STEP) for j in range(len(xs))]
+    values = [v for x, h in zip(xs, steps) for v in (x + h, x - h)]
+    rows = (_strategy_stencil_rows, _pricing_stencil_rows)[side](xs, scale, values)
+    if rows is None:
+        return None
+    finite = np.isfinite(rows).all(axis=1).tolist()
+    for j in range(len(xs)):
+        if not (math.isfinite(values[2 * j]) and math.isfinite(values[2 * j + 1])):
+            raise ValueError(f"{name} must be finite")
+        if not (finite[2 * j] and finite[2 * j + 1]):
+            raise StencilDomainError(j + 1)
+        if not steps[j]:
+            # The column rule divides by a step that underflowed to zero.
+            raise ZeroDivisionError("float division by zero")
+    widths = np.array([2.0 * h for h in steps])
+    # A difference may overflow to infinity, as it does on Python floats.
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray(((rows[0::2] - rows[1::2]) / widths[:, None]).T)
+
+
+def _fd_columns(operator, image, xs: list, params: ModelParams) -> np.ndarray:
+    """The central-difference Jacobian at ``xs`` of ``operator``, whose column map is ``image``.
+
+    A bare round trip of ``_ROWS_MIN_N`` entries or more takes its columns
+    from :func:`_stencil_columns`; anything else, and the pricing round
+    trip where its stored insider rounds leave the domain, stacks one
+    :func:`_central_difference` per entry.
+    """
+    found = _round_trip_of(operator)
+    if found is not None and len(xs) >= _ROWS_MIN_N:
+        _, name, side = found
+        jac = _stencil_columns(side, name, xs, _scales(params)[side])
+        if jac is not None:
+            return jac
+    return _columns(_central_difference, image, xs)
+
+
 def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     """Jacobian of a policy map by central finite differences.
 
@@ -287,14 +345,16 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     OperatorResult`` works; the two round trips of
     :mod:`~kyle_stability.operators` run on their float passes without
     building arrays per stencil point, solve the half pass that a column
-    does not perturb once, and reject a stencil point that overflows to
-    infinity with ``ValueError``, as their public form does.  A point that
+    does not perturb once (from ``_ROWS_MIN_N`` entries on, all stencil
+    points at once as numpy rows, with the same bits), and reject a
+    stencil point that overflows to infinity with ``ValueError``, as their
+    public form does.  A point that
     is not a finite vector of length ``params.n_periods`` raises
     ``ValueError``.  Raises :class:`StencilDomainError` naming the
     (1-based) coordinate whose stencil leaves the domain.
     """
     xs = _as_floats(point, params.n_periods, "point")
-    return _columns(_central_difference, _column_map(operator, xs, params), xs)
+    return _fd_columns(operator, _column_map(operator, xs, params), xs, params)
 
 
 def _unit_point(point, params: ModelParams, name: str) -> list:
@@ -397,7 +457,7 @@ def classify_fixed_point(
     if _round_trip_of(operator) is None:
         jac = jacobian_fd(operator, xs, params)
     else:
-        jac = _columns(_central_difference, image, xs)
+        jac = _fd_columns(operator, image, xs, params)
     ev = eigenvalues(jac)
     rho = float(np.abs(ev[0])) if ev.size else 0.0
     inf_norm = float(np.abs(jac).sum(axis=1).max())
@@ -426,7 +486,12 @@ def pinned_coordinate_derivative(
     if _count(coord, "coord", 1) > params.n_periods:
         raise ValueError("coord must be between 1 and n_periods")
     xs = _unit_point(eq.beta, params, "beta")
-    return _complex_step(_replaced_map(0, xs, 1.0), xs, coord - 1)[coord - 1]
+
+    # One column reads no stored half pass, so its step runs the round trip whole.
+    def image(j: int, v) -> list:
+        return _strategy_round_trip(_replaced(xs, j, v))[0]
+
+    return _complex_step(image, xs, coord - 1)[coord - 1]
 
 
 def linearized_pinned_iteration(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -421,6 +422,23 @@ def test_worker_count_changes_no_bit(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert len(results) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_simulate_starts_a_thread_per_worker_after_the_first(monkeypatch, workers):
+    # The calling thread runs the first share of each block, so a 1-worker
+    # call starts no thread.
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    simulate(_golden_n5_config(1.0))
+    assert len(started) == workers - 1
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -314,14 +314,18 @@ def _outcome(function, *args):
         return type(error), getattr(error, "coordinate", None)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 64])
+_ROWS_N = stability._ROWS_MIN_N
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, _ROWS_N - 1, _ROWS_N, 16, 32, 64, 128])
 @pytest.mark.parametrize("sigma_u", [1.0, 1e-8, 1e8], ids=["unit", "beta-1e-8", "beta-1e8"])
 def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
     # The round trips skip the array boundary and reuse the half pass a
-    # column does not perturb; a lambda around them is any other callable
-    # and takes the array path on whole points.  Results must share every
-    # bit, and a stencil that leaves the domain must raise the same error
-    # for the same coordinate.
+    # column does not perturb, and from _ROWS_MIN_N entries on evaluate
+    # their stencil points as numpy rows; a lambda around them is any other
+    # callable and takes the array path on whole points.  Results must
+    # share every bit, and a stencil that leaves the domain must raise the
+    # same error for the same coordinate.
     params = ModelParams(n_periods=n, sigma_u=sigma_u)
     eq = equilibrium_from_params(params)
     for operator, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
@@ -332,17 +336,31 @@ def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
             assert fast.tobytes() == slow.tobytes()
         # A zero entry leaves the domain of both round trips; stencils along
         # the other coordinates keep it, so from N = 2 on some column raises.
+        # On the pricing round trip a zero after the first entry also takes
+        # the stored insider rounds out of the domain.
         for k in sorted({0, n // 2}) if n > 1 else ():
             x = point.copy()
             x[k] = 0.0
             fast, slow = (_outcome(jacobian_fd, op, x, params) for op in (operator, wrapped))
             assert isinstance(fast, tuple) and fast[0] is StencilDomainError, (k, fast)
             assert fast == slow
-        fast, slow = (classify_fixed_point(op, point, params) for op in (operator, wrapped))
-        assert fast.jacobian.tobytes() == slow.jacobian.tobytes()
-        assert fast.eigenvalues.tobytes() == slow.eigenvalues.tobytes()
-        assert repr(fast.spectral_radius) == repr(slow.spectral_radius)
-        assert repr(fast.inf_norm) == repr(slow.inf_norm)
+        if operator is insider_policy_step:
+            # b**2 overflows in unit parameters on this entry and its stencil.
+            x = point.copy()
+            x[n // 2] = 1.5e154 * _scales(params)[0]
+            fast, slow = (_outcome(jacobian_fd, op, x, params) for op in (operator, wrapped))
+            assert isinstance(fast, tuple) and fast[0] is StencilDomainError, fast
+            assert fast == slow
+        if n > stability._EIG_MAX_SIZE:
+            for op in (operator, wrapped):
+                with pytest.raises(ValueError, match="matrix size"):
+                    classify_fixed_point(op, point, params)
+        else:
+            fast, slow = (classify_fixed_point(op, point, params) for op in (operator, wrapped))
+            assert fast.jacobian.tobytes() == slow.jacobian.tobytes()
+            assert fast.eigenvalues.tobytes() == slow.eigenvalues.tobytes()
+            assert repr(fast.spectral_radius) == repr(slow.spectral_radius)
+            assert repr(fast.inf_norm) == repr(slow.inf_norm)
         start = point * (1.0 + 1e-3 * np.sin(np.arange(1, n + 1)))
         fast, slow = (iterate(op, start, params, max_iter=300) for op in (operator, wrapped))
         assert (fast.verdict, fast.iterations_used) == (slow.verdict, slow.iterations_used)
@@ -376,9 +394,12 @@ def test_wrapper_bound_to_a_round_trip_name_is_called(monkeypatch, unit_params_n
 )
 def test_jacobian_fd_stencil_overflow_is_an_input_error(unit_params_n3, operator, name):
     # The largest float is finite, but its stencil point x + h is not; the
-    # round trip rejects it as input, as the public operator does.
+    # round trip rejects it as input, as the public operator does, also at
+    # N = 64, where the stencil points are evaluated as rows.
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         jacobian_fd(operator, [1.7976931348623157e308, 1.0, 1.0], unit_params_n3)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        jacobian_fd(operator, [1.7976931348623157e308] + [1.0] * 63, ModelParams(n_periods=64))
 
 
 def _random_points_up_to_two_rounds():
