@@ -22,29 +22,29 @@ round trip through it has left the domain in the same way.
 Every public operator runs on two private passes over Python floats, in
 unit parameters (``delta = sigma_u = sigma0 = 1``): ``_maker_pass``
 (forward variance recursion, resumable from a known variance and earlier
-prices) and ``_insider_pass`` (backward recursion to ``beta``, ``alpha``,
-the strategy denominators and the domain verdict, resumable from a known
-curvature).  The scales ``s`` and ``L`` of ``model._scales`` map in and
-out inside their loops: ``T_p(x) = s T_1(x / s)`` for strategies and
+prices) and ``_insider_pass`` (backward recursion from ``alpha_N = 0`` to
+``beta``, ``alpha``, the strategy denominators and the domain verdict).
+The scales ``s`` and ``L`` of ``model._scales`` map in and out inside
+their loops: ``T_p(x) = s T_1(x / s)`` for strategies and
 ``P_p(l) = L P_1(l / L)`` for prices.  Public functions validate input
 once and build numpy arrays only for their results.
 ``_strategy_round_trip`` and ``_pricing_round_trip`` compose the passes
 once, for the public round trips and for ``_list_map``, which hands them
-to the iteration loop as maps on float lists.
+to the iteration loop and the difference stencils as maps on float lists.
 
-Derivative columns and the pinned-coordinate map change one entry of a
-point at a time; ``_replaced_map`` solves the half pass that never sees
-it once per point, and ``_column_map`` hands the result, or any other
-policy map, to the difference stencils.  For large N,
+A derivative column or a pinned step is the whole round trip at a point
+with one entry replaced; the pinned map only solves the maker rounds
+before its entry once and resumes the maker pass there.  For large N,
 ``_strategy_stencil_rows`` and ``_pricing_stencil_rows`` evaluate all 2N
 central-difference stencil points of a round trip at once, as the rows of
 a numpy array, with the operations of the float passes in their order and
-so with their bits.  Both passes also run on Python ``complex`` values,
-which is how the stability module takes exact complex-step derivatives.
-``b**2`` stays a power (libm ``pow``), not ``b * b``: they differ in the
-last bit for about one input in 1,250, which golden tests pin.  numpy's
-``x**2`` is ``x * x`` and its array ``power`` is another ``pow``, so the
-rows take every square that differs per row by Python ``**`` too.
+so with the bits of the whole round trip at each point.  Both passes also
+run on Python ``complex`` values, which is how the stability module takes
+exact complex-step derivatives.  ``b**2`` stays a power (libm ``pow``),
+not ``b * b``: they differ in the last bit for about one input in 1,250,
+which golden tests pin.  numpy's ``x**2`` is ``x * x`` and its array
+``power`` is another ``pow``, so the rows take every square that differs
+per row by Python ``**`` too.
 """
 
 from __future__ import annotations
@@ -164,23 +164,22 @@ def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0, lam=()) -> tuple[list,
     return prices, sigma_sq
 
 
-def _insider_pass(lam: list, scale=1.0, out=1.0, alpha_next=0.0):
+def _insider_pass(lam: list, scale=1.0, out=1.0):
     """Backward value-function recursion in unit parameters, on ``lam / scale``.
 
     Returns ``(beta, alpha, denominators, in_domain)``, the first three as
-    lists, ``beta`` times ``out``.  Starts from the curvature
-    ``alpha_next``, so it resumes before later rounds that left it; the
-    results then cover the rounds of ``lam`` only.  When a round fails the
-    domain test (see ``DOMAIN_RTOL``) the recursion stops there: ``beta``
-    is all infinity, the unreached entries of ``alpha`` and
-    ``denominators`` stay NaN and ``in_domain`` is False.
+    lists, ``beta`` times ``out``; the recursion starts from
+    ``alpha_N = 0``.  When a round fails the domain test (see
+    ``DOMAIN_RTOL``) the recursion stops there: ``beta`` is all infinity,
+    the unreached entries of ``alpha`` and ``denominators`` stay NaN and
+    ``in_domain`` is False.
     """
     n = len(lam)
     # Constants bound to locals: this loop is the hottest code of a pinned step.
     rtol, big, tiny = _DOMAIN_BOUNDS
     beta = [0.0] * n
-    alpha = [math.nan] * (n + 1)
-    alpha[n] = alpha_next
+    alpha = [math.nan] * n + [0.0]
+    alpha_next = 0.0
     dens = [math.nan] * n
     for i in range(n - 1, -1, -1):
         lam_i = lam[i] / scale
@@ -310,22 +309,18 @@ def _round_trip_of(operator):
     return None
 
 
-def _replaced(xs: list, j: int, v) -> list:
-    values = xs.copy()
-    values[j] = v
-    return values
-
-
 def _list_map(operator, params: ModelParams):
     """A policy map as a function on lists of floats.
 
-    The image of a point outside the domain is all infinity; any non-finite
-    entry means the map left the domain.  The two round trips of this
-    module, matched by identity against the functions defined here, run
-    straight on the float passes, with the length and finiteness checks of
-    the public operators and no arrays or :class:`OperatorResult` per call.
-    Any other callable ``(vector, params) -> OperatorResult`` gets float64
-    arrays, and a result with ``in_domain=False`` maps to infinity.
+    The map the iteration loop, the fixed-point test and the difference
+    stencils play.  The image of a point outside the domain is all
+    infinity; any non-finite entry means the map left the domain.  The two
+    round trips of this module, matched by identity against the functions
+    defined here, run straight on the float passes, with the length and
+    finiteness checks of the public operators and no arrays or
+    :class:`OperatorResult` per call.  Any other callable
+    ``(vector, params) -> OperatorResult`` gets float64 arrays, and a
+    result with ``in_domain=False`` maps to infinity.
     """
     found = _round_trip_of(operator)
     if found is not None:
@@ -339,64 +334,6 @@ def _list_map(operator, params: ModelParams):
         return value if result.in_domain else [math.inf] * len(value)
 
     return step
-
-
-def _replaced_map(side: int, xs: list, scale):
-    """``image(j, v)``: a round trip at ``xs`` with entry ``j`` set to ``v``.
-
-    ``side`` 0 is the strategy round trip, 1 the pricing round trip, at the
-    scale ``scale``; ``v`` may be a float or a complex number.  The half
-    pass that never sees entry ``j`` is solved once, at ``xs``: the insider
-    rounds after ``j`` up front, the maker rounds before ``j`` by the pass
-    that first reaches round ``j``, so only as far as the largest ``j``
-    asked for.  ``image`` resumes that pass at round ``j`` and runs the
-    other pass whole, so it has the bits of the full round trip.  If the
-    insider rounds at ``xs`` leave the domain, none of them is reused, and
-    ``image`` runs the full round trip.
-    """
-    if side == 0:
-        # The maker rounds solved so far, and per entry j asked for the
-        # prices of the rounds before it, the variance they leave and the
-        # entries after it.
-        lam, sigma_sq, resumes = [], [1.0], [None] * len(xs)
-
-        def image(j: int, v) -> list:
-            resume = resumes[j]
-            if resume is None:
-                tail = xs[j + 1 :]
-                start = len(lam)
-                if j > start:
-                    # One pass from the last round solved, which solves the
-                    # rounds before j on the way.  b**2 overflowing turns every
-                    # round of the pass to NaN, those before the overflow too:
-                    # then none is kept, and a smaller j solves them again.
-                    prices, variances = _maker_pass(
-                        [*xs[start:j], v, *tail], scale, 1.0, sigma_sq[-1], lam
-                    )
-                    if variances[j - start] == variances[j - start]:
-                        lam.extend(prices[start:j])
-                        sigma_sq.extend(variances[1 : j - start + 1])
-                        resumes[j] = lam[:j], sigma_sq[j], tail
-                    return _insider_pass(prices, 1.0, scale)[0]
-                resume = resumes[j] = lam[:j], sigma_sq[j], tail
-            head, prev, tail = resume
-            prices = _maker_pass([v, *tail], scale, 1.0, prev, head)[0]
-            return _insider_pass(prices, 1.0, scale)[0]
-
-        return image
-    # The first round's strategy is never a tail; index k here is round k + 1.
-    beta, alpha, _, in_domain = _insider_pass(xs[1:], scale)
-    if not in_domain:
-        return lambda j, v: _pricing_round_trip(_replaced(xs, j, v), scale)[0]
-
-    def image(j: int, v) -> list:
-        head = xs[: j + 1]
-        head[j] = v
-        strategy, _, _, ok = _insider_pass(head, scale, 1.0, alpha[j])
-        strategy += beta[j:]
-        return _finite(_maker_pass(strategy, 1.0, scale)[0] if ok else strategy, ok)[0]
-
-    return image
 
 
 def _squares(values: list) -> list:
@@ -456,13 +393,14 @@ def _entry_replaced(units: list, values: list) -> np.ndarray:
 def _strategy_stencil_rows(xs: list, scale, values: list) -> np.ndarray:
     """The strategy round trip at ``xs`` with entry ``r // 2`` set to ``values[r]``, as row r.
 
-    Every row has the bits of ``image(r // 2, values[r])`` of
-    :func:`_replaced_map`: the stored maker prefix up to its entry j, then
-    the rows that start at round j advance together with those that
-    started before, each with the operations and squares of
-    ``_maker_pass``, and the insider recursion runs on every row at once.
-    A multiplication or division by 1.0 that the float passes do is
-    exact, so it is left out.  Rows outside the domain read infinity.
+    Every row has the bits of :func:`_strategy_round_trip` at its point:
+    the maker rounds before its entry j come from one pass at ``xs``,
+    which gives them unchanged; then the rows that start at round j
+    advance together with those that started before, each with the
+    operations and squares of ``_maker_pass``, and the insider recursion
+    runs on every row at once.  A multiplication or division by 1.0 that
+    the float passes do is exact, so it is left out.  Rows outside the
+    domain read infinity.
     """
     n, m = len(xs), len(values)
     lam, sigma_sq = _maker_pass(xs, scale)
@@ -489,13 +427,14 @@ def _strategy_stencil_rows(xs: list, scale, values: list) -> np.ndarray:
 def _pricing_stencil_rows(xs: list, scale, values: list):
     """The pricing round trip at ``xs`` with entry ``r // 2`` set to ``values[r]``, as row r.
 
-    Every row has the bits of ``image(r // 2, values[r])`` of
-    :func:`_replaced_map`: the stored insider tail after its entry j, the
-    insider rounds from j down on the rows still active, then the maker
-    pass on every row at once, each with the operations and squares of
-    the float passes.  Rows outside the domain read infinity.  None when
-    the stored insider rounds leave the domain, where every image runs
-    the full round trip.
+    Every row has the bits of :func:`_pricing_round_trip` at its point:
+    the insider rounds after its entry j come from one backward pass over
+    ``xs[1:]``, which gives them unchanged; then the insider rounds from j
+    down run on the rows still active, and the maker pass on every row at
+    once, each with the operations and squares of the float passes.  Rows
+    outside the domain read infinity.  None when the insider rounds of
+    ``xs[1:]`` leave the domain; the caller then runs the whole round trip
+    per point.
     """
     n, m = len(xs), len(values)
     tail, alpha, _, in_domain = _insider_pass(xs[1:], scale)
@@ -522,46 +461,33 @@ def _pricing_stencil_rows(xs: list, scale, values: list):
     return prices.T
 
 
-def _column_map(operator, xs: list, params: ModelParams):
-    """``image(j, v)``: a policy map at ``xs`` with entry ``j`` set to ``v``, as a float list.
-
-    The map the difference stencils and the fixed-point test play, with
-    the conventions of :func:`_list_map`.  The two round trips run on
-    :func:`_replaced_map` and reject a non-finite ``v`` as their public
-    form does; ``xs`` itself has been checked.  Any other callable is
-    called on the whole point.
-    """
-    found = _round_trip_of(operator)
-    if found is None:
-        step = _list_map(operator, params)
-        return lambda j, v: step(_replaced(xs, j, v))
-    _, name, side = found
-    image = _replaced_map(side, xs, _scales(params)[side])
-
-    def checked(j: int, v: float) -> list:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite")
-        return image(j, v)
-
-    return checked
-
-
 def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):
     """Pinned-coordinate restriction as a map on one-element float lists.
 
     ``[x] -> [entry coord of the strategy round trip]``, with the other
-    entries at ``eq.beta``, which is validated here once; each step is one
-    :func:`_replaced_map` image.  The image is ``[inf]`` when the step
-    leaves the domain.  One-element lists are the shape the iteration loop
-    plays.
+    entries at ``eq.beta``, which is validated here once.  The maker rounds
+    before the entry never change, so they are solved once; each step
+    resumes the maker pass at the entry and runs the insider pass whole,
+    with the bits of the whole round trip.  The image is ``[inf]`` when the
+    step leaves the domain.  One-element lists are the shape the iteration
+    loop plays.
     """
     n = params.n_periods
     if _count(coord, "coord", 1) > n:
         raise ValueError("coord must be between 1 and n_periods")
     s, _ = _scales(params)
-    image = _replaced_map(0, _as_floats(eq.beta, n, "beta"), s)
+    beta = _as_floats(eq.beta, n, "beta")
     i = coord - 1
-    return lambda xs: [image(i, xs[0])[i]]
+    # b**2 overflowing in these rounds leaves them and their variance NaN,
+    # so every step leaves the domain, as the whole round trip does.
+    head, sigma_sq = _maker_pass(beta[:i], s)
+    prev, tail = sigma_sq[-1], beta[i + 1 :]
+
+    def step(xs: list) -> list:
+        prices = _maker_pass([xs[0], *tail], s, 1.0, prev, head)[0]
+        return [_insider_pass(prices, 1.0, s)[0][i]]
+
+    return step
 
 
 def pinned_coordinate_step(x: float, coord: int, eq: Equilibrium, params: ModelParams) -> float:

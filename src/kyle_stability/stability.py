@@ -12,8 +12,7 @@ the last 500 iterates.
 
 :func:`iterate`, :func:`jacobian_fd` and :func:`classify_fixed_point` take
 any callable ``(vector, params) -> OperatorResult`` and see it through one
-adapter on float lists (``operators._list_map`` for the iteration,
-``operators._column_map`` for the stencils), after the operators' own
+adapter on float lists, ``operators._list_map``, after the operators' own
 input check (``operators._as_floats``).  For the two round trips,
 :func:`~kyle_stability.operators.insider_policy_step` and
 :func:`~kyle_stability.operators.maker_policy_step`, the adapter runs the
@@ -35,16 +34,13 @@ difference (:func:`_central_difference`) or a complex step
 ``complex`` values and reads ``f'(x) = Im f(x + i h) / h``: no
 difference, so no cancellation (Squire & Trapp, SIAM Review 40, 1998).
 Both take the step ``c * |x_j|``, which follows the size of the point and
-not its units (see :func:`_relative_step`).  A column rule plays
-``image(j, v)``, the map at the point with entry ``j`` set to ``v``
-(``operators._column_map``), which for the round trips solves the half
-pass that entry ``j`` does not reach once per point.  From
-``_ROWS_MIN_N`` entries on, the central differences of a bare round trip
-take all 2N stencil points at once, as numpy rows with the bits of
-``image(j, v)`` (``operators._strategy_stencil_rows`` and
+not its units (see :func:`_relative_step`).  A column rule evaluates the
+whole map at the point with entry ``j`` replaced.  From ``_ROWS_MIN_N``
+entries on, the central differences of a bare round trip take all 2N
+stencil points at once, as numpy rows with the bits of the whole round
+trip at each point (``operators._strategy_stencil_rows`` and
 ``_pricing_stencil_rows``), and check them column by column as
-:func:`_central_difference` does.  A wrapper, a complex step and the
-pinned map stay on ``image``.
+:func:`_central_difference` does.
 """
 
 from __future__ import annotations
@@ -58,8 +54,8 @@ import numpy as np
 
 from .model import Equilibrium, ModelParams, _count, _scales, equilibrium_from_params
 from .operators import (
-    _as_floats, _column_map, _list_map, _pinned_map, _pricing_stencil_rows, _replaced,
-    _replaced_map, _round_trip_of, _strategy_round_trip, _strategy_stencil_rows,
+    _as_floats, _list_map, _pinned_map, _pricing_stencil_rows, _round_trip_of,
+    _strategy_round_trip, _strategy_stencil_rows,
 )
 
 __all__ = [
@@ -243,42 +239,49 @@ def iterate(
 def _relative_step(x: list, j: int, scale: float) -> float:
     """Derivative step ``scale * |x_j|`` for entry ``j`` of a float list.
 
-    A zero entry falls back to ``scale * max|x|``, and to ``scale`` itself
-    when the whole vector is zero.
+    Where that is zero (a zero entry, or a step that underflows) it falls
+    back to ``scale * max|x|``, and then to ``scale`` itself, so a step is
+    never zero.
     """
-    return scale * (abs(x[j]) or max(map(abs, x)) or 1.0)
+    return scale * abs(x[j]) or scale * max(map(abs, x)) or scale
 
 
-def _central_difference(image, xs: list, j: int) -> list:
-    """Column ``j`` of the Jacobian at ``xs`` of the map behind ``image``.
+def _replaced(xs: list, j: int, v) -> list:
+    values = xs.copy()
+    values[j] = v
+    return values
 
-    ``image(j, v)`` is the map at ``xs`` with entry ``j`` set to ``v``
-    (``operators._column_map``).  ``(f(x + h e_j) - f(x - h e_j)) / 2h``
-    with ``h = cbrt(eps) |x_j|`` (see :func:`_relative_step`); the plus
-    point is evaluated first.  A non-finite image entry raises
-    :class:`StencilDomainError` for entry ``j + 1``.
+
+def _central_difference(step, xs: list, j: int) -> list:
+    """Column ``j`` of the Jacobian at ``xs`` of ``step``, a map on float lists.
+
+    ``(f(x + h e_j) - f(x - h e_j)) / 2h`` with ``h = cbrt(eps) |x_j|``
+    (see :func:`_relative_step`), each point the whole map at ``xs`` with
+    entry ``j`` replaced; the plus point is evaluated first.  A non-finite
+    image entry raises :class:`StencilDomainError` for entry ``j + 1``.
     """
     h = _relative_step(xs, j, _FD_STEP)
-    f_plus, f_minus = image(j, xs[j] + h), image(j, xs[j] - h)
+    f_plus = step(_replaced(xs, j, xs[j] + h))
+    f_minus = step(_replaced(xs, j, xs[j] - h))
     if not all(map(math.isfinite, f_plus + f_minus)):
         raise StencilDomainError(j + 1)
     width = 2.0 * h
     return [(p - m) / width for p, m in zip(f_plus, f_minus)]
 
 
-def _complex_step(image, xs: list, j: int) -> list:
-    """Column ``j`` of the Jacobian at ``xs`` of the map behind ``image``.
+def _complex_step(step, xs: list, j: int) -> list:
+    """Column ``j`` of the Jacobian at ``xs`` of ``step``, a map on lists.
 
     ``Im f(x + i h e_j) / h`` with ``h = 1e-20 |x_j|`` (see
-    :func:`_relative_step`), exact to rounding; ``image`` is as for
-    :func:`_central_difference`.  An image entry whose real or imaginary
+    :func:`_relative_step`), exact to rounding, from the whole map at
+    ``xs`` with entry ``j`` replaced.  An image entry whose real or imaginary
     part is not finite, or an ``OverflowError`` (``abs`` of a complex
     number raises it on overflow, and in CPython on a NaN after an earlier
     overflow), raises :class:`StencilDomainError` for entry ``j + 1``.
     """
     h = _relative_step(xs, j, _CS_STEP)
     try:
-        values = image(j, complex(xs[j], h))
+        values = step(_replaced(xs, j, complex(xs[j], h)))
     except OverflowError:
         raise StencilDomainError(j + 1) from None
     if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
@@ -286,19 +289,19 @@ def _complex_step(image, xs: list, j: int) -> list:
     return [v.imag / h for v in values]
 
 
-def _columns(rule, image, xs: list) -> np.ndarray:
+def _columns(rule, step, xs: list) -> np.ndarray:
     """The Jacobian of one column ``rule`` per entry, stacked in C order."""
-    return np.array([rule(image, xs, j) for j in range(len(xs))], order="F").T
+    return np.array([rule(step, xs, j) for j in range(len(xs))], order="F").T
 
 
 def _stencil_columns(side: int, name: str, xs: list, scale) -> np.ndarray | None:
     """The central differences at ``xs`` of a bare round trip, from its stencil rows.
 
     ``operators._strategy_stencil_rows`` or ``_pricing_stencil_rows``
-    evaluates every stencil point at once, with the bits of
-    ``image(j, v)``; the columns keep the bits, and the errors in column
-    order, of :func:`_central_difference` on the checked map of
-    ``operators._column_map``.  None when the rows do not apply.
+    evaluates every stencil point at once, with the bits of the whole
+    round trip there; the columns keep the bits, and the errors in column
+    order, of :func:`_central_difference` on ``operators._list_map``.
+    None when the rows do not apply.
     """
     steps = [_relative_step(xs, j, _FD_STEP) for j in range(len(xs))]
     values = [v for x, h in zip(xs, steps) for v in (x + h, x - h)]
@@ -311,30 +314,10 @@ def _stencil_columns(side: int, name: str, xs: list, scale) -> np.ndarray | None
             raise ValueError(f"{name} must be finite")
         if not (finite[2 * j] and finite[2 * j + 1]):
             raise StencilDomainError(j + 1)
-        if not steps[j]:
-            # The column rule divides by a step that underflowed to zero.
-            raise ZeroDivisionError("float division by zero")
     widths = np.array([2.0 * h for h in steps])
     # A difference may overflow to infinity, as it does on Python floats.
     with np.errstate(over="ignore"):
         return np.ascontiguousarray(((rows[0::2] - rows[1::2]) / widths[:, None]).T)
-
-
-def _fd_columns(operator, image, xs: list, params: ModelParams) -> np.ndarray:
-    """The central-difference Jacobian at ``xs`` of ``operator``, whose column map is ``image``.
-
-    A bare round trip of ``_ROWS_MIN_N`` entries or more takes its columns
-    from :func:`_stencil_columns`; anything else, and the pricing round
-    trip where its stored insider rounds leave the domain, stacks one
-    :func:`_central_difference` per entry.
-    """
-    found = _round_trip_of(operator)
-    if found is not None and len(xs) >= _ROWS_MIN_N:
-        _, name, side = found
-        jac = _stencil_columns(side, name, xs, _scales(params)[side])
-        if jac is not None:
-            return jac
-    return _columns(_central_difference, image, xs)
 
 
 def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
@@ -344,17 +327,24 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     stacked in C order.  Any callable ``(vector, params) ->
     OperatorResult`` works; the two round trips of
     :mod:`~kyle_stability.operators` run on their float passes without
-    building arrays per stencil point, solve the half pass that a column
-    does not perturb once (from ``_ROWS_MIN_N`` entries on, all stencil
-    points at once as numpy rows, with the same bits), and reject a
-    stencil point that overflows to infinity with ``ValueError``, as their
-    public form does.  A point that
-    is not a finite vector of length ``params.n_periods`` raises
-    ``ValueError``.  Raises :class:`StencilDomainError` naming the
-    (1-based) coordinate whose stencil leaves the domain.
+    building arrays per stencil point (from ``_ROWS_MIN_N`` entries on, all
+    stencil points at once as numpy rows, with the same bits), and reject
+    a stencil point that overflows to infinity with ``ValueError``, as
+    their public form does.  A point that is not a finite vector of length
+    ``params.n_periods`` raises ``ValueError``.  Raises
+    :class:`StencilDomainError` naming the (1-based) coordinate whose
+    stencil leaves the domain.
     """
     xs = _as_floats(point, params.n_periods, "point")
-    return _fd_columns(operator, _column_map(operator, xs, params), xs, params)
+    found = _round_trip_of(operator)
+    if found is not None and len(xs) >= _ROWS_MIN_N:
+        _, name, side = found
+        jac = _stencil_columns(side, name, xs, _scales(params)[side])
+        # The pricing rows do not apply where the insider rounds of
+        # xs[1:] leave the domain.
+        if jac is not None:
+            return jac
+    return _columns(_central_difference, _list_map(operator, params), xs)
 
 
 def _unit_point(point, params: ModelParams, name: str) -> list:
@@ -362,6 +352,11 @@ def _unit_point(point, params: ModelParams, name: str) -> list:
     xs = _as_floats(point, params.n_periods, name)
     s, _ = _scales(params)
     return [x / s for x in xs]
+
+
+def _unit_strategy_map(values: list) -> list:
+    """The strategy round trip in unit parameters, on floats or complex values."""
+    return _strategy_round_trip(values)[0]
 
 
 def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
@@ -382,10 +377,9 @@ def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
         When a complex step leaves the domain from a point inside it.
     """
     xs = _unit_point(point, params, "point")
-    image = _replaced_map(0, xs, 1.0)
-    if not all(map(math.isfinite, image(len(xs) - 1, xs[-1]))):
+    if not all(map(math.isfinite, _unit_strategy_map(xs))):
         raise OutOfDomainError("point is outside the operator domain")
-    return _columns(_complex_step, image, xs)
+    return _columns(_complex_step, _unit_strategy_map, xs)
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -434,17 +428,14 @@ def classify_fixed_point(
     return it within 1e-8 in relative sup norm, otherwise
     :class:`NotAFixedPointError` is raised; one that is not a finite vector
     of length ``params.n_periods`` raises ``ValueError``.  The Jacobian is
-    taken by finite differences (:func:`jacobian_fd`).  Any callable
-    ``(vector, params) -> OperatorResult`` works; the two round trips of
-    :mod:`~kyle_stability.operators` run on their float passes without
-    building arrays per evaluation, and the point is checked and its half
-    pass solved once for the residual and the columns.
+    taken by finite differences (:func:`jacobian_fd`), after one
+    evaluation of the map at the point for the residual.  Any callable
+    ``(vector, params) -> OperatorResult`` works, and every callable takes
+    the same path; the two round trips of :mod:`~kyle_stability.operators`
+    run on their float passes without building arrays per evaluation.
     """
     xs = _as_floats(point, params.n_periods, "point")
-    image = _column_map(operator, xs, params)
-    # Entry N set to itself: for the strategy round trip only the last maker
-    # round is rerun on the pass the columns reuse.
-    fixed = image(len(xs) - 1, xs[-1])
+    fixed = _list_map(operator, params)(xs)
     if not all(map(math.isfinite, fixed)):
         raise OutOfDomainError("point is outside the operator domain")
     residual = max(map(abs, map(sub, fixed, xs)))
@@ -452,12 +443,7 @@ def classify_fixed_point(
         raise NotAFixedPointError(
             f"map moves the point by {residual:.3e} in sup norm"
         )
-    # The round trips' columns reuse the image map; any other callable goes
-    # through jacobian_fd, where a wrapper (a tracer) sees the stencil points.
-    if _round_trip_of(operator) is None:
-        jac = jacobian_fd(operator, xs, params)
-    else:
-        jac = _fd_columns(operator, image, xs, params)
+    jac = jacobian_fd(operator, xs, params)
     ev = eigenvalues(jac)
     rho = float(np.abs(ev[0])) if ev.size else 0.0
     inf_norm = float(np.abs(jac).sum(axis=1).max())
@@ -486,12 +472,7 @@ def pinned_coordinate_derivative(
     if _count(coord, "coord", 1) > params.n_periods:
         raise ValueError("coord must be between 1 and n_periods")
     xs = _unit_point(eq.beta, params, "beta")
-
-    # One column reads no stored half pass, so its step runs the round trip whole.
-    def image(j: int, v) -> list:
-        return _strategy_round_trip(_replaced(xs, j, v))[0]
-
-    return _complex_step(image, xs, coord - 1)[coord - 1]
+    return _complex_step(_unit_strategy_map, xs, coord - 1)[coord - 1]
 
 
 def linearized_pinned_iteration(

@@ -241,6 +241,20 @@ def test_jacobian_stencil_overflow_exits_two(capsys, operator):
     assert "must be finite" in err
 
 
+def test_jacobian_step_that_underflows_to_zero_falls_back(capsys):
+    # cbrt(eps) * 5e-324 underflows to 0; that column steps by cbrt(eps)
+    # times the largest entry instead of dividing by a zero width.
+    argv = [
+        "jacobian", "--n", "2", "--sigma-u", "3.419166279285777e-66",
+        "--delta", "0.0014044835108487645", "--sigma0", "108.33008657788216",
+        "--point", "5.847736420071802e-66,5e-324",
+    ]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    jac = np.asarray(loads_report(out)["result"]["jacobian"])
+    assert jac.shape == (2, 2) and np.isfinite(jac).all()
+
+
 def test_jacobian_closed_form_maker_rejected(capsys):
     code, _, err = _run(
         capsys, ["jacobian", "--n", "2", "--operator", "maker", "--closed-form"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from kyle_stability import (
     pinned_coordinate_step,
     pinned_step_polynomials,
 )
+from kyle_stability.model import _scales
 
 from conftest import EQ_BETA_N3, SECOND_FP_N3, random_params
 
@@ -591,39 +594,6 @@ def test_pinned_step_keeps_an_entry_that_overflows_at_its_coordinate():
     assert full == np.inf
 
 
-def test_resumed_insider_pass_equals_the_full_pass():
-    # Given the curvature the rounds after j left, the backward pass from
-    # round j, followed by their strategies, has the bits of the full pass,
-    # and the same verdict when a round at or below j leaves the domain.
-    rng = np.random.default_rng(1017)
-    verdicts = set()
-    for n in (1, 2, 3, 8, 16):
-        eq = equilibrium_from_params(ModelParams(n_periods=n))
-        points = [eq.lam * rng.uniform(0.7, 1.3, n) for _ in range(4)]
-        points += [eq.lam * rng.uniform(-2.0, 2.0, n) for _ in range(4)]
-        points.append(eq.lam.copy())
-        points[-1][n // 2] = 0.0  # round n // 2 leaves the domain
-        for lam in points:
-            for scale, out in ((1.0, 1.0), (3e-7, 2e5)):
-                lam_s = (lam * scale).tolist()
-                beta, alpha, dens, ok = operators._insider_pass(lam_s, scale, out)
-                for j in range(n):
-                    tail = operators._insider_pass(lam_s[j + 1 :], scale, out)
-                    if not tail[3]:
-                        continue
-                    got = operators._insider_pass(lam_s[: j + 1], scale, out, tail[1][0])
-                    assert got[3] == ok
-                    verdicts.add(ok)
-                    assert len(got[0]) == len(got[2]) == len(got[1]) - 1 == j + 1
-                    if ok:
-                        assert [v.hex() for v in got[0] + tail[0]] == [v.hex() for v in beta]
-                        assert [v.hex() for v in got[1][: j + 1]] == [v.hex() for v in alpha[: j + 1]]
-                        assert [v.hex() for v in got[2][: j + 1]] == [v.hex() for v in dens[: j + 1]]
-                    else:
-                        assert got[0] == [np.inf] * (j + 1)
-    assert verdicts == {True, False}
-
-
 def _entry_bits(function, *args):
     """Type and hex parts of each entry of a float list, or the type of the error raised."""
     try:
@@ -634,55 +604,47 @@ def _entry_bits(function, *args):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
-def test_replaced_map_equals_the_full_round_trip(n):
-    # image(j, v) reuses the half pass that entry j never reaches.  On both
-    # round trips it has the bits of the full round trip at the replaced
-    # point, for float and complex v and in any order of j: also where b**2
-    # overflows before, at or after round j, and where a round after j
-    # leaves the domain unless entry j moves it.
+def test_pinned_map_equals_the_full_round_trip(n):
+    # A pinned step solves the maker rounds before its entry once and
+    # resumes the maker pass there.  At every coordinate it has the bits of
+    # that entry of the whole strategy round trip at the replaced point:
+    # also where an entry before, at or after it makes b**2 overflow, or
+    # a round leave the domain.
     rng = np.random.default_rng(1741 + n)
-    eq = equilibrium_from_params(ModelParams(n_periods=n))
-    sides = []
-    for side, base in enumerate((eq.beta.tolist(), eq.lam.tolist())):
-        points = [base, (np.array(base) * rng.uniform(0.7, 1.3, n)).tolist()]
+    for scale in (1.0, 2.5):
+        params = ModelParams(n_periods=n, sigma_u=scale)
+        assert _scales(params)[0] == scale
+        eq = equilibrium_from_params(params)
+        base = eq.beta.tolist()
+        strategies = [base, (np.array(base) * rng.uniform(0.7, 1.3, n)).tolist()]
         for k in range(n):
             for value in (0.0, 1.5e154, 1e-160):
-                points.append(list(base))
-                points[-1][k] = value
-        sides.append((base, points))
-    if n > 2:
-        # Round 2 of this price path fails (alpha_2 lam_1 = 1 to rounding);
-        # moving round 3 brings it back.
-        failing = list(eq.lam)
-        failing[1] = 1.0 / operators._insider_pass(failing)[1][2]
-        assert not operators._pricing_round_trip(failing)[2]
-        moved = operators._replaced_map(1, failing, 1.0)(2, failing[2] * 1.001)
-        assert all(map(np.isfinite, moved))
-        sides[1][1].append(failing)
-    round_trips = (operators._strategy_round_trip, operators._pricing_round_trip)
-    for side, (base, points) in enumerate(sides):
-        for xs in points:
-            for scale in (1.0, 2.5):
-                image = operators._replaced_map(side, xs, scale)
-                for j in rng.permutation(n).tolist():
-                    x = xs[j] or 1.0
-                    for v in (xs[j], base[j], x * 1.001, complex(xs[j], 1e-20 * x), 0.0):
-                        point = list(xs)
-                        point[j] = v
-                        want = _entry_bits(lambda: round_trips[side](point, scale)[0])
-                        assert _entry_bits(image, j, v) == want, (side, xs, scale, j, v)
+                strategies.append(list(base))
+                strategies[-1][k] = value
+        for beta in strategies:
+            pinned_eq = replace(eq, beta=np.array(beta))
+            for k in range(n):
+                step = operators._pinned_map(k + 1, pinned_eq, params)
+                x = beta[k] or base[k]
+                for v in (beta[k], base[k], x * 1.001, -x, 0.0, 1.5e154, 1e-160):
+                    point = list(beta)
+                    point[k] = v
+                    want = operators._strategy_round_trip(point, scale)[0][k]
+                    assert _entry_bits(step, [v]) == _entry_bits(lambda: [want]), (beta, k, v)
 
 
 @pytest.mark.parametrize("n", [1, 3, 14, 64])
 def test_stencil_rows_equal_the_column_images(n):
-    # Row r of the stencil rows is image(r // 2, values[r]) of the
-    # entry-replaced map, bit for bit where that image is finite, and not
-    # finite where it is not: also where b**2 overflows at, before or after
-    # the entry, and where a round leaves the domain.  The pricing rows are
-    # None exactly when the stored insider rounds leave the domain.
+    # Row r of the stencil rows is the whole round trip at the point with
+    # entry r // 2 set to values[r], bit for bit where that image is
+    # finite, and not finite where it is not: also where b**2 overflows at,
+    # before or after the entry, and where a round leaves the domain.  The
+    # pricing rows are None exactly when the insider rounds of xs[1:]
+    # leave the domain.
     rng = np.random.default_rng(1818 + n)
     eq = equilibrium_from_params(ModelParams(n_periods=n))
     kernels = (operators._strategy_stencil_rows, operators._pricing_stencil_rows)
+    round_trips = (operators._strategy_round_trip, operators._pricing_round_trip)
     nones = set()
     for side, base in enumerate((eq.beta.tolist(), eq.lam.tolist())):
         points = [base, (np.array(base) * rng.uniform(0.7, 1.3, n)).tolist()]
@@ -718,12 +680,13 @@ def test_stencil_rows_equal_the_column_images(n):
                 if rows is None:
                     assert side == 1 and not operators._insider_pass(xs_s[1:], scale)[3]
                     continue
-                image = operators._replaced_map(side, xs_s, scale)
                 assert rows.shape == (2 * n, n)
                 for r, v in enumerate(values):
                     if not np.isfinite(v):
                         continue
-                    want = image(r // 2, v)
+                    point = list(xs_s)
+                    point[r // 2] = v
+                    want = round_trips[side](point, scale)[0]
                     if all(map(np.isfinite, want)):
                         assert [x.hex() for x in rows[r].tolist()] == [x.hex() for x in want]
                     else:

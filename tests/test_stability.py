@@ -253,14 +253,15 @@ def test_point_of_the_wrong_length_is_rejected(unit_params_n3, point):
 
 
 def test_jacobian_fd_relative_step_at_zero_entries():
-    # A zero entry takes the step cbrt(eps) * max|x|; an all-zero point
-    # takes cbrt(eps) itself.
+    # A zero entry, or one whose step underflows to zero, takes the step
+    # cbrt(eps) * max|x|; an all-zero point takes cbrt(eps) itself.
     rng = np.random.default_rng(61)
     a = rng.normal(size=(3, 3))
     params = ModelParams(n_periods=3)
     cbrt_eps = np.finfo(float).eps ** (1.0 / 3.0)
     for point, zero_step in (
         (np.array([0.3, 0.0, -1.2]), cbrt_eps * 1.2),
+        (np.array([0.3, 5e-324, -1.2]), cbrt_eps * 1.2),
         (np.zeros(3), cbrt_eps),
     ):
         seen = []
@@ -273,7 +274,7 @@ def test_jacobian_fd_relative_step_at_zero_entries():
         assert np.max(np.abs(jac - a)) <= 1e-9
         for j in range(3):
             x_plus = seen[2 * j]
-            want = zero_step if point[j] == 0.0 else cbrt_eps * abs(point[j])
+            want = cbrt_eps * abs(point[j]) or zero_step
             assert abs((x_plus[j] - point[j]) - want) <= 1e-15 * (1.0 + abs(point[j]))
 
 
@@ -518,14 +519,17 @@ def test_pricing_complex_step_matches_fd(n):
     # The same complex step runs through the pricing round trip, whose
     # finiteness test reads both parts of a complex entry.  It agrees with
     # the central stencil to 1e-9 of the largest entry (about 1.5e-10 seen).
+
+    def step(values):
+        return operators._pricing_round_trip(values)[0]
+
     for scales in ({}, {"sigma_u": 1e-6}, {"sigma0": 1e6, "delta": 0.37}):
         params = ModelParams(n_periods=n, **scales)
         eq = equilibrium_from_params(params)
         _, scale_lam = _scales(params)
         for lam in (eq.lam, eq.lam * (1.0 + 1e-2 * np.cos(np.arange(n)))):
             xs = (lam / scale_lam).tolist()
-            image = operators._replaced_map(1, xs, 1.0)
-            exact = np.array([stability._complex_step(image, xs, j) for j in range(n)]).T
+            exact = np.array([stability._complex_step(step, xs, j) for j in range(n)]).T
             fd = jacobian_fd(maker_policy_step, lam, params)
             assert np.max(np.abs(exact - fd)) <= 1e-9 * np.max(np.abs(exact)), scales
     # Steps out of the domain: a zero price (the insider recursion stops)
@@ -534,9 +538,8 @@ def test_pricing_complex_step_matches_fd(n):
     for j, value in ((0, 0.0), (n - 1, 1e-160)):
         point = list(xs)
         point[j] = value
-        image = operators._replaced_map(1, point, 1.0)
         with pytest.raises(StencilDomainError) as excinfo:
-            stability._complex_step(image, point, (j + 1) % n)
+            stability._complex_step(step, point, (j + 1) % n)
         assert excinfo.value.coordinate == (j + 1) % n + 1
 
 
