@@ -204,8 +204,11 @@ def _emit(args, result) -> None:
     else:
         text = reports.rows_to_csv(result)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -35,16 +35,16 @@ to the iteration loop and the difference stencils as maps on float lists.
 A derivative column or a pinned step is the whole round trip at a point
 with one entry replaced; the pinned map only solves the maker rounds
 before its entry once and resumes the maker pass there.  For large N,
-``_strategy_stencil_rows`` and ``_pricing_stencil_rows`` evaluate all 2N
-central-difference stencil points of a round trip at once, as the rows of
-a numpy array, with the operations of the float passes in their order and
-so with the bits of the whole round trip at each point.  Both passes also
-run on Python ``complex`` values, which is how the stability module takes
-exact complex-step derivatives.  ``b**2`` stays a power (libm ``pow``),
-not ``b * b``: they differ in the last bit for about one input in 1,250,
-which golden tests pin.  numpy's ``x**2`` is ``x * x`` and its array
-``power`` is another ``pow``, so the rows take every square that differs
-per row by Python ``**`` too.
+``_strategy_stencil_rows`` and ``_pricing_stencil_rows`` run both numpy
+passes (``_maker_rows``, ``_insider_rows``) whole on all 2N stencil points
+of a round trip at once, with the operations of the float passes in their
+order and so with the bits of the whole round trip at each point.  The
+float passes also run on Python ``complex`` values, which is how the
+stability module takes exact complex-step derivatives.  ``b**2`` stays a
+power (libm ``pow``), not ``b * b``: they differ in the last bit for
+about one input in 1,250, which golden tests pin.  numpy's ``x**2`` is
+``x * x`` and its array ``power`` is another ``pow``, so the rows take
+every square that differs per row by Python ``**`` too.
 """
 
 from __future__ import annotations
@@ -351,39 +351,49 @@ def _square(b: float) -> float:
         return math.nan
 
 
-def _insider_rows(lam: np.ndarray, alpha_next: np.ndarray, out, step: int):
+def _maker_rows(b: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """``_maker_pass`` on every column of ``b`` (rounds by rows), with the squares ``b2``.
+
+    Returns the unit prices.  A NaN square, where ``b**2`` overflows,
+    makes its round and every later round of the column NaN.
+    """
+    prices, prev = np.empty_like(b), np.ones(b.shape[1])
+    for k in range(b.shape[0]):
+        den = b2[k] * prev + 1.0
+        prices[k] = b[k] * prev / den
+        prev /= den
+    return prices
+
+
+def _insider_rows(lam: np.ndarray):
     """``_insider_pass`` on every column of ``lam`` (rounds by rows), already in unit prices.
 
-    Round i runs on the rows from ``step * i`` on, starting from their
-    curvature in ``alpha_next``.  Only the curvature recursion runs round
-    by round; the domain tests and ``beta`` follow for all rounds at once.
-    Returns ``(beta, ok)``: ``beta`` times ``out``, which reads ``out`` at
-    the rounds a row does not run, and the rows' domain verdicts.  A row
-    keeps running past a failed round, so the caller ignores
-    floating-point warnings and discards it.
+    Every round runs on every column from ``alpha_N = 0``.  Only the
+    curvature recursion runs round by round (row i of ``alpha`` is the
+    ``alpha_{i+1}`` round i starts from); the domain tests and ``beta``
+    follow for all rounds at once.  Returns ``(beta, ok)``: the unit
+    strategies and the columns' domain verdicts.  A column keeps running
+    past a failed round, so the caller ignores floating-point warnings and
+    discards it; its rounds above the failure keep their values.
     """
     rtol, big, tiny = _DOMAIN_BOUNDS
-    # Rounds a row does not run keep values that pass the domain test.
-    alpha_lam = np.zeros_like(lam)
-    u, den_beta, den_alpha = np.ones_like(lam), np.ones_like(lam), np.ones_like(lam)
-    two_lam, four_lam = 2.0 * lam, 4.0 * lam
-    for i in range(lam.shape[0] - 1, -1, -1):
-        r = step * i
-        alpha = alpha_next[r:]
-        u_i = np.subtract(1.0, np.multiply(alpha, lam[i, r:], out=alpha_lam[i, r:]), out=u[i, r:])
-        np.multiply(two_lam[i, r:], u_i, out=den_beta[i, r:])
-        np.divide(1.0, np.multiply(four_lam[i, r:], u_i, out=den_alpha[i, r:]), out=alpha)
+    alpha, four_lam = np.zeros_like(lam), 4.0 * lam
+    for i in range(lam.shape[0] - 1, 0, -1):
+        alpha[i - 1] = 1.0 / (four_lam[i] * (1.0 - alpha[i] * lam[i]))
+    alpha_lam = alpha * lam
+    u = 1.0 - alpha_lam
     num_beta = 1.0 - 2.0 * alpha_lam
+    den_beta = 2.0 * lam * u
     ok = (
         (np.abs(u) > rtol * (1.0 + np.abs(alpha_lam)))
         & (np.abs(num_beta) / big < np.abs(den_beta))
-        & (tiny < np.abs(den_alpha))
+        & (tiny < np.abs(four_lam * u))
     ).all(axis=0)
-    return out * (num_beta / den_beta), ok
+    return num_beta / den_beta, ok
 
 
 def _entry_replaced(units: list, values: list) -> np.ndarray:
-    """Rounds by rows: ``units`` in every row, but row r holds ``values[r]`` at entry r // 2."""
+    """Rounds by rows: ``units`` in each column, but column r has ``values[r]`` at entry r // 2."""
     table = np.repeat(np.array(units)[:, None], len(values), axis=1)
     rows = np.arange(len(values))
     table[rows // 2, rows] = values
@@ -393,70 +403,42 @@ def _entry_replaced(units: list, values: list) -> np.ndarray:
 def _strategy_stencil_rows(xs: list, scale, values: list) -> np.ndarray:
     """The strategy round trip at ``xs`` with entry ``r // 2`` set to ``values[r]``, as row r.
 
-    Every row has the bits of :func:`_strategy_round_trip` at its point:
-    the maker rounds before its entry j come from one pass at ``xs``,
-    which gives them unchanged; then the rows that start at round j
-    advance together with those that started before, each with the
-    operations and squares of ``_maker_pass``, and the insider recursion
-    runs on every row at once.  A multiplication or division by 1.0 that
-    the float passes do is exact, so it is left out.  Rows outside the
-    domain read infinity.
+    Both passes run whole on the table of all points, each with the
+    operations and squares of the float passes in their order, so every
+    row has the bits of :func:`_strategy_round_trip` at its point.  A
+    multiplication or division by 1.0 that the float passes do is exact,
+    so it is left out.  Rows outside the domain read infinity.
     """
-    n, m = len(xs), len(values)
-    lam, sigma_sq = _maker_pass(xs, scale)
     units = [x / scale for x in xs]
     rows_v = [v / scale for v in values]
     b = _entry_replaced(units, rows_v)
     b2 = _entry_replaced(_squares(units), _squares(rows_v))
-    prices = np.repeat(np.array(lam)[:, None], m, axis=1)
-    prev = np.repeat(sigma_sq[:n], 2)
     with np.errstate(all="ignore"):
-        for k in range(n):
-            a = 2 * k + 2
-            p, price = prev[:a], prices[k, :a]
-            den = np.multiply(b2[k, :a], p)
-            den += 1.0
-            np.multiply(b[k, :a], p, out=price)
-            price /= den
-            p /= den
-        beta, ok = _insider_rows(prices, np.zeros(m), scale, 0)
+        beta, ok = _insider_rows(_maker_rows(b, b2))
+        beta *= scale
     beta[:, ~ok] = math.inf
     return beta.T
 
 
-def _pricing_stencil_rows(xs: list, scale, values: list):
+def _pricing_stencil_rows(xs: list, scale, values: list) -> np.ndarray:
     """The pricing round trip at ``xs`` with entry ``r // 2`` set to ``values[r]``, as row r.
 
-    Every row has the bits of :func:`_pricing_round_trip` at its point:
-    the insider rounds after its entry j come from one backward pass over
-    ``xs[1:]``, which gives them unchanged; then the insider rounds from j
-    down run on the rows still active, and the maker pass on every row at
-    once, each with the operations and squares of the float passes.  Rows
-    outside the domain read infinity.  None when the insider rounds of
-    ``xs[1:]`` leave the domain; the caller then runs the whole round trip
-    per point.
+    Both passes run whole on the table of all points, each with the
+    operations and squares of the float passes in their order, so every
+    row has the bits of :func:`_pricing_round_trip` at its point.  Rows
+    outside the domain read infinity.
     """
-    n, m = len(xs), len(values)
-    tail, alpha, _, in_domain = _insider_pass(xs[1:], scale)
-    if not in_domain:
-        return None
     lam = _entry_replaced([x / scale for x in xs], [v / scale for v in values])
-    # Row r runs the insider rounds up to its entry r // 2; later rounds
-    # keep the stored strategy and its square.
-    ran = np.arange(m) // 2 >= np.arange(n)[:, None]
     with np.errstate(all="ignore"):
-        beta, ok = _insider_rows(lam, np.repeat(alpha, 2), 1.0, 2)
-        strategy = np.where(ran, beta, np.array([math.nan, *tail])[:, None])
-        b2 = np.repeat(np.array([math.nan, *_squares(tail)])[:, None], m, axis=1)
-        b2[ran] = _squares(strategy[ran].tolist())
-        prices, prev = np.empty_like(strategy), np.ones(m)
-        for k in range(n):
-            den = np.multiply(b2[k], prev)
-            den += 1.0
-            price = np.multiply(strategy[k], prev)
-            price /= den
-            np.multiply(scale, price, out=prices[k])
-            prev /= den
+        beta, ok = _insider_rows(lam)
+        # The strategy rounds after a point's entry are those of point 0,
+        # bit for bit (they run before any failure below them), so only
+        # the rounds up to its entry are squared per point.
+        own = np.arange(len(values)) // 2 >= np.arange(len(xs))[:, None]
+        b2 = np.repeat(np.array(_squares(beta[:, 0].tolist()))[:, None], len(values), axis=1)
+        b2[own] = _squares(beta[own].tolist())
+        prices = _maker_rows(beta, b2)
+        prices *= scale
     prices[:, ~ok] = math.inf
     return prices.T
 

@@ -36,11 +36,11 @@ difference, so no cancellation (Squire & Trapp, SIAM Review 40, 1998).
 Both take the step ``c * |x_j|``, which follows the size of the point and
 not its units (see :func:`_relative_step`).  A column rule evaluates the
 whole map at the point with entry ``j`` replaced.  From ``_ROWS_MIN_N``
-entries on, the central differences of a bare round trip take all 2N
-stencil points at once, as numpy rows with the bits of the whole round
-trip at each point (``operators._strategy_stencil_rows`` and
-``_pricing_stencil_rows``), and check them column by column as
-:func:`_central_difference` does.
+entries on, the central differences of a bare round trip run the whole
+round trip once on the table of all 2N stencil points
+(``operators._strategy_stencil_rows`` and ``_pricing_stencil_rows``), as
+numpy rows with the bits of the round trip at each point, and check them
+column by column as :func:`_central_difference` does.
 """
 
 from __future__ import annotations
@@ -93,9 +93,10 @@ _FIXED_POINT_TOL = 1e-8
 _EIG_MAX_SIZE = 64
 # From this many entries on, the central differences of a bare round trip
 # evaluate their 2N stencil points at once as numpy rows: measured, the rows
-# overtake one float pass per point at about N = 10 on the strategy round
-# trip and N = 13 on the pricing round trip (BENCH_18.json).
-_ROWS_MIN_N = 14
+# beat one float round trip per point on both round trips in every set of
+# paired rounds from N = 9 on; at N = 7 and 8 they won in some sets and lost
+# in others (BENCH_20.json).
+_ROWS_MIN_N = 9
 # An iteration trace keeps the first and the last _TRACE_HALF iterates.
 _TRACE_HALF = 500
 
@@ -294,20 +295,18 @@ def _columns(rule, step, xs: list) -> np.ndarray:
     return np.array([rule(step, xs, j) for j in range(len(xs))], order="F").T
 
 
-def _stencil_columns(side: int, name: str, xs: list, scale) -> np.ndarray | None:
+def _stencil_columns(side: int, name: str, xs: list, scale) -> np.ndarray:
     """The central differences at ``xs`` of a bare round trip, from its stencil rows.
 
     ``operators._strategy_stencil_rows`` or ``_pricing_stencil_rows``
-    evaluates every stencil point at once, with the bits of the whole
-    round trip there; the columns keep the bits, and the errors in column
-    order, of :func:`_central_difference` on ``operators._list_map``.
-    None when the rows do not apply.
+    runs the whole round trip on the table of all stencil points at once,
+    with the bits of the round trip at each point; the columns keep the
+    bits, and the errors in column order, of :func:`_central_difference`
+    on ``operators._list_map``.
     """
     steps = [_relative_step(xs, j, _FD_STEP) for j in range(len(xs))]
     values = [v for x, h in zip(xs, steps) for v in (x + h, x - h)]
     rows = (_strategy_stencil_rows, _pricing_stencil_rows)[side](xs, scale, values)
-    if rows is None:
-        return None
     finite = np.isfinite(rows).all(axis=1).tolist()
     for j in range(len(xs)):
         if not (math.isfinite(values[2 * j]) and math.isfinite(values[2 * j + 1])):
@@ -327,23 +326,19 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     stacked in C order.  Any callable ``(vector, params) ->
     OperatorResult`` works; the two round trips of
     :mod:`~kyle_stability.operators` run on their float passes without
-    building arrays per stencil point (from ``_ROWS_MIN_N`` entries on, all
-    stencil points at once as numpy rows, with the same bits), and reject
-    a stencil point that overflows to infinity with ``ValueError``, as
-    their public form does.  A point that is not a finite vector of length
-    ``params.n_periods`` raises ``ValueError``.  Raises
-    :class:`StencilDomainError` naming the (1-based) coordinate whose
-    stencil leaves the domain.
+    building arrays per stencil point (from ``_ROWS_MIN_N`` entries on, one
+    round trip on all stencil points at once as numpy rows, with the same
+    bits), and reject a stencil point that overflows to infinity with
+    ``ValueError``, as their public form does.  A point that is not a
+    finite vector of length ``params.n_periods`` raises ``ValueError``.
+    Raises :class:`StencilDomainError` naming the (1-based) coordinate
+    whose stencil leaves the domain.
     """
     xs = _as_floats(point, params.n_periods, "point")
     found = _round_trip_of(operator)
     if found is not None and len(xs) >= _ROWS_MIN_N:
         _, name, side = found
-        jac = _stencil_columns(side, name, xs, _scales(params)[side])
-        # The pricing rows do not apply where the insider rounds of
-        # xs[1:] leave the domain.
-        if jac is not None:
-            return jac
+        return _stencil_columns(side, name, xs, _scales(params)[side])
     return _columns(_central_difference, _list_map(operator, params), xs)
 
 

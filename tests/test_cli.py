@@ -415,6 +415,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert len(report["result"]["beta"]) == 2
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."], ids=["no-dir", "a-dir"])
+def test_unwritable_out_exits_two(tmp_path, capsys, where):
+    # A missing directory or a directory as --out is an input error: one
+    # error line and exit 2, not a traceback.
+    target = tmp_path / where
+    code, out, err = _run(capsys, ["equilibrium", "--n", "3", "--out", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["equilibrium", "--bogus"])

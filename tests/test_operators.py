@@ -639,13 +639,13 @@ def test_stencil_rows_equal_the_column_images(n):
     # entry r // 2 set to values[r], bit for bit where that image is
     # finite, and not finite where it is not: also where b**2 overflows at,
     # before or after the entry, and where a round leaves the domain.  The
-    # pricing rows are None exactly when the insider rounds of xs[1:]
-    # leave the domain.
+    # rows are never None: they also cover pricing points whose insider
+    # rounds of xs[1:] leave the domain.
     rng = np.random.default_rng(1818 + n)
     eq = equilibrium_from_params(ModelParams(n_periods=n))
     kernels = (operators._strategy_stencil_rows, operators._pricing_stencil_rows)
     round_trips = (operators._strategy_round_trip, operators._pricing_round_trip)
-    nones = set()
+    tails_left = set()
     for side, base in enumerate((eq.beta.tolist(), eq.lam.tolist())):
         points = [base, (np.array(base) * rng.uniform(0.7, 1.3, n)).tolist()]
         points += [(np.array(base) * rng.uniform(-2.0, 2.0, n)).tolist()]
@@ -676,11 +676,8 @@ def test_stencil_rows_equal_the_column_images(n):
                 if side == 1 and n > 2:
                     values[2] = scale / operators._insider_pass(xs)[1][2]
                 rows = kernels[side](xs_s, scale, values)
-                nones.add(rows is None)
-                if rows is None:
-                    assert side == 1 and not operators._insider_pass(xs_s[1:], scale)[3]
-                    continue
-                assert rows.shape == (2 * n, n)
+                tails_left.add(side == 1 and not operators._insider_pass(xs_s[1:], scale)[3])
+                assert rows is not None and rows.shape == (2 * n, n)
                 for r, v in enumerate(values):
                     if not np.isfinite(v):
                         continue
@@ -691,7 +688,7 @@ def test_stencil_rows_equal_the_column_images(n):
                         assert [x.hex() for x in rows[r].tolist()] == [x.hex() for x in want]
                     else:
                         assert not np.isfinite(rows[r]).all(), (side, xs, r)
-    assert nones == ({False, True} if n > 2 else {False})
+    assert tails_left == ({False, True} if n > 2 else {False})
 
 
 def test_pinned_step_input_contract(unit_params_n3):

@@ -318,15 +318,16 @@ def _outcome(function, *args):
 _ROWS_N = stability._ROWS_MIN_N
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, _ROWS_N - 1, _ROWS_N, 16, 32, 64, 128])
+@pytest.mark.parametrize(
+    "n", sorted({1, 2, 3, 5, 8, 13, 14, 16, 32, 64, 128, _ROWS_N - 1, _ROWS_N})
+)
 @pytest.mark.parametrize("sigma_u", [1.0, 1e-8, 1e8], ids=["unit", "beta-1e-8", "beta-1e8"])
 def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
-    # The round trips skip the array boundary and reuse the half pass a
-    # column does not perturb, and from _ROWS_MIN_N entries on evaluate
-    # their stencil points as numpy rows; a lambda around them is any other
-    # callable and takes the array path on whole points.  Results must
-    # share every bit, and a stencil that leaves the domain must raise the
-    # same error for the same coordinate.
+    # The round trips skip the array boundary, and from _ROWS_MIN_N entries
+    # on evaluate their stencil points as numpy rows; a lambda around them
+    # is any other callable and takes the array path on whole points.
+    # Results must share every bit, and a stencil that leaves the domain
+    # must raise the same error for the same coordinate.
     params = ModelParams(n_periods=n, sigma_u=sigma_u)
     eq = equilibrium_from_params(params)
     for operator, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
@@ -337,8 +338,8 @@ def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
             assert fast.tobytes() == slow.tobytes()
         # A zero entry leaves the domain of both round trips; stencils along
         # the other coordinates keep it, so from N = 2 on some column raises.
-        # On the pricing round trip a zero after the first entry also takes
-        # the stored insider rounds out of the domain.
+        # On the pricing round trip a zero after the first entry takes the
+        # insider rounds of every stencil point out of the domain.
         for k in sorted({0, n // 2}) if n > 1 else ():
             x = point.copy()
             x[k] = 0.0
