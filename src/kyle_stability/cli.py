@@ -12,6 +12,8 @@ Iteration verdicts map to exit codes by one rule, ``_verdict_exit``.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import re
 import sys
 
@@ -203,14 +205,18 @@ def _emit(args, result) -> None:
         text = reports.dumps_report(report) + "\n"
     else:
         text = reports.rows_to_csv(result)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        elif sys.stdout is None:  # the process started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        where = f"--out {args.out}" if args.out else "stdout"
+        raise ValueError(f"cannot write {where}: {exc.strerror}") from None
 
 
 def _iteration(args) -> dict:

@@ -34,17 +34,20 @@ to the iteration loop and the difference stencils as maps on float lists.
 
 A derivative column or a pinned step is the whole round trip at a point
 with one entry replaced; the pinned map only solves the maker rounds
-before its entry once and resumes the maker pass there.  For large N,
-``_strategy_stencil_rows`` and ``_pricing_stencil_rows`` run both numpy
-passes (``_maker_rows``, ``_insider_rows``) whole on all 2N stencil points
-of a round trip at once, with the operations of the float passes in their
-order and so with the bits of the whole round trip at each point.  The
-float passes also run on Python ``complex`` values, which is how the
-stability module takes exact complex-step derivatives.  ``b**2`` stays a
-power (libm ``pow``), not ``b * b``: they differ in the last bit for
-about one input in 1,250, which golden tests pin.  numpy's ``x**2`` is
-``x * x`` and its array ``power`` is another ``pow``, so the rows take
-every square that differs per row by Python ``**`` too.
+before its entry once and resumes the maker pass there.  The float passes
+also run on Python ``complex`` values, which is how the stability module
+takes exact complex-step derivatives.  ``b**2`` stays a power (libm
+``pow``), not ``b * b``: they differ in the last bit for about one input
+in 1,250, which golden tests pin.
+
+The exact Jacobians of the round trips are products of two triangular
+factors: ``M' = d lam / d beta`` is lower triangular (``lam_n`` depends on
+``beta_1 .. beta_n``) and ``I' = d beta / d lam`` upper triangular
+(``beta_n`` depends on ``lam_n .. lam_N``), so the strategy round trip has
+``I'(lam) M'(beta)`` and the pricing round trip ``M'(beta) I'(lam)``.
+``_maker_factor`` and ``_insider_factor`` take each factor in unit
+parameters from the values of one float pass, with one numpy sweep;
+``_strategy_jacobian`` and ``_pricing_jacobian`` multiply them.
 """
 
 from __future__ import annotations
@@ -126,15 +129,9 @@ class OperatorResult:
 
 def _as_floats(x, n: int, name: str) -> list:
     values = np.asarray(x, dtype=float)
-    if values.ndim != 1:
+    if values.ndim != 1 or len(values) != n:
         raise ValueError(f"{name} must be a vector of length {n}")
-    return _checked(values.tolist(), n, name)
-
-
-def _checked(values: list, n: int, name: str) -> list:
-    """``values`` itself, after the length and finiteness checks of the public operators."""
-    if len(values) != n:
-        raise ValueError(f"{name} must be a vector of length {n}")
+    values = values.tolist()
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
     return values
@@ -273,6 +270,72 @@ def _pricing_round_trip(lam: list, scale=1.0) -> tuple[list, list, bool]:
     return value, dens, in_domain
 
 
+def _maker_factor(beta: list) -> tuple[list, np.ndarray]:
+    """The unit prices of :func:`_maker_pass` at unit ``beta``, and ``M' = d lam / d beta``.
+
+    In unit parameters ``1 / Sigma_k = 1 / Sigma_{k-1} + b_k**2``, so the
+    forward sweep carries ``d Sigma_k / d b_j = -2 b_j Sigma_k**2`` for
+    ``j <= k``.  Row k of ``M'`` is ``-2 b_k Sigma_k**2 b_j`` for ``j < k``
+    and ``Sigma_k**2 (1 - b_k**2 Sigma_{k-1}) / Sigma_{k-1}`` on the
+    diagonal: ``M'`` is lower triangular.
+    """
+    lam, sigma_sq = _maker_pass(beta)
+    b, jac = np.array(beta), np.zeros((len(beta), len(beta)))
+    for k, (b_k, prev, var) in enumerate(zip(beta, sigma_sq, sigma_sq[1:])):
+        np.multiply(b[:k], -2.0 * b_k * var * var, out=jac[k, :k])
+        jac[k, k] = var * var * (1.0 - b_k * b_k * prev) / prev
+    return lam, jac
+
+
+def _insider_factor(lam: list) -> tuple[list, np.ndarray]:
+    """The unit strategies of :func:`_insider_pass` at unit ``lam``, and ``I' = d beta / d lam``.
+
+    Round n starts from ``a = alpha_n`` and has ``p = a lam_n`` and
+    ``u = 1 - p``.  In its own price ``d beta_n / d lam_n = -(1 / lam_n**2
+    + (a / u)**2) / 2`` and ``d alpha_{n-1} / d lam_n = -4 (1 - 2p)
+    alpha_{n-1}**2``; through the curvature it starts from,
+    ``d beta_n / d alpha_n = -1 / (2 u**2)`` and ``d alpha_{n-1} / d alpha_n
+    = 1 / (4 u**2)``.  So the backward sweep carries ``d alpha_n / d lam``
+    from ``alpha_N = 0``, and ``I'`` is upper triangular.  Meant for a
+    point inside the domain (see ``DOMAIN_RTOL``).
+    """
+    beta, alpha, _, _ = _insider_pass(lam)
+    n = len(lam)
+    jac, d_alpha = np.zeros((n, n)), np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        a, inverse, new = alpha[i + 1], 1.0 / lam[i], alpha[i]
+        p = a * lam[i]
+        u = 1.0 - p
+        carry, ratio = 0.25 / (u * u), a / u
+        if i < n - 1:  # alpha_N = 0 depends on no price
+            np.multiply(d_alpha, -2.0 * carry, out=jac[i])
+            d_alpha *= carry
+        jac[i, i] = -0.5 * (inverse * inverse + ratio * ratio)
+        d_alpha[i] = -4.0 * (1.0 - 2.0 * p) * new * new
+    return beta, jac
+
+
+def _strategy_jacobian(beta: list, scale=1.0) -> np.ndarray:
+    """Jacobian of the strategy round trip at ``beta``: ``I'(lam) M'(beta / scale)``.
+
+    ``T_p(x) = s T_1(x / s)``, so ``J_p(x) = J_1(x / s)``.  An entry that
+    overflows reads infinity, as on Python floats.
+    """
+    with np.errstate(all="ignore"):
+        lam, maker = _maker_factor([b / scale for b in beta])
+        return _insider_factor(lam)[1] @ maker
+
+
+def _pricing_jacobian(lam: list, scale=1.0) -> np.ndarray:
+    """Jacobian of the pricing round trip at ``lam``: ``M'(beta) I'(lam / scale)``.
+
+    ``P_p(l) = L P_1(l / L)``, so ``J_p(l) = J_1(l / L)``.
+    """
+    with np.errstate(all="ignore"):
+        beta, insider = _insider_factor([v / scale for v in lam])
+        return _maker_factor(beta)[1] @ insider
+
+
 def _operator_result(round_trip, x, params: ModelParams, name: str, side: int) -> OperatorResult:
     """A public round trip: ``round_trip`` at scale ``_scales(params)[side]``, denominators over s."""
     scales = _scales(params)
@@ -292,17 +355,18 @@ def maker_policy_step(lam, params: ModelParams) -> OperatorResult:
     return _operator_result(_pricing_round_trip, lam, params, "lam", 1)
 
 
-# The two round trips as defined here, with their input and the index of
-# their scale in ``_scales``.  A wrapper bound to their names later (a
-# tracer, a test double) is any other callable, so it is called like one.
+# The two round trips as defined here, with their Jacobian, their input and
+# the index of their scale in ``_scales``.  A wrapper bound to their names
+# later (a tracer, a test double) is any other callable, so it is called like
+# one; only classify_fixed_point follows its ``__wrapped__`` to the Jacobian.
 _ROUND_TRIPS = (
-    (insider_policy_step, _strategy_round_trip, "beta", 0),
-    (maker_policy_step, _pricing_round_trip, "lam", 1),
+    (insider_policy_step, _strategy_round_trip, _strategy_jacobian, "beta", 0),
+    (maker_policy_step, _pricing_round_trip, _pricing_jacobian, "lam", 1),
 )
 
 
 def _round_trip_of(operator):
-    """``(round trip, input name, scale index)`` of one of the two round trips, else None."""
+    """``(round trip, Jacobian, input name, scale index)`` of one of the two round trips, else None."""
     for function, *found in _ROUND_TRIPS:
         if operator is function:
             return found
@@ -313,20 +377,20 @@ def _list_map(operator, params: ModelParams):
     """A policy map as a function on lists of floats.
 
     The map the iteration loop, the fixed-point test and the difference
-    stencils play.  The image of a point outside the domain is all
+    stencils play, on finite lists of length ``params.n_periods`` (the
+    callers check them).  The image of a point outside the domain is all
     infinity; any non-finite entry means the map left the domain.  The two
     round trips of this module, matched by identity against the functions
-    defined here, run straight on the float passes, with the length and
-    finiteness checks of the public operators and no arrays or
+    defined here, run straight on the float passes, with no arrays or
     :class:`OperatorResult` per call.  Any other callable
     ``(vector, params) -> OperatorResult`` gets float64 arrays, and a
     result with ``in_domain=False`` maps to infinity.
     """
     found = _round_trip_of(operator)
     if found is not None:
-        round_trip, name, side = found
-        n, scale = params.n_periods, _scales(params)[side]
-        return lambda values: round_trip(_checked(values, n, name), scale)[0]
+        round_trip, _, _, side = found
+        scale = _scales(params)[side]
+        return lambda values: round_trip(values, scale)[0]
 
     def step(values: list) -> list:
         result = operator(np.array(values), params)
@@ -334,113 +398,6 @@ def _list_map(operator, params: ModelParams):
         return value if result.in_domain else [math.inf] * len(value)
 
     return step
-
-
-def _squares(values: list) -> list:
-    """``b**2`` per float by libm ``pow``, as the float passes take it; NaN where it overflows."""
-    try:
-        return [b**2 for b in values]
-    except OverflowError:
-        return list(map(_square, values))
-
-
-def _square(b: float) -> float:
-    try:
-        return b**2
-    except OverflowError:
-        return math.nan
-
-
-def _maker_rows(b: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """``_maker_pass`` on every column of ``b`` (rounds by rows), with the squares ``b2``.
-
-    Returns the unit prices.  A NaN square, where ``b**2`` overflows,
-    makes its round and every later round of the column NaN.
-    """
-    prices, prev = np.empty_like(b), np.ones(b.shape[1])
-    for k in range(b.shape[0]):
-        den = b2[k] * prev + 1.0
-        prices[k] = b[k] * prev / den
-        prev /= den
-    return prices
-
-
-def _insider_rows(lam: np.ndarray):
-    """``_insider_pass`` on every column of ``lam`` (rounds by rows), already in unit prices.
-
-    Every round runs on every column from ``alpha_N = 0``.  Only the
-    curvature recursion runs round by round (row i of ``alpha`` is the
-    ``alpha_{i+1}`` round i starts from); the domain tests and ``beta``
-    follow for all rounds at once.  Returns ``(beta, ok)``: the unit
-    strategies and the columns' domain verdicts.  A column keeps running
-    past a failed round, so the caller ignores floating-point warnings and
-    discards it; its rounds above the failure keep their values.
-    """
-    rtol, big, tiny = _DOMAIN_BOUNDS
-    alpha, four_lam = np.zeros_like(lam), 4.0 * lam
-    for i in range(lam.shape[0] - 1, 0, -1):
-        alpha[i - 1] = 1.0 / (four_lam[i] * (1.0 - alpha[i] * lam[i]))
-    alpha_lam = alpha * lam
-    u = 1.0 - alpha_lam
-    num_beta = 1.0 - 2.0 * alpha_lam
-    den_beta = 2.0 * lam * u
-    ok = (
-        (np.abs(u) > rtol * (1.0 + np.abs(alpha_lam)))
-        & (np.abs(num_beta) / big < np.abs(den_beta))
-        & (tiny < np.abs(four_lam * u))
-    ).all(axis=0)
-    return num_beta / den_beta, ok
-
-
-def _entry_replaced(units: list, values: list) -> np.ndarray:
-    """Rounds by rows: ``units`` in each column, but column r has ``values[r]`` at entry r // 2."""
-    table = np.repeat(np.array(units)[:, None], len(values), axis=1)
-    rows = np.arange(len(values))
-    table[rows // 2, rows] = values
-    return table
-
-
-def _strategy_stencil_rows(xs: list, scale, values: list) -> np.ndarray:
-    """The strategy round trip at ``xs`` with entry ``r // 2`` set to ``values[r]``, as row r.
-
-    Both passes run whole on the table of all points, each with the
-    operations and squares of the float passes in their order, so every
-    row has the bits of :func:`_strategy_round_trip` at its point.  A
-    multiplication or division by 1.0 that the float passes do is exact,
-    so it is left out.  Rows outside the domain read infinity.
-    """
-    units = [x / scale for x in xs]
-    rows_v = [v / scale for v in values]
-    b = _entry_replaced(units, rows_v)
-    b2 = _entry_replaced(_squares(units), _squares(rows_v))
-    with np.errstate(all="ignore"):
-        beta, ok = _insider_rows(_maker_rows(b, b2))
-        beta *= scale
-    beta[:, ~ok] = math.inf
-    return beta.T
-
-
-def _pricing_stencil_rows(xs: list, scale, values: list) -> np.ndarray:
-    """The pricing round trip at ``xs`` with entry ``r // 2`` set to ``values[r]``, as row r.
-
-    Both passes run whole on the table of all points, each with the
-    operations and squares of the float passes in their order, so every
-    row has the bits of :func:`_pricing_round_trip` at its point.  Rows
-    outside the domain read infinity.
-    """
-    lam = _entry_replaced([x / scale for x in xs], [v / scale for v in values])
-    with np.errstate(all="ignore"):
-        beta, ok = _insider_rows(lam)
-        # The strategy rounds after a point's entry are those of point 0,
-        # bit for bit (they run before any failure below them), so only
-        # the rounds up to its entry are squared per point.
-        own = np.arange(len(values)) // 2 >= np.arange(len(xs))[:, None]
-        b2 = np.repeat(np.array(_squares(beta[:, 0].tolist()))[:, None], len(values), axis=1)
-        b2[own] = _squares(beta[own].tolist())
-        prices = _maker_rows(beta, b2)
-        prices *= scale
-    prices[:, ~ok] = math.inf
-    return prices.T
 
 
 def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):

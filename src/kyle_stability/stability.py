@@ -22,29 +22,30 @@ either is any other callable and is called at every point.
 
 Local analysis around a fixed point goes through the Jacobian: central
 finite differences for any policy map, exact complex steps for the
-strategy round trip, eigenvalues by the standard dense solver (balancing,
+strategy round trip, exact triangular factors for the classification of
+both round trips, eigenvalues by the standard dense solver (balancing,
 Hessenberg reduction, shifted QR), and a classification of the spectral
 radius.  Scalar diagnostics for pinned-coordinate restrictions of the
 strategy map live here too: the exact derivative and the iteration of the
 tangent-line model.
 
-Both Jacobians stack one column rule per entry j in C order: a central
+Both derivative rules stack one column per entry j in C order: a central
 difference (:func:`_central_difference`) or a complex step
 (:func:`_complex_step`), which runs the float kernels unchanged on Python
 ``complex`` values and reads ``f'(x) = Im f(x + i h) / h``: no
 difference, so no cancellation (Squire & Trapp, SIAM Review 40, 1998).
 Both take the step ``c * |x_j|``, which follows the size of the point and
 not its units (see :func:`_relative_step`).  A column rule evaluates the
-whole map at the point with entry ``j`` replaced.  From ``_ROWS_MIN_N``
-entries on, the central differences of a bare round trip run the whole
-round trip once on the table of all 2N stencil points
-(``operators._strategy_stencil_rows`` and ``_pricing_stencil_rows``), as
-numpy rows with the bits of the round trip at each point, and check them
-column by column as :func:`_central_difference` does.
+whole map at the point with entry ``j`` replaced.
+:func:`classify_fixed_point` needs neither on the two round trips: it
+reads their exact Jacobians from the factor products
+``operators._strategy_jacobian`` and ``_pricing_jacobian``, one numpy
+sweep per pass.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -53,10 +54,7 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .model import Equilibrium, ModelParams, _count, _scales, equilibrium_from_params
-from .operators import (
-    _as_floats, _list_map, _pinned_map, _pricing_stencil_rows, _round_trip_of,
-    _strategy_round_trip, _strategy_stencil_rows,
-)
+from .operators import _as_floats, _list_map, _pinned_map, _round_trip_of, _strategy_round_trip
 
 __all__ = [
     "VERDICT_CONVERGED",
@@ -91,12 +89,6 @@ _CS_STEP = 1e-20
 # classify_fixed_point: the relative sup-norm move a fixed point may show.
 _FIXED_POINT_TOL = 1e-8
 _EIG_MAX_SIZE = 64
-# From this many entries on, the central differences of a bare round trip
-# evaluate their 2N stencil points at once as numpy rows: measured, the rows
-# beat one float round trip per point on both round trips in every set of
-# paired rounds from N = 9 on; at N = 7 and 8 they won in some sets and lost
-# in others (BENCH_20.json).
-_ROWS_MIN_N = 9
 # An iteration trace keeps the first and the last _TRACE_HALF iterates.
 _TRACE_HALF = 500
 
@@ -253,17 +245,22 @@ def _replaced(xs: list, j: int, v) -> list:
     return values
 
 
-def _central_difference(step, xs: list, j: int) -> list:
+def _central_difference(step, xs: list, j: int, name: str = "point") -> list:
     """Column ``j`` of the Jacobian at ``xs`` of ``step``, a map on float lists.
 
     ``(f(x + h e_j) - f(x - h e_j)) / 2h`` with ``h = cbrt(eps) |x_j|``
     (see :func:`_relative_step`), each point the whole map at ``xs`` with
-    entry ``j`` replaced; the plus point is evaluated first.  A non-finite
-    image entry raises :class:`StencilDomainError` for entry ``j + 1``.
+    entry ``j`` replaced; the plus point is evaluated first.  ``xs`` is
+    finite, so only the replaced entry is checked: one that overflows
+    raises ``ValueError`` ("``name`` must be finite").  A non-finite image
+    entry raises :class:`StencilDomainError` for entry ``j + 1``.
     """
     h = _relative_step(xs, j, _FD_STEP)
-    f_plus = step(_replaced(xs, j, xs[j] + h))
-    f_minus = step(_replaced(xs, j, xs[j] - h))
+    plus, minus = xs[j] + h, xs[j] - h
+    if not (math.isfinite(plus) and math.isfinite(minus)):
+        raise ValueError(f"{name} must be finite")
+    f_plus = step(_replaced(xs, j, plus))
+    f_minus = step(_replaced(xs, j, minus))
     if not all(map(math.isfinite, f_plus + f_minus)):
         raise StencilDomainError(j + 1)
     width = 2.0 * h
@@ -290,33 +287,9 @@ def _complex_step(step, xs: list, j: int) -> list:
     return [v.imag / h for v in values]
 
 
-def _columns(rule, step, xs: list) -> np.ndarray:
+def _columns(rule, step, xs: list, *args) -> np.ndarray:
     """The Jacobian of one column ``rule`` per entry, stacked in C order."""
-    return np.array([rule(step, xs, j) for j in range(len(xs))], order="F").T
-
-
-def _stencil_columns(side: int, name: str, xs: list, scale) -> np.ndarray:
-    """The central differences at ``xs`` of a bare round trip, from its stencil rows.
-
-    ``operators._strategy_stencil_rows`` or ``_pricing_stencil_rows``
-    runs the whole round trip on the table of all stencil points at once,
-    with the bits of the round trip at each point; the columns keep the
-    bits, and the errors in column order, of :func:`_central_difference`
-    on ``operators._list_map``.
-    """
-    steps = [_relative_step(xs, j, _FD_STEP) for j in range(len(xs))]
-    values = [v for x, h in zip(xs, steps) for v in (x + h, x - h)]
-    rows = (_strategy_stencil_rows, _pricing_stencil_rows)[side](xs, scale, values)
-    finite = np.isfinite(rows).all(axis=1).tolist()
-    for j in range(len(xs)):
-        if not (math.isfinite(values[2 * j]) and math.isfinite(values[2 * j + 1])):
-            raise ValueError(f"{name} must be finite")
-        if not (finite[2 * j] and finite[2 * j + 1]):
-            raise StencilDomainError(j + 1)
-    widths = np.array([2.0 * h for h in steps])
-    # A difference may overflow to infinity, as it does on Python floats.
-    with np.errstate(over="ignore"):
-        return np.ascontiguousarray(((rows[0::2] - rows[1::2]) / widths[:, None]).T)
+    return np.array([rule(step, xs, j, *args) for j in range(len(xs))], order="F").T
 
 
 def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
@@ -326,20 +299,17 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     stacked in C order.  Any callable ``(vector, params) ->
     OperatorResult`` works; the two round trips of
     :mod:`~kyle_stability.operators` run on their float passes without
-    building arrays per stencil point (from ``_ROWS_MIN_N`` entries on, one
-    round trip on all stencil points at once as numpy rows, with the same
-    bits), and reject a stencil point that overflows to infinity with
-    ``ValueError``, as their public form does.  A point that is not a
-    finite vector of length ``params.n_periods`` raises ``ValueError``.
-    Raises :class:`StencilDomainError` naming the (1-based) coordinate
-    whose stencil leaves the domain.
+    building arrays per stencil point.  A stencil point that overflows to
+    infinity raises ``ValueError``, named as the public operator names its
+    input (``beta``, ``lam``; ``point`` for any other callable).  A point
+    that is not a finite vector of length ``params.n_periods`` raises
+    ``ValueError``.  Raises :class:`StencilDomainError` naming the
+    (1-based) coordinate whose stencil leaves the domain.
     """
     xs = _as_floats(point, params.n_periods, "point")
     found = _round_trip_of(operator)
-    if found is not None and len(xs) >= _ROWS_MIN_N:
-        _, name, side = found
-        return _stencil_columns(side, name, xs, _scales(params)[side])
-    return _columns(_central_difference, _list_map(operator, params), xs)
+    name = "point" if found is None else found[2]
+    return _columns(_central_difference, _list_map(operator, params), xs, name)
 
 
 def _unit_point(point, params: ModelParams, name: str) -> list:
@@ -422,12 +392,13 @@ def classify_fixed_point(
     ``point`` must actually be fixed: one application of the map has to
     return it within 1e-8 in relative sup norm, otherwise
     :class:`NotAFixedPointError` is raised; one that is not a finite vector
-    of length ``params.n_periods`` raises ``ValueError``.  The Jacobian is
-    taken by finite differences (:func:`jacobian_fd`), after one
-    evaluation of the map at the point for the residual.  Any callable
-    ``(vector, params) -> OperatorResult`` works, and every callable takes
-    the same path; the two round trips of :mod:`~kyle_stability.operators`
-    run on their float passes without building arrays per evaluation.
+    of length ``params.n_periods`` raises ``ValueError``.  The residual
+    comes from one evaluation of the map at the point.  The two round trips
+    of :mod:`~kyle_stability.operators` take their exact Jacobian from the
+    product of their triangular factors (``operators._strategy_jacobian``,
+    ``_pricing_jacobian``), and so does a wrapper whose ``__wrapped__``
+    chain ends at one of them.  Any other callable ``(vector, params) ->
+    OperatorResult`` takes it by finite differences (:func:`jacobian_fd`).
     """
     xs = _as_floats(point, params.n_periods, "point")
     fixed = _list_map(operator, params)(xs)
@@ -438,7 +409,14 @@ def classify_fixed_point(
         raise NotAFixedPointError(
             f"map moves the point by {residual:.3e} in sup norm"
         )
-    jac = jacobian_fd(operator, xs, params)
+    # A wrapper that names a round trip as its __wrapped__ (functools.wraps,
+    # as a tracer's does) takes its Jacobian too, so tracing keeps the bits.
+    found = _round_trip_of(inspect.unwrap(operator))
+    if found is None:
+        jac = jacobian_fd(operator, xs, params)
+    else:
+        _, jacobian, _, side = found
+        jac = jacobian(xs, _scales(params)[side])
     ev = eigenvalues(jac)
     rho = float(np.abs(ev[0])) if ev.size else 0.0
     inf_norm = float(np.abs(jac).sum(axis=1).max())

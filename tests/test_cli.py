@@ -427,6 +427,37 @@ def test_unwritable_out_exits_two(tmp_path, capsys, where):
     assert err.count("\n") == 1
 
 
+def _cli_process(argv, **kwargs) -> subprocess.CompletedProcess:
+    """``kyle-stability argv`` run in a fresh interpreter on this checkout."""
+    src = str(Path(kyle_stability.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "kyle_stability.cli", *argv],
+        env=env, stderr=subprocess.PIPE, text=True, timeout=120, **kwargs,
+    )
+
+
+def test_closed_stdout_exits_two():
+    # Started with stdout closed (`>&-`), Python sets sys.stdout to None.
+    proc = _cli_process(["equilibrium", "--n", "3"], preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write stdout: Bad file descriptor"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_broken_stdout_pipe_exits_two(fmt):
+    # The reader is gone before the command writes (`| head -c 0`).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process(["tables", "--which", "key-results", "--format", fmt], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write stdout: Broken pipe"]
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["equilibrium", "--bogus"])
@@ -534,14 +565,8 @@ def test_simulate_rejects_overflowing_moments(capsys):
 def test_simulate_overflow_prints_one_error_line():
     # The path loop overflows in the worker threads; numpy's floating-point
     # warnings would print before the error line unless silenced there.
-    src = str(Path(kyle_stability.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = ["simulate", "--n", "3", "--paths", "1000", "--strategy", "1e200,1,1"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "kyle_stability.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _cli_process(argv, stdout=subprocess.PIPE)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines() == [
         "error: path moments overflow float range: parameters too large to simulate"

@@ -633,64 +633,6 @@ def test_pinned_map_equals_the_full_round_trip(n):
                     assert _entry_bits(step, [v]) == _entry_bits(lambda: [want]), (beta, k, v)
 
 
-@pytest.mark.parametrize("n", [1, 3, 14, 64])
-def test_stencil_rows_equal_the_column_images(n):
-    # Row r of the stencil rows is the whole round trip at the point with
-    # entry r // 2 set to values[r], bit for bit where that image is
-    # finite, and not finite where it is not: also where b**2 overflows at,
-    # before or after the entry, and where a round leaves the domain.  The
-    # rows are never None: they also cover pricing points whose insider
-    # rounds of xs[1:] leave the domain.
-    rng = np.random.default_rng(1818 + n)
-    eq = equilibrium_from_params(ModelParams(n_periods=n))
-    kernels = (operators._strategy_stencil_rows, operators._pricing_stencil_rows)
-    round_trips = (operators._strategy_round_trip, operators._pricing_round_trip)
-    tails_left = set()
-    for side, base in enumerate((eq.beta.tolist(), eq.lam.tolist())):
-        points = [base, (np.array(base) * rng.uniform(0.7, 1.3, n)).tolist()]
-        points += [(np.array(base) * rng.uniform(-2.0, 2.0, n)).tolist()]
-        for k in sorted({0, n // 2, n - 1}):
-            for value in (0.0, 1.5e154, 1e-160):
-                points.append(list(base))
-                points[-1][k] = value
-        if side == 0 and n > 1:
-            # The last entry sets lam_N = lam_{N-1} / 4 to rounding, so round
-            # N - 1 fails (1 - alpha_N lam_{N-1} = 0) with finite values.
-            lam, sigma_sq = operators._maker_pass(base)
-            target, prev = lam[-2] / 4.0, sigma_sq[-2]
-            root = (prev + np.sqrt(prev * prev - 4.0 * target * target * prev)) / 2.0
-            points.append([*base[:-1], float(root / (target * prev))])
-            assert not operators._strategy_round_trip(points[-1])[2]
-        if side == 1 and n > 2:
-            # Round 2 of this price path fails (alpha_2 lam_1 = 1 to rounding).
-            points.append(list(base))
-            points[-1][1] = 1.0 / operators._insider_pass(base)[1][2]
-        for xs in points:
-            for scale in (1.0, 2.5):
-                xs_s = [x * scale for x in xs]
-                values = [x * f for x in xs_s for f in (1.001, 0.999)]
-                values[2 * (n // 2)] = 1.6e154 * scale
-                # Row 0 is the point itself; on the pricing round trip row 2
-                # fails round 2 as above.
-                values[0] = xs_s[0]
-                if side == 1 and n > 2:
-                    values[2] = scale / operators._insider_pass(xs)[1][2]
-                rows = kernels[side](xs_s, scale, values)
-                tails_left.add(side == 1 and not operators._insider_pass(xs_s[1:], scale)[3])
-                assert rows is not None and rows.shape == (2 * n, n)
-                for r, v in enumerate(values):
-                    if not np.isfinite(v):
-                        continue
-                    point = list(xs_s)
-                    point[r // 2] = v
-                    want = round_trips[side](point, scale)[0]
-                    if all(map(np.isfinite, want)):
-                        assert [x.hex() for x in rows[r].tolist()] == [x.hex() for x in want]
-                    else:
-                        assert not np.isfinite(rows[r]).all(), (side, xs, r)
-    assert tails_left == ({False, True} if n > 2 else {False})
-
-
 def test_pinned_step_input_contract(unit_params_n3):
     eq = equilibrium_from_params(unit_params_n3)
     for x in (np.nan, np.inf, -np.inf):

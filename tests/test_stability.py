@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -303,8 +304,36 @@ def test_jacobian_fd_golden_values(n, side):
         assert [[repr(float(v)) for v in row] for row in jac] == _JACOBIAN_GOLDEN[
             f"{side}-{n}-{label}"
         ]
+    # classify_fixed_point takes the exact factor Jacobian: its radius is
+    # pinned, and meets the 50-digit oracle below to rounding.
     rho = classify_fixed_point(operator, point, params).spectral_radius
     assert repr(rho) == _JACOBIAN_GOLDEN[f"{side}-{n}-rho"]
+    assert abs(rho - float(_JACOBIAN_GOLDEN[f"{side}-{n}-rho-digits"])) <= 1e-14 * rho
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("side", ["insider", "maker"])
+def test_golden_spectral_radii_match_an_mpmath_oracle(n, side):
+    # The "-rho-digits" goldens: a 50-digit complex step through the float
+    # kernels on mpmath values, at the golden point divided by its scale.
+    mpmath = pytest.importorskip("mpmath")
+    params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    path, index, round_trip = {
+        "insider": ("beta", 0, operators._strategy_round_trip),
+        "maker": ("lam", 1, operators._pricing_round_trip),
+    }[side]
+    scale = _scales(params)[index]
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(float(v)) / mpmath.mpf(scale) for v in _JACOBIAN_GOLDEN[f"{path}-{n}"]]
+        h = mpmath.mpf("1e-30")
+        columns = []
+        for j in range(n):
+            x = [mpmath.mpc(v) for v in xs]
+            x[j] += mpmath.mpc(0, h)
+            columns.append([v.imag / h for v in round_trip(x)[0]])
+        spectrum = mpmath.eig(mpmath.matrix(columns).T, left=False, right=False)
+        rho = max(abs(v) for v in spectrum)
+        assert abs(rho - mpmath.mpf(_JACOBIAN_GOLDEN[f"{side}-{n}-rho-digits"])) <= 1e-20
 
 
 def _outcome(function, *args):
@@ -315,19 +344,32 @@ def _outcome(function, *args):
         return type(error), getattr(error, "coordinate", None)
 
 
-_ROWS_N = stability._ROWS_MIN_N
+def _exact_jacobian(operator, point, params: ModelParams) -> np.ndarray:
+    """The complex-step Jacobian of a round trip: ``jacobian_closed_form``,
+    or the same rule through the pricing round trip at ``point / L``."""
+    if operator is insider_policy_step:
+        return jacobian_closed_form(point, params)
+    _, scale_lam = _scales(params)
+    xs = [v / scale_lam for v in np.asarray(point, dtype=float).tolist()]
+    return stability._columns(
+        stability._complex_step, lambda v: operators._pricing_round_trip(v)[0], xs
+    )
 
 
-@pytest.mark.parametrize(
-    "n", sorted({1, 2, 3, 5, 8, 13, 14, 16, 32, 64, 128, _ROWS_N - 1, _ROWS_N})
-)
+def _gap(got, want) -> float:
+    """The largest entry error relative to the largest entry of ``want``."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 13, 14, 16, 32, 64, 128])
 @pytest.mark.parametrize("sigma_u", [1.0, 1e-8, 1e8], ids=["unit", "beta-1e-8", "beta-1e8"])
 def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
-    # The round trips skip the array boundary, and from _ROWS_MIN_N entries
-    # on evaluate their stencil points as numpy rows; a lambda around them
-    # is any other callable and takes the array path on whole points.
-    # Results must share every bit, and a stencil that leaves the domain
-    # must raise the same error for the same coordinate.
+    # The round trips skip the array boundary; a lambda around them is any
+    # other callable and takes the array path on whole points.  jacobian_fd
+    # and iterate must share every bit, and a stencil that leaves the domain
+    # must raise the same error for the same coordinate.  classify_fixed_point
+    # takes the lambda's Jacobian from jacobian_fd and the bare round trip's
+    # from the exact factors.
     params = ModelParams(n_periods=n, sigma_u=sigma_u)
     eq = equilibrium_from_params(params)
     for operator, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
@@ -358,11 +400,10 @@ def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
                 with pytest.raises(ValueError, match="matrix size"):
                     classify_fixed_point(op, point, params)
         else:
-            fast, slow = (classify_fixed_point(op, point, params) for op in (operator, wrapped))
-            assert fast.jacobian.tobytes() == slow.jacobian.tobytes()
-            assert fast.eigenvalues.tobytes() == slow.eigenvalues.tobytes()
-            assert repr(fast.spectral_radius) == repr(slow.spectral_radius)
-            assert repr(fast.inf_norm) == repr(slow.inf_norm)
+            bare, slow = (classify_fixed_point(op, point, params) for op in (operator, wrapped))
+            assert slow.jacobian.tobytes() == jacobian_fd(operator, point, params).tobytes()
+            assert _gap(bare.jacobian, _exact_jacobian(operator, point, params)) <= 1e-13
+            assert bare.classification == slow.classification
         start = point * (1.0 + 1e-3 * np.sin(np.arange(1, n + 1)))
         fast, slow = (iterate(op, start, params, max_iter=300) for op in (operator, wrapped))
         assert (fast.verdict, fast.iterations_used) == (slow.verdict, slow.iterations_used)
@@ -371,10 +412,105 @@ def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
         assert limits[0] == limits[1]
 
 
+@pytest.mark.parametrize("n", [1, 3, 14, 64])
+def test_central_differences_at_the_edges_of_the_domain(n):
+    # Every stencil point is the whole round trip at the point with one
+    # entry replaced, on float columns at every N.  At points where b**2
+    # overflows (1.5e154) at, before or after an entry, at zero and
+    # subnormal entries, and where a strategy or a price round fails with
+    # finite values, jacobian_fd on a bare round trip has the bits and the
+    # errors of the array path.  Where it succeeds at a point inside the
+    # domain, it meets the exact factor Jacobian within the FD bound.
+    rng = np.random.default_rng(1818 + n)
+    eq = equilibrium_from_params(ModelParams(n_periods=n))
+    jacobians = (operators._strategy_jacobian, operators._pricing_jacobian)
+    round_trips = (operators._strategy_round_trip, operators._pricing_round_trip)
+    outcomes = set()
+    for side, (operator, base) in enumerate(
+        ((insider_policy_step, eq.beta.tolist()), (maker_policy_step, eq.lam.tolist()))
+    ):
+        wrapped = lambda x, p, op=operator: op(x, p)  # noqa: E731
+        points = [base]
+        for k in sorted({0, n // 2, n - 1}):
+            for value in (0.0, 1.5e154, 1e-160, 5e-324):
+                points.append(list(base))
+                points[-1][k] = value
+        # Far from the equilibrium the central differences lose accuracy
+        # with the curvature (5.7e-7 of the largest entry, 2.8e4, seen at
+        # N = 64), so these two points get the FD bound at 1e-6.
+        far = [(np.array(base) * rng.uniform(*box, n)).tolist() for box in ((0.7, 1.3), (-2.0, 2.0))]
+        if side == 0 and n > 1:
+            # The last entry sets lam_N = lam_{N-1} / 4 to rounding, so round
+            # N - 1 fails (1 - alpha_N lam_{N-1} = 0) with finite values.
+            lam, sigma_sq = operators._maker_pass(base)
+            target, prev = lam[-2] / 4.0, sigma_sq[-2]
+            root = (prev + np.sqrt(prev * prev - 4.0 * target * target * prev)) / 2.0
+            points.append([*base[:-1], float(root / (target * prev))])
+            assert not operators._strategy_round_trip(points[-1])[2]
+        if side == 1 and n > 2:
+            # Round 2 of this price path fails (alpha_2 lam_1 = 1 to rounding).
+            points.append(list(base))
+            points[-1][1] = 1.0 / operators._insider_pass(base)[1][2]
+            assert not operators._pricing_round_trip(points[-1])[2]
+        for sigma_u in (1.0, 2.5):
+            params = ModelParams(n_periods=n, sigma_u=sigma_u)
+            scale = _scales(params)[side]
+            for xs, bound in [*((xs, 1e-7) for xs in points), *((xs, 1e-6) for xs in far)]:
+                x = [v * scale for v in xs]
+                fast, slow = (_outcome(jacobian_fd, op, x, params) for op in (operator, wrapped))
+                assert fast == slow, (side, xs)
+                outcomes.add(fast if isinstance(fast, tuple) else bytes)
+                if isinstance(fast, bytes) and round_trips[side](x, scale)[2]:
+                    exact = jacobians[side](x, scale)
+                    fd = jacobian_fd(operator, x, params)
+                    if np.isfinite(exact).all():
+                        assert np.max(np.abs(fd - exact)) <= bound * (1.0 + np.max(np.abs(exact)))
+                    else:
+                        # A tiny strategy entry: d beta / d lam overflows.
+                        assert not np.isfinite(fd).all(), (side, xs)
+    assert bytes in outcomes
+    if n > 1:
+        assert any(o[0] is StencilDomainError for o in outcomes if o is not bytes)
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 64, 200])
+def test_factor_jacobians_equal_the_complex_steps(n):
+    # The products of the triangular factors, on both round trips, meet a
+    # complex step through the whole round trip to rounding: at the
+    # equilibrium and 1% off it, at beta scales 10^-8, 1 and 10^8.
+    for sigma_u in (1e-8, 1.0, 1e8):
+        params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9 * sigma_u, sigma0=0.013)
+        eq = equilibrium_from_params(params)
+        for side, (operator, path) in enumerate(
+            ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam))
+        ):
+            jacobian = (operators._strategy_jacobian, operators._pricing_jacobian)[side]
+            for point in (path, path * (1.0 + 1e-2 * np.cos(np.arange(n)))):
+                got = jacobian(point.tolist(), _scales(params)[side])
+                want = _exact_jacobian(operator, point, params)
+                assert np.isfinite(got).all()
+                assert _gap(got, want) <= 1e-13, (sigma_u, side, _gap(got, want))
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_both_round_trips_give_the_same_spectral_radius(n):
+    # I o M and M o I share their nonzero spectrum, and classify_fixed_point
+    # reads both Jacobians from the exact factors, so the radii agree to
+    # rounding (at N = 1 both are 0).
+    params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    eq = equilibrium_from_params(params)
+    insider = classify_fixed_point(insider_policy_step, eq.beta, params)
+    maker = classify_fixed_point(maker_policy_step, eq.lam, params)
+    gap = abs(insider.spectral_radius - maker.spectral_radius)
+    assert gap <= 1e-12 * max(insider.spectral_radius, maker.spectral_radius), (n, gap)
+    assert insider.classification == maker.classification
+
+
 def test_wrapper_bound_to_a_round_trip_name_is_called(monkeypatch, unit_params_n3):
     # Only the functions defined in operators skip the array boundary; a
     # wrapper bound to their name later (as a tracer binds one) is called for
-    # the fixed-point check and each of the 2N stencil points, with the same bits.
+    # the fixed-point check and each of the 2N stencil points of jacobian_fd,
+    # with its bits.  The bare round trip takes the exact factor Jacobian.
     original = operators.insider_policy_step
     calls = []
 
@@ -388,7 +524,32 @@ def test_wrapper_bound_to_a_round_trip_name_is_called(monkeypatch, unit_params_n
     assert len(calls) == 7
     via_original = classify_fixed_point(original, eq.beta, unit_params_n3)
     assert len(calls) == 7
-    assert via_original.jacobian.tobytes() == via_wrapper.jacobian.tobytes()
+    fd = jacobian_fd(original, eq.beta, unit_params_n3)
+    assert via_wrapper.jacobian.tobytes() == fd.tobytes()
+    exact = jacobian_closed_form(eq.beta, unit_params_n3)
+    assert _gap(via_original.jacobian, exact) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_functools_wrapper_of_a_round_trip_takes_the_factors(n):
+    # A tracer wraps the round trips with functools.wraps; classify_fixed_point
+    # follows __wrapped__ to the round trip, so a traced report has the bits
+    # of an untraced one.  The wrapper is still called, once, for the residual.
+    params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    eq = equilibrium_from_params(params)
+    for operator, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
+        calls = []
+
+        @functools.wraps(operator)
+        def traced(x, p, op=operator):
+            calls.append(1)
+            return op(x, p)
+
+        got, want = (classify_fixed_point(op, point, params) for op in (traced, operator))
+        assert len(calls) == 1
+        assert got.jacobian.tobytes() == want.jacobian.tobytes()
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert repr(got.spectral_radius) == repr(want.spectral_radius)
 
 
 @pytest.mark.parametrize(
