@@ -215,6 +215,12 @@ def _emit(args, result) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
+        if not args.out and sys.stdout is not None:
+            # The interpreter flushes stdout again at exit; text left in its
+            # buffer would fail there too, so stdout now goes to devnull.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         where = f"--out {args.out}" if args.out else "stdout"
         raise ValueError(f"cannot write {where}: {exc.strerror}") from None
 

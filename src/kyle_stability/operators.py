@@ -358,7 +358,7 @@ def maker_policy_step(lam, params: ModelParams) -> OperatorResult:
 # The two round trips as defined here, with their Jacobian, their input and
 # the index of their scale in ``_scales``.  A wrapper bound to their names
 # later (a tracer, a test double) is any other callable, so it is called like
-# one; only classify_fixed_point follows its ``__wrapped__`` to the Jacobian.
+# one.
 _ROUND_TRIPS = (
     (insider_policy_step, _strategy_round_trip, _strategy_jacobian, "beta", 0),
     (maker_policy_step, _pricing_round_trip, _pricing_jacobian, "lam", 1),

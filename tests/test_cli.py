@@ -446,12 +446,17 @@ def test_closed_stdout_exits_two():
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_broken_stdout_pipe_exits_two(fmt):
-    # The reader is gone before the command writes (`| head -c 0`).
+@pytest.mark.parametrize(
+    "argv", [["equilibrium", "--n", "3"], ["tables", "--which", "key-results"]]
+)
+def test_broken_stdout_pipe_exits_two(argv, fmt):
+    # The reader is gone before the command writes (`| head -c 0`).  The
+    # output fits the stdout buffer, which the interpreter flushes again at
+    # exit: that flush must not fail a second time.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _cli_process(["tables", "--which", "key-results", "--format", fmt], stdout=write_end)
+        proc = _cli_process([*argv, "--format", fmt], stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 2

@@ -532,9 +532,10 @@ def test_wrapper_bound_to_a_round_trip_name_is_called(monkeypatch, unit_params_n
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_functools_wrapper_of_a_round_trip_takes_the_factors(n):
-    # A tracer wraps the round trips with functools.wraps; classify_fixed_point
-    # follows __wrapped__ to the round trip, so a traced report has the bits
-    # of an untraced one.  The wrapper is still called, once, for the residual.
+    # A tracer wraps the round trips with functools.wraps.  The wrapper is
+    # called like any other callable, once for the residual and 2N times by
+    # jacobian_fd, and its central differences meet the exact Jacobian of the
+    # round trip it wraps, so the report has the bits of the bare round trip.
     params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
     eq = equilibrium_from_params(params)
     for operator, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
@@ -546,10 +547,31 @@ def test_functools_wrapper_of_a_round_trip_takes_the_factors(n):
             return op(x, p)
 
         got, want = (classify_fixed_point(op, point, params) for op in (traced, operator))
-        assert len(calls) == 1
+        assert len(calls) == 1 + 2 * n
         assert got.jacobian.tobytes() == want.jacobian.tobytes()
         assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert repr(got.spectral_radius) == repr(want.spectral_radius)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_functools_wrapper_that_changes_the_map_keeps_its_differences(n):
+    # A wrapper of a round trip that adds 0.5 (x - x*) keeps the fixed point
+    # x* but moves the Jacobian by 0.5 I: the report is the wrapper's own
+    # central differences, not the exact Jacobian of the map it wraps.
+    params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    eq = equilibrium_from_params(params)
+    for operator, point in ((insider_policy_step, eq.beta), (maker_policy_step, eq.lam)):
+
+        @functools.wraps(operator)
+        def shifted(x, p, op=operator, fixed=point):
+            result = op(x, p)
+            value = result.value + 0.5 * (np.asarray(x) - fixed)
+            return operators.OperatorResult(value, result.in_domain, result.denominators)
+
+        got = classify_fixed_point(shifted, point, params)
+        assert got.jacobian.tobytes() == jacobian_fd(shifted, point, params).tobytes()
+        moved = _exact_jacobian(operator, point, params) + 0.5 * np.eye(n)
+        assert _gap(got.jacobian, moved) <= 1e-8
 
 
 @pytest.mark.parametrize(
