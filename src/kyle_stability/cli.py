@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--block-size", type=int, default=1 << 16,
         help="paths handed to the worker threads at a time, rounded up to 4096-path chunks"
         " (default 65536); changes no result bit, and each worker streams its share"
-        " through a scratch of at most 16,384 paths",
+        " through a scratch of one chunk",
     )
 
     p_tab = sub.add_parser("tables", help="reproduce the headline tables and experiments")

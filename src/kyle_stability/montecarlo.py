@@ -15,18 +15,17 @@ its paths' normals, path by path, from its own Philox substream (counter
 are whole chunks, and each block is cut into whole chunks per worker (the
 CPUs available to the process, at most four): the calling thread runs the
 first share and a thread pool the others, so one worker starts no thread.
-A worker streams its share in passes of up to four chunks through its own
-scratch: it draws a pass round-major (one contiguous row per draw) and
-runs the path loop on it into column-major moment rows, so every round
-reads and writes contiguous memory, then writes one moment matrix per
-chunk.  The main thread allocates each worker's scratch once per run, no
-larger than one pass or than the worker's share of a block, so memory
-does not grow with the block size or the number of paths.  It adds the
-chunk matrices in chunk order into one total, so
-every result is bit-identical for a given seed and inputs, whatever the
-block size and the number of workers.  Workers run only numpy, whose
-sampler and array kernels release the interpreter lock, and call no
-public function of the package, which needs numpy alone.
+A worker streams its share through its own one-chunk scratch: for each
+chunk it draws the paths round-major (one contiguous row per draw), runs
+the path loop on them into column-major moment rows, so every round
+reads and writes contiguous memory, and writes the chunk's moment
+matrix.  The main thread allocates each worker's scratch once per run,
+so memory does not grow with the block size or the number of paths.  It
+adds the chunk matrices in chunk order into one total, so every result
+is bit-identical for a given seed and inputs, whatever the block size
+and the number of workers.  Workers run only numpy, whose sampler and
+array kernels release the interpreter lock, and call no public function
+of the package, which needs numpy alone.
 """
 
 from __future__ import annotations
@@ -51,10 +50,8 @@ __all__ = [
 ]
 
 _SEED_MODULUS = 2**64
-# Paths per Philox substream (see ``_block_normals``).
+# Paths per Philox substream and per pass of a worker (see ``_run_paths``).
 _CHUNK = 4096
-# Chunks per pass of a worker through its scratch (see ``_run_paths``).
-_PASS = 4
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,8 @@ class SimConfig:
     handed to the worker threads at a time, rounded up to whole 4096-path
     chunks; it changes no bit of the result.  It sets only the moment
     buffer, one ``(2n + 2)``-square matrix per chunk of a block.  Each
-    worker holds ``3n + 3`` floats (the draws and the moment rows) per path
-    of its pass, 16,384 paths or its share of a block if that is smaller.
+    worker holds ``3n + 3`` floats (the draws and the moment rows) for each
+    path of one chunk.
     """
 
     params: ModelParams
@@ -131,7 +128,7 @@ def equilibrium_config(
     """Simulation config with the equilibrium strategy and pricing rule.
 
     ``block_size`` rounds up to whole 4096-path chunks, changes no bit of
-    the result and leaves each worker's scratch at one pass (see
+    the result and leaves each worker's scratch at one chunk (see
     :class:`SimConfig`).
     """
     eq = equilibrium_from_params(params)
@@ -176,15 +173,15 @@ def _worker_count() -> int:
 def _run_paths(
     config: SimConfig, start: int, count: int, z: np.ndarray, w: np.ndarray, moments: np.ndarray
 ) -> None:
-    """Simulate paths ``start`` to ``start + count`` in passes through ``z`` and ``w``.
+    """Simulate paths ``start`` to ``start + count``, a chunk at a time, in ``z`` and ``w``.
 
-    ``start`` is a multiple of ``_CHUNK``.  Each pass of up to ``_PASS``
-    chunks draws its paths into the first columns of ``z`` (row 0 drives
-    v, row 1 + i the noise trade of round i), runs the path loop into the
-    first rows of ``w``, the moment rows ``W = [1, dy_1..dy_n, (v -
-    p_1)..(v - p_n), profit]``, and writes the moment matrix of the
-    range's chunk k into ``moments[k]``.  An overflow stays non-finite in
-    the matrices, for ``simulate`` to report.
+    ``start`` is a multiple of ``_CHUNK``.  Each chunk draws its paths into
+    the first columns of ``z`` (row 0 drives v, row 1 + i the noise trade
+    of round i), runs the path loop into the first rows of ``w``, the
+    moment rows ``W = [1, dy_1..dy_n, (v - p_1)..(v - p_n), profit]``, and
+    writes the moment matrix of the range's chunk k into ``moments[k]``.
+    An overflow stays non-finite in the matrices, for ``simulate`` to
+    report.
     """
     params = config.params
     n = params.n_periods
@@ -194,14 +191,16 @@ def _run_paths(
     du_scale = params.sigma_u * np.sqrt(delta)
     root_sigma0 = np.sqrt(params.sigma0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, count, _PASS * _CHUNK):
-            rows = min(_PASS * _CHUNK, count - first)
+        for first in range(0, count, _CHUNK):
+            rows = min(_CHUNK, count - first)
             zp, wp = z[:, :rows], w[:rows]
             _block_normals(config.seed, start + first, zp)
             v = root_sigma0 * zp[0]
             wp[:, 0] = 1.0
             profit = wp[:, -1]
             profit[:] = 0.0
+            # Every round's noise trade, scaled into its order-flow column.
+            np.multiply(du_scale, zp[1:], out=wp[:, 1 : n + 1].T)
             price, dx, tmp = np.zeros(rows), np.empty(rows), np.empty(rows)
             for i in range(n):
                 # dx = beta_i (v - price) delta; order flow and pricing
@@ -209,13 +208,11 @@ def _run_paths(
                 np.subtract(v, price, out=dx)
                 dx *= beta[i]
                 dx *= delta
-                dy = np.multiply(du_scale, zp[1 + i], out=wp[:, 1 + i])
+                dy = wp[:, 1 + i]
                 dy += dx
                 price += np.multiply(dy, lam[i], out=tmp)
                 profit += np.multiply(np.subtract(v, price, out=wp[:, 1 + n + i]), dx, out=tmp)
-            for lo in range(0, rows, _CHUNK):
-                chunk = wp[lo : lo + _CHUNK]
-                np.matmul(chunk.T, chunk, out=moments[(first + lo) // _CHUNK])
+            np.matmul(wp.T, wp, out=moments[first // _CHUNK])
 
 
 def _shares(count: int, workers: int) -> list:
@@ -230,13 +227,13 @@ def simulate(config: SimConfig) -> SimResult:
 
     Paths are processed in blocks of ``config.block_size`` rounded up to
     whole chunks, each cut into whole chunks per worker; a worker runs its
-    share in passes of up to ``_PASS`` chunks.  Every chunk's moment
-    matrix is added in chunk order into one total, so results are
-    bit-identical for a fixed seed and inputs, whatever the block size and
-    the number of workers.  Raises ``ValueError`` when the moment sums
-    overflow float range, or underflow to a singular regression (very
-    large or very small ``sigma_u``, for one), or when a regression's
-    covariance overflows (parameter scales far apart).
+    share one chunk at a time.  Every chunk's moment matrix is added in
+    chunk order into one total, so results are bit-identical for a fixed
+    seed and inputs, whatever the block size and the number of workers.
+    Raises ``ValueError`` when the moment sums overflow float range, or
+    underflow to a singular regression (very large or very small
+    ``sigma_u``, for one), or when a regression's covariance overflows
+    (parameter scales far apart).
     """
     from concurrent.futures import ThreadPoolExecutor
     from contextlib import nullcontext
@@ -253,17 +250,15 @@ def simulate(config: SimConfig) -> SimResult:
     block = -(-config.block_size // _CHUNK) * _CHUNK
     workers = _worker_count()
     # Each worker's scratch holds the draws and the column-major moment
-    # rows of its longest pass: a pass of _PASS chunks, or its whole share
-    # of the first or the last block if that is shorter.  The scratch and
-    # the chunk moment buffer are allocated once by this thread and reused
-    # by every pass and block: arrays made per block were faulted in again
-    # block after block, and arrays that pool threads make stay in those
-    # threads' allocator arenas, so that peak memory varied from run to run.
-    widths = [0] * workers
-    for count in {min(block, n_paths), (n_paths - 1) % block + 1}:
-        for k, (lo, hi) in enumerate(_shares(count, workers)):
-            widths[k] = max(widths[k], min(hi - lo, _PASS * _CHUNK))
-    scratch = [(np.empty((n + 1, width)), np.empty((width, dim), order="F")) for width in widths]
+    # rows of one chunk.  The scratch and the chunk moment buffer are allocated once by this
+    # thread and reused by every chunk and block: arrays made per block
+    # were faulted in again block after block, and arrays that pool
+    # threads make stay in those threads' allocator arenas, so that peak
+    # memory varied from run to run.
+    width = min(_CHUNK, n_paths)
+    scratch = [
+        (np.empty((n + 1, width)), np.empty((width, dim), order="F")) for _ in range(workers)
+    ]
     moments = np.empty((-(-min(block, n_paths) // _CHUNK), dim, dim))
     # The calling thread runs the first share of each block, and a pool of
     # workers - 1 threads the others; one worker starts no thread.

@@ -399,9 +399,9 @@ def test_worker_count_changes_no_bit(monkeypatch):
     # 25,000 paths are six full chunks and a partial one: one block of
     # seven chunks at 65,536-row blocks, cut 3/4, 2/2/3 and 1/2/2/2, blocks
     # of 3, 3 and 1 chunks at 10,000, and one chunk per block below.  At
-    # five-chunk blocks one worker runs a full pass and a one-chunk pass,
-    # then a block of one chunk and the partial one.  A short switch
-    # interval makes the threads interleave often.
+    # five-chunk blocks a block of five full chunks is followed by one of a
+    # full chunk and the partial one.  A short switch interval makes the
+    # threads interleave often.
     params = ModelParams(n_periods=4, delta=0.37, sigma_u=2.9, sigma0=0.013)
     eq = equilibrium_from_params(params)
     config = SimConfig(
@@ -461,15 +461,37 @@ def test_simulate_draws_each_path_once_from_chunk_boundaries(monkeypatch, worker
     assert [lo for lo, _ in ends] == [0] + [hi for _, hi in ends[:-1]]
 
 
+@pytest.mark.parametrize("block_size", [1, 10_000, 65_536])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_simulate_scratch_is_no_wider_than_one_chunk(monkeypatch, workers, block_size):
+    # Each worker streams its share one chunk at a time through a scratch
+    # of one chunk, whatever the block size: no draw, and no array it
+    # writes into, has more than one chunk's columns.
+    widths = []
+
+    def spy(seed, start, out):
+        scratch = out if out.base is None else out.base
+        widths.append((out.shape[1], scratch.shape[1]))
+        draw(seed, start, out)
+
+    draw = montecarlo._block_normals
+    monkeypatch.setattr(montecarlo, "_block_normals", spy)
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+    simulate(replace(_golden_n5_config(1.0), block_size=block_size))
+    assert sum(count for count, _ in widths) == 70_001
+    assert max(max(pair) for pair in widths) <= montecarlo._CHUNK
+
+
 def test_simulate_memory_is_flat_in_block_size_and_paths(monkeypatch):
     # numpy reports its buffers to tracemalloc.  Two workers each stream
-    # their share of a block through one scratch of 3n + 3 floats per path
-    # of a pass; on top of it come each worker's path-major draws of one
-    # chunk, eight pass-length vectors of the path loop, and one moment
-    # matrix per chunk of a block.  Block-sized draw and moment-row arrays
-    # (39.3 MB at N=24 and 65,536 paths) would break the bound.
+    # their share of a block one chunk at a time through one scratch of
+    # 3n + 3 floats per path of a chunk; on top of it come each worker's
+    # path-major draws of one chunk, eight chunk-length vectors of the path
+    # loop, and one moment matrix per chunk of a block.  Block-sized draw
+    # and moment-row arrays (39.3 MB at N=24 and 65,536 paths), or passes
+    # of four chunks (23.7 MB), would break the bound.
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
-    n, workers, rows = 24, 2, montecarlo._PASS * montecarlo._CHUNK
+    n, workers, rows = 24, 2, montecarlo._CHUNK
     params = ModelParams(n_periods=n)
 
     def peak(n_paths, block_size):
@@ -481,17 +503,22 @@ def test_simulate_memory_is_flat_in_block_size_and_paths(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    def bound(n_paths, block_size):
+    def matrix_bytes(n_paths, block_size):
         chunks = -(-min(n_paths, block_size) // montecarlo._CHUNK)
+        return 8 * chunks * (2 * n + 2) ** 2
+
+    def bound(n_paths, block_size):
         scratch = rows * (3 * n + 3 + 8) + montecarlo._CHUNK * (n + 1)
-        return 8 * (workers * scratch + chunks * (2 * n + 2) ** 2)
+        return 8 * workers * scratch + matrix_bytes(n_paths, block_size)
 
     peaks = {block: peak(250_000, block) for block in (4096, 1 << 16, 1 << 20)}
     for block, value in peaks.items():
         assert value <= bound(250_000, block), block
-    # Below one pass per worker a block's shares are smaller than a pass.
+    # The scratch is one chunk at every block size, so a longer block adds
+    # only its chunk moment matrices: 46 more at 2**20 than at 2**16.
     assert peaks[4096] <= peaks[1 << 16]
-    assert peaks[1 << 20] <= 1.1 * peaks[1 << 16]
+    extra = matrix_bytes(250_000, 1 << 20) - matrix_bytes(250_000, 1 << 16)
+    assert peaks[1 << 20] - peaks[1 << 16] <= 1.05 * extra
     fewer = peak(100_000, 1 << 16)
     assert fewer <= bound(100_000, 1 << 16)
     assert abs(fewer - peaks[1 << 16]) <= 0.1 * peaks[1 << 16]
