@@ -21,9 +21,9 @@ round trip through it has left the domain in the same way.
 
 Every public operator runs on two private passes over Python floats, in
 unit parameters (``delta = sigma_u = sigma0 = 1``): ``_maker_pass``
-(forward variance recursion, resumable from a known variance and earlier
-prices) and ``_insider_pass`` (backward recursion from ``alpha_N = 0`` to
-``beta``, ``alpha``, the strategy denominators and the domain verdict).
+(forward variance recursion from ``sigma_0 = 1``) and ``_insider_pass``
+(backward recursion from ``alpha_N = 0`` to ``beta``, ``alpha``, the
+strategy denominators and the domain verdict).
 The scales ``s`` and ``L`` of ``model._scales`` map in and out inside
 their loops: ``T_p(x) = s T_1(x / s)`` for strategies and
 ``P_p(l) = L P_1(l / L)`` for prices.  Public functions validate input
@@ -32,13 +32,17 @@ once and build numpy arrays only for their results.
 once, for the public round trips and for ``_list_map``, which hands them
 to the iteration loop and the difference stencils as maps on float lists.
 
-A derivative column or a pinned step is the whole round trip at a point
-with one entry replaced; the pinned map only solves the maker rounds
-before its entry once and resumes the maker pass there.  The float passes
-also run on Python ``complex`` values, which is how the stability module
-takes exact complex-step derivatives.  ``b**2`` stays a power (libm
-``pow``), not ``b * b``: they differ in the last bit for about one input
-in 1,250, which golden tests pin.
+A derivative column is the whole round trip at a point with one entry
+replaced.  So is a pinned step, with the bits of the composed passes, but
+it is one function of its own: the pinned map solves the maker rounds
+before its entry once, and each step runs the maker rounds from the entry
+on and the backward recursion over all rounds on Python floats, keeping
+only the pinned round's strategy and no per-round list but the new prices.
+The float passes also run on Python ``complex`` values, which is how the
+stability module takes exact complex-step derivatives.  ``b**2`` stays a
+power (libm ``pow``), not ``b * b``, in the passes and the pinned step:
+they differ in the last bit for about one input in 1,250, which golden
+tests pin.
 
 The exact Jacobians of the round trips are products of two triangular
 factors: ``M' = d lam / d beta`` is lower triangular (``lam_n`` depends on
@@ -46,8 +50,11 @@ factors: ``M' = d lam / d beta`` is lower triangular (``lam_n`` depends on
 (``beta_n`` depends on ``lam_n .. lam_N``), so the strategy round trip has
 ``I'(lam) M'(beta)`` and the pricing round trip ``M'(beta) I'(lam)``.
 ``_maker_factor`` and ``_insider_factor`` take each factor in unit
-parameters from the values of one float pass, with one numpy sweep;
-``_strategy_jacobian`` and ``_pricing_jacobian`` multiply them.
+parameters from the variances or curvatures of one float pass, with one
+numpy sweep.  ``_strategy_jacobian`` and ``_pricing_jacobian`` run one pass
+of each side, multiply the factors and return the round trip's value with
+its Jacobian, so a classification reads its residual and its Jacobian
+from the same passes.
 """
 
 from __future__ import annotations
@@ -80,7 +87,8 @@ __all__ = [
 # depend on the scale of delta, sigma_u or sigma0.
 DOMAIN_RTOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
-# What _insider_pass binds to locals: the relative tolerance and the float range.
+# What _insider_pass and the pinned step bind to locals: the relative
+# tolerance and the float range.
 _DOMAIN_BOUNDS = (DOMAIN_RTOL, _FLOAT_MAX, 1.0 / _FLOAT_MAX)
 
 
@@ -137,17 +145,15 @@ def _as_floats(x, n: int, name: str) -> list:
     return values
 
 
-def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0, lam=()) -> tuple[list, list]:
+def _maker_pass(beta: list, scale=1.0, out=1.0) -> tuple[list, list]:
     """Forward variance recursion in unit parameters: ``(lam, sigma_sq)``.
 
-    Runs on ``beta / scale`` and returns the prices times ``out``.  Resumes
-    after the rounds whose prices ``lam`` are given, from the variance
-    ``prev`` they left; ``beta`` covers the remaining rounds and
-    ``sigma_sq`` starts at ``prev``.  Every denominator is at least 1, so
-    only an overflowing ``b**2`` raises; the pass has then left the domain,
-    and its own rounds read NaN.
+    Runs on ``beta / scale`` from ``sigma_0 = 1`` and returns the prices
+    times ``out``.  Every denominator is at least 1, so only an overflowing
+    ``b**2`` raises; the pass has then left the domain, and every round
+    reads NaN.
     """
-    prices, sigma_sq = list(lam), [prev]
+    prev, prices, sigma_sq = 1.0, [], [1.0]
     try:
         for b in beta:
             b /= scale
@@ -157,7 +163,7 @@ def _maker_pass(beta: list, scale=1.0, out=1.0, prev=1.0, lam=()) -> tuple[list,
             sigma_sq.append(prev)
     except OverflowError:
         nan = [math.nan] * len(beta)
-        return [*lam, *nan], [sigma_sq[0], *nan]
+        return nan, [1.0, *nan]
     return prices, sigma_sq
 
 
@@ -172,7 +178,7 @@ def _insider_pass(lam: list, scale=1.0, out=1.0):
     ``in_domain`` is False.
     """
     n = len(lam)
-    # Constants bound to locals: this loop is the hottest code of a pinned step.
+    # Constants bound to locals: this loop runs in every round trip.
     rtol, big, tiny = _DOMAIN_BOUNDS
     beta = [0.0] * n
     alpha = [math.nan] * n + [0.0]
@@ -270,8 +276,8 @@ def _pricing_round_trip(lam: list, scale=1.0) -> tuple[list, list, bool]:
     return value, dens, in_domain
 
 
-def _maker_factor(beta: list) -> tuple[list, np.ndarray]:
-    """The unit prices of :func:`_maker_pass` at unit ``beta``, and ``M' = d lam / d beta``.
+def _maker_factor(beta: list, sigma_sq: list) -> np.ndarray:
+    """``M' = d lam / d beta`` at unit ``beta``, from the variances of :func:`_maker_pass`.
 
     In unit parameters ``1 / Sigma_k = 1 / Sigma_{k-1} + b_k**2``, so the
     forward sweep carries ``d Sigma_k / d b_j = -2 b_j Sigma_k**2`` for
@@ -279,16 +285,15 @@ def _maker_factor(beta: list) -> tuple[list, np.ndarray]:
     and ``Sigma_k**2 (1 - b_k**2 Sigma_{k-1}) / Sigma_{k-1}`` on the
     diagonal: ``M'`` is lower triangular.
     """
-    lam, sigma_sq = _maker_pass(beta)
     b, jac = np.array(beta), np.zeros((len(beta), len(beta)))
     for k, (b_k, prev, var) in enumerate(zip(beta, sigma_sq, sigma_sq[1:])):
         np.multiply(b[:k], -2.0 * b_k * var * var, out=jac[k, :k])
         jac[k, k] = var * var * (1.0 - b_k * b_k * prev) / prev
-    return lam, jac
+    return jac
 
 
-def _insider_factor(lam: list) -> tuple[list, np.ndarray]:
-    """The unit strategies of :func:`_insider_pass` at unit ``lam``, and ``I' = d beta / d lam``.
+def _insider_factor(lam: list, alpha: list) -> np.ndarray:
+    """``I' = d beta / d lam`` at unit ``lam``, from the curvatures of :func:`_insider_pass`.
 
     Round n starts from ``a = alpha_n`` and has ``p = a lam_n`` and
     ``u = 1 - p``.  In its own price ``d beta_n / d lam_n = -(1 / lam_n**2
@@ -299,7 +304,6 @@ def _insider_factor(lam: list) -> tuple[list, np.ndarray]:
     from ``alpha_N = 0``, and ``I'`` is upper triangular.  Meant for a
     point inside the domain (see ``DOMAIN_RTOL``).
     """
-    beta, alpha, _, _ = _insider_pass(lam)
     n = len(lam)
     jac, d_alpha = np.zeros((n, n)), np.zeros(n)
     for i in range(n - 1, -1, -1):
@@ -312,28 +316,42 @@ def _insider_factor(lam: list) -> tuple[list, np.ndarray]:
             d_alpha *= carry
         jac[i, i] = -0.5 * (inverse * inverse + ratio * ratio)
         d_alpha[i] = -4.0 * (1.0 - 2.0 * p) * new * new
-    return beta, jac
+    return jac
 
 
-def _strategy_jacobian(beta: list, scale=1.0) -> np.ndarray:
-    """Jacobian of the strategy round trip at ``beta``: ``I'(lam) M'(beta / scale)``.
+def _strategy_jacobian(beta: list, scale=1.0) -> tuple[list, np.ndarray]:
+    """The strategy round trip at ``beta`` and its Jacobian ``I'(lam) M'(beta / scale)``.
 
+    One pass of each side at ``beta / scale`` gives the value, as
+    :func:`_strategy_round_trip` has it, and both factors.
     ``T_p(x) = s T_1(x / s)``, so ``J_p(x) = J_1(x / s)``.  An entry that
-    overflows reads infinity, as on Python floats.
+    overflows reads infinity, as on Python floats; outside the domain the
+    Jacobian is all NaN.
     """
+    unit = [b / scale for b in beta]
+    lam, sigma_sq = _maker_pass(unit)
+    value, alpha, _, in_domain = _insider_pass(lam, 1.0, scale)
+    if not in_domain:
+        return value, np.full((len(beta), len(beta)), np.nan)
     with np.errstate(all="ignore"):
-        lam, maker = _maker_factor([b / scale for b in beta])
-        return _insider_factor(lam)[1] @ maker
+        return value, _insider_factor(lam, alpha) @ _maker_factor(unit, sigma_sq)
 
 
-def _pricing_jacobian(lam: list, scale=1.0) -> np.ndarray:
-    """Jacobian of the pricing round trip at ``lam``: ``M'(beta) I'(lam / scale)``.
+def _pricing_jacobian(lam: list, scale=1.0) -> tuple[list, np.ndarray]:
+    """The pricing round trip at ``lam`` and its Jacobian ``M'(beta) I'(lam / scale)``.
 
-    ``P_p(l) = L P_1(l / L)``, so ``J_p(l) = J_1(l / L)``.
+    One pass of each side at ``lam / scale`` gives the value, as
+    :func:`_pricing_round_trip` has it before its finiteness check, and both
+    factors.  ``P_p(l) = L P_1(l / L)``, so ``J_p(l) = J_1(l / L)``;
+    outside the domain of the insider pass the Jacobian is all NaN.
     """
+    unit = [v / scale for v in lam]
+    beta, alpha, _, in_domain = _insider_pass(unit)
+    if not in_domain:
+        return beta, np.full((len(lam), len(lam)), np.nan)
+    value, sigma_sq = _maker_pass(beta, 1.0, scale)
     with np.errstate(all="ignore"):
-        beta, insider = _insider_factor([v / scale for v in lam])
-        return _maker_factor(beta)[1] @ insider
+        return value, _maker_factor(beta, sigma_sq) @ _insider_factor(unit, alpha)
 
 
 def _operator_result(round_trip, x, params: ModelParams, name: str, side: int) -> OperatorResult:
@@ -405,11 +423,15 @@ def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):
 
     ``[x] -> [entry coord of the strategy round trip]``, with the other
     entries at ``eq.beta``, which is validated here once.  The maker rounds
-    before the entry never change, so they are solved once; each step
-    resumes the maker pass at the entry and runs the insider pass whole,
-    with the bits of the whole round trip.  The image is ``[inf]`` when the
-    step leaves the domain.  One-element lists are the shape the iteration
-    loop plays.
+    before the entry never change, so their prices and the variance they
+    leave are solved once, and the later entries divided by s once.  A step
+    is one function on Python floats: the maker rounds from the entry on,
+    then the backward insider recursion over their prices and the fixed
+    ones, with the per-round arithmetic and the domain test of
+    :func:`_maker_pass` and :func:`_insider_pass`, so it has the bits of the
+    whole round trip.  It keeps only the strategy of the pinned round.  The
+    image is ``[inf]`` when the step leaves the domain.  One-element lists
+    are the shape the iteration loop plays.
     """
     n = params.n_periods
     if _count(coord, "coord", 1) > n:
@@ -420,11 +442,41 @@ def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):
     # b**2 overflowing in these rounds leaves them and their variance NaN,
     # so every step leaves the domain, as the whole round trip does.
     head, sigma_sq = _maker_pass(beta[:i], s)
-    prev, tail = sigma_sq[-1], beta[i + 1 :]
+    start, tail = sigma_sq[-1], [b / s for b in beta[i + 1 :]]
+    head.reverse()
+    rtol, big, tiny = _DOMAIN_BOUNDS
 
     def step(xs: list) -> list:
-        prices = _maker_pass([xs[0], *tail], s, 1.0, prev, head)[0]
-        return [_insider_pass(prices, 1.0, s)[0][i]]
+        b = xs[0] / s
+        try:
+            den = b**2 * start + 1.0
+            prices, prev = [b * start / den], start / den
+            for b in tail:
+                den = b**2 * prev + 1.0
+                prices.append(b * prev / den)
+                prev /= den
+        except OverflowError:
+            return [math.inf]
+        alpha = 0.0
+        prices.reverse()
+        # Rounds N .. coord on the new prices, then coord - 1 .. 1 on the head.
+        for rounds in (prices, head):
+            for lam in rounds:
+                alpha_lam = alpha * lam
+                u = 1.0 - alpha_lam
+                num_beta = 1.0 - 2.0 * alpha_lam
+                den_beta = 2.0 * lam * u
+                den_alpha = 4.0 * lam * u
+                if not (
+                    abs(u) > rtol * (1.0 + abs(alpha_lam))
+                    and abs(num_beta) / big < abs(den_beta)
+                    and tiny < abs(den_alpha)
+                ):
+                    return [math.inf]
+                alpha = 1.0 / den_alpha
+            if rounds is prices:  # the last of them was the pinned round
+                value = [s * (num_beta / den_beta)]
+        return value
 
     return step
 

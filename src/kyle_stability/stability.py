@@ -399,10 +399,11 @@ def classify_fixed_point(
     :class:`NotAFixedPointError` is raised; one that is not a finite vector
     of length ``params.n_periods`` raises ``ValueError``.  The residual
     comes from one evaluation of the map at the point.  The two round trips
-    of :mod:`~kyle_stability.operators` take their exact Jacobian from the
-    product of their triangular factors (``operators._strategy_jacobian``,
-    ``_pricing_jacobian``).  Any other callable ``(vector, params) ->
-    OperatorResult`` takes it by finite differences (:func:`jacobian_fd`).
+    of :mod:`~kyle_stability.operators` read it and their exact Jacobian,
+    the product of their triangular factors, from one pass of each side
+    (``operators._strategy_jacobian``, ``_pricing_jacobian``).  Any other
+    callable ``(vector, params) -> OperatorResult`` takes its Jacobian by
+    finite differences (:func:`jacobian_fd`).
     A wrapper whose ``__wrapped__`` chain (``functools.wraps``) ends at a
     round trip is measured that way too; where its central differences
     meet the round trip's exact Jacobian to 1e-7 of 1 plus the largest
@@ -411,7 +412,12 @@ def classify_fixed_point(
     by more keeps its own differences.
     """
     xs = _as_floats(point, params.n_periods, "point")
-    fixed = _list_map(operator, params)(xs)
+    found = _round_trip_of(operator)
+    if found is not None:
+        _, jacobian, _, side = found
+        fixed, jac = jacobian(xs, _scales(params)[side])
+    else:
+        fixed, jac = _list_map(operator, params)(xs), None
     if not all(map(math.isfinite, fixed)):
         raise OutOfDomainError("point is outside the operator domain")
     residual = max(map(abs, map(sub, fixed, xs)))
@@ -419,16 +425,12 @@ def classify_fixed_point(
         raise NotAFixedPointError(
             f"map moves the point by {residual:.3e} in sup norm"
         )
-    found = _round_trip_of(operator)
-    if found is not None:
-        _, jacobian, _, side = found
-        jac = jacobian(xs, _scales(params)[side])
-    else:
+    if jac is None:
         jac = jacobian_fd(operator, xs, params)
         wrapped = _round_trip_of(inspect.unwrap(operator))
         if wrapped is not None:
             _, jacobian, _, side = wrapped
-            exact = jacobian(xs, _scales(params)[side])
+            exact = jacobian(xs, _scales(params)[side])[1]
             bound = _WRAPPER_FD_TOL * (1.0 + np.max(np.abs(jac)))
             with np.errstate(all="ignore"):  # a non-finite entry fails the test
                 if np.max(np.abs(exact - jac)) <= bound:

@@ -89,6 +89,17 @@ def test_perturbation_battery_golden_rows():
     assert returning["verdict"] == "converged"
     assert returning["iterations_used"] == 1098
     assert repr(returning["limit"]) == "0.8355273517666146"
+    # Every row of N = 6: long runs through head and tail rounds of the
+    # pinned step, on both sides of the coordinate.
+    rows = perturbation_battery(ModelParams(n_periods=6), max_iter=1200)
+    assert [(r["verdict"], r["iterations_used"], repr(r["limit"])) for r in rows] == [
+        ("max_iter", 1200, "None"),
+        ("converged", 80, "-2.1042139846464916"),
+        ("max_iter", 1200, "None"),
+        ("converged", 915, "-2.0329640616952895"),
+        ("converged", 1094, "0.9685488877926829"),
+        ("converged", 3, "1.7452647898836862"),
+    ]
 
 
 def test_perturbation_battery_coord_validation(unit_params_n3):

@@ -603,11 +603,11 @@ def _entry_bits(function, *args):
     return [(type(v), complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 16])
 def test_pinned_map_equals_the_full_round_trip(n):
-    # A pinned step solves the maker rounds before its entry once and
-    # resumes the maker pass there.  At every coordinate it has the bits of
-    # that entry of the whole strategy round trip at the replaced point:
+    # A pinned map solves the maker rounds before its entry once, and a step
+    # runs both recursions from there itself.  At every coordinate it has the
+    # bits of that entry of the whole strategy round trip at the replaced point:
     # also where an entry before, at or after it makes b**2 overflow, or
     # a round leave the domain.
     rng = np.random.default_rng(1741 + n)
@@ -631,6 +631,30 @@ def test_pinned_map_equals_the_full_round_trip(n):
                     point[k] = v
                     want = operators._strategy_round_trip(point, scale)[0][k]
                     assert _entry_bits(step, [v]) == _entry_bits(lambda: [want]), (beta, k, v)
+
+
+def test_pinned_step_runs_no_pass(monkeypatch):
+    # Building the map solves the head rounds with one maker pass; a step is
+    # one function and calls neither pass, at the first, a middle and the
+    # last coordinate, inside and outside the domain.
+    calls = []
+    for name in ("_maker_pass", "_insider_pass"):
+        function = getattr(operators, name)
+
+        def spy(*args, name=name, function=function):
+            calls.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(operators, name, spy)
+    params = ModelParams(n_periods=5)
+    eq = equilibrium_from_params(params)
+    for k in (1, 3, 5):
+        step = operators._pinned_map(k, eq, params)
+        assert calls == ["_maker_pass"]
+        for x in (float(eq.beta[k - 1]), 0.0, 1.5e154):
+            step([x])
+        assert calls == ["_maker_pass"]
+        calls.clear()
 
 
 def test_pinned_step_input_contract(unit_params_n3):

@@ -461,7 +461,8 @@ def test_central_differences_at_the_edges_of_the_domain(n):
                 assert fast == slow, (side, xs)
                 outcomes.add(fast if isinstance(fast, tuple) else bytes)
                 if isinstance(fast, bytes) and round_trips[side](x, scale)[2]:
-                    exact = jacobians[side](x, scale)
+                    value, exact = jacobians[side](x, scale)
+                    assert value == round_trips[side](x, scale)[0]
                     fd = jacobian_fd(operator, x, params)
                     if np.isfinite(exact).all():
                         assert np.max(np.abs(fd - exact)) <= bound * (1.0 + np.max(np.abs(exact)))
@@ -486,7 +487,8 @@ def test_factor_jacobians_equal_the_complex_steps(n):
         ):
             jacobian = (operators._strategy_jacobian, operators._pricing_jacobian)[side]
             for point in (path, path * (1.0 + 1e-2 * np.cos(np.arange(n)))):
-                got = jacobian(point.tolist(), _scales(params)[side])
+                value, got = jacobian(point.tolist(), _scales(params)[side])
+                assert value == operator(point, params).value.tolist()
                 want = _exact_jacobian(operator, point, params)
                 assert np.isfinite(got).all()
                 assert _gap(got, want) <= 1e-13, (sigma_u, side, _gap(got, want))
