@@ -9,23 +9,28 @@ with its standard error, per-round price-efficiency regressions of
 ``v - p_n`` on the observed order flows, and the terminal residual
 variance.
 
-The chunk of 4096 paths is the one unit of the work.  Chunk ``c`` draws
-its paths' normals, path by path, from its own Philox substream (counter
-``c << 64`` under the seed as key) by numpy's ziggurat sampler.  Blocks
-are whole chunks, and each block is cut into whole chunks per worker (the
-CPUs available to the process, at most four): the calling thread runs the
+Every path quantity is a fixed function of the path's n + 1 normals
+``z``: the order flows and pricing errors are linear in them and the
+profit is a quadratic form.  So the recursion runs once per call on
+coefficient vectors, and a chunk of paths needs only its normals, its
+profits and one Gram matrix.
+
+The chunk of 4096 paths is the one unit of the work.  Chunk ``c`` fills
+its paths' normals round by round from its own SFC64 substream (spawn key
+``(c,)`` under the seed) by numpy's ziggurat sampler.  Blocks are whole
+chunks, and each block is cut into whole chunks per worker (the CPUs
+available to the process, at most four): the calling thread runs the
 first share and a thread pool the others, so one worker starts no thread.
 A worker streams its share through its own one-chunk scratch: for each
-chunk it draws the paths round-major (one contiguous row per draw), runs
-the path loop on them into column-major moment rows, so every round
-reads and writes contiguous memory, and writes the chunk's moment
-matrix.  The main thread allocates each worker's scratch once per run,
-so memory does not grow with the block size or the number of paths.  It
-adds the chunk matrices in chunk order into one total, so every result
-is bit-identical for a given seed and inputs, whatever the block size
-and the number of workers.  Workers run only numpy, whose sampler and
-array kernels release the interpreter lock, and call no public function
-of the package, which needs numpy alone.
+chunk it draws the normals straight into the rows ``[1 | z | profit]``,
+fills the profit row with ``z Q z`` and writes the chunk's Gram matrix.
+The main thread allocates each worker's scratch once per run, so memory
+does not grow with the block size or the number of paths.  It adds the
+Gram matrices in chunk order into one total and maps that once into the
+path moments, so every result is bit-identical for a given seed and
+inputs, whatever the block size and the number of workers.  Workers run
+only numpy, whose sampler and array kernels release the interpreter lock,
+and call no public function of the package, which needs numpy alone.
 """
 
 from __future__ import annotations
@@ -50,8 +55,12 @@ __all__ = [
 ]
 
 _SEED_MODULUS = 2**64
-# Paths per Philox substream and per pass of a worker (see ``_run_paths``).
+# Paths per SFC64 substream and per pass of a worker (see ``_run_paths``).
 _CHUNK = 4096
+# Paths per ``Q z`` product.  Up to N = 24, OpenBLAS runs a product of
+# this many paths on the calling thread; it spreads one of a whole chunk
+# over its own threads, and two workers then contend for the CPUs.
+_SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -62,10 +71,10 @@ class SimConfig:
     default to nothing and must be supplied (see :func:`equilibrium_config`
     for the equilibrium pair).  ``block_size`` is the number of paths
     handed to the worker threads at a time, rounded up to whole 4096-path
-    chunks; it changes no bit of the result.  It sets only the moment
-    buffer, one ``(2n + 2)``-square matrix per chunk of a block.  Each
-    worker holds ``3n + 3`` floats (the draws and the moment rows) for each
-    path of one chunk.
+    chunks; it changes no bit of the result.  It sets only the Gram
+    buffer, one ``(n + 3)``-square matrix per chunk of a block.  Each
+    worker holds ``n + 3`` floats (the rows ``[1 | z | profit]``) for each
+    path of one chunk, and ``n + 1`` for each path of one ``Q z`` slice.
     """
 
     params: ModelParams
@@ -147,15 +156,19 @@ def _block_normals(seed: int, start: int, out: np.ndarray) -> None:
 
     ``start`` is a multiple of ``_CHUNK``, and ``out`` has one row per draw
     and one column per path.  Chunk ``c`` holds paths ``c * _CHUNK``
-    onwards and draws them path-major from its own Philox substream,
-    counter ``c << 64`` under key ``seed``, transposed into its columns.
+    onwards and fills its columns row by row, one round after another,
+    from its own SFC64 substream: spawn key ``(c,)`` under entropy
+    ``seed``.  Columns that are contiguous, as a one-chunk scratch is,
+    take the draws in place.
     """
-    n_draws, count = out.shape
-    for lo in range(0, count, _CHUNK):
-        c = (start + lo) // _CHUNK
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=c << 64))
+    for lo in range(0, out.shape[1], _CHUNK):
+        seq = np.random.SeedSequence(seed, spawn_key=((start + lo) // _CHUNK,))
+        gen = np.random.Generator(np.random.SFC64(seq))
         cols = out[:, lo : lo + _CHUNK]
-        cols[:] = gen.standard_normal((cols.shape[1], n_draws)).T
+        if cols.flags.c_contiguous:
+            gen.standard_normal(out=cols)
+        else:
+            cols[:] = gen.standard_normal(cols.shape)
 
 
 _MAX_WORKERS = 4
@@ -170,49 +183,71 @@ def _worker_count() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-def _run_paths(
-    config: SimConfig, start: int, count: int, z: np.ndarray, w: np.ndarray, moments: np.ndarray
-) -> None:
-    """Simulate paths ``start`` to ``start + count``, a chunk at a time, in ``z`` and ``w``.
+def _path_coefficients(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, Q)``: every path quantity as a function of the path's normals.
 
-    ``start`` is a multiple of ``_CHUNK``.  Each chunk draws its paths into
-    the first columns of ``z`` (row 0 drives v, row 1 + i the noise trade
-    of round i), runs the path loop into the first rows of ``w``, the
-    moment rows ``W = [1, dy_1..dy_n, (v - p_1)..(v - p_n), profit]``, and
-    writes the moment matrix of the range's chunk k into ``moments[k]``.
-    An overflow stays non-finite in the matrices, for ``simulate`` to
-    report.
+    A path's normals ``z`` are ``n + 1`` numbers: ``z_0`` drives v and
+    ``z_i`` the noise trade of round i.  The path recursion is linear in
+    them, so it runs once here on coefficient vectors: ``dy_i = z A_i``,
+    ``v - p_i = z C_i``, and the profit is the quadratic form ``z Q z``.
+    ``T`` maps a chunk row ``[1, z, profit]`` to the moment row
+    ``W = [1, dy_1..dy_n, (v - p_1)..(v - p_n), profit]``, so the moments
+    are ``T' R T`` with R the Gram matrix of the chunk rows.  An overflow
+    stays non-finite in ``T`` or ``Q``, for ``simulate`` to report.
     """
     params = config.params
     n = params.n_periods
-    beta = config.strategy_beta
-    lam = config.pricing_lambda
     delta = params.delta
-    du_scale = params.sigma_u * np.sqrt(delta)
-    root_sigma0 = np.sqrt(params.sigma0)
+    t = np.zeros((n + 3, 2 * n + 2))
+    t[0, 0] = t[-1, -1] = 1.0
+    flows, errors = t[1:-1, 1 : n + 1], t[1:-1, n + 1 : -1]
+    q = np.zeros((n + 1, n + 1))
+    # v - p_0, the pricing error before the first round.
+    error = np.zeros(n + 1)
+    error[0] = np.sqrt(params.sigma0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (beta, lam) in enumerate(zip(config.strategy_beta, config.pricing_lambda)):
+            # dx = beta_i (v - p) delta, dy = dx + du and p += lam_i dy.
+            dx = error * beta * delta
+            flows[:, i] = dx
+            flows[1 + i, i] += params.sigma_u * np.sqrt(delta)
+            error = np.subtract(error, lam * flows[:, i], out=errors[:, i])
+            q += np.outer(error, dx)
+    return t, q
+
+
+def _run_paths(
+    config: SimConfig,
+    q: np.ndarray,
+    start: int,
+    count: int,
+    rows: np.ndarray,
+    products: np.ndarray,
+    grams: np.ndarray,
+) -> None:
+    """Simulate paths ``start`` to ``start + count``, a chunk at a time, in ``rows``.
+
+    ``start`` is a multiple of ``_CHUNK``, and ``rows`` and ``products``
+    are flat scratch.  Each chunk of k paths views the front of ``rows`` as
+    the ``(n + 3) x k`` matrix ``U' = [1 | z | profit]'``: the chunk draws
+    its normals straight into rows 1 to n + 1, fills the profit row with
+    ``z Q z`` in ``_SLICE``-path slices of ``products``, and writes the
+    Gram matrix ``U' U`` of the range's chunk j into ``grams[j]``.  An
+    overflow stays non-finite in the matrices, for ``simulate`` to report.
+    """
+    n = config.params.n_periods
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, count, _CHUNK):
-            rows = min(_CHUNK, count - first)
-            zp, wp = z[:, :rows], w[:rows]
-            _block_normals(config.seed, start + first, zp)
-            v = root_sigma0 * zp[0]
-            wp[:, 0] = 1.0
-            profit = wp[:, -1]
-            profit[:] = 0.0
-            # Every round's noise trade, scaled into its order-flow column.
-            np.multiply(du_scale, zp[1:], out=wp[:, 1 : n + 1].T)
-            price, dx, tmp = np.zeros(rows), np.empty(rows), np.empty(rows)
-            for i in range(n):
-                # dx = beta_i (v - price) delta; order flow and pricing
-                # error go straight into their columns.
-                np.subtract(v, price, out=dx)
-                dx *= beta[i]
-                dx *= delta
-                dy = wp[:, 1 + i]
-                dy += dx
-                price += np.multiply(dy, lam[i], out=tmp)
-                profit += np.multiply(np.subtract(v, price, out=wp[:, 1 + n + i]), dx, out=tmp)
-            np.matmul(wp.T, wp, out=moments[first // _CHUNK])
+            k = min(_CHUNK, count - first)
+            u = rows[: (n + 3) * k].reshape(n + 3, k)
+            u[0] = 1.0
+            z, profit = u[1:-1], u[-1]
+            _block_normals(config.seed, start + first, z)
+            for lo in range(0, k, _SLICE):
+                z_slice = z[:, lo : lo + _SLICE]
+                qz = np.matmul(q, z_slice, out=products[: z_slice.size].reshape(z_slice.shape))
+                np.einsum("ij,ij->j", z_slice, qz, out=profit[lo : lo + _SLICE])
+            np.matmul(u, u.T, out=grams[first // _CHUNK])
 
 
 def _shares(count: int, workers: int) -> list:
@@ -227,13 +262,13 @@ def simulate(config: SimConfig) -> SimResult:
 
     Paths are processed in blocks of ``config.block_size`` rounded up to
     whole chunks, each cut into whole chunks per worker; a worker runs its
-    share one chunk at a time.  Every chunk's moment matrix is added in
-    chunk order into one total, so results are bit-identical for a fixed
-    seed and inputs, whatever the block size and the number of workers.
-    Raises ``ValueError`` when the moment sums overflow float range, or
-    underflow to a singular regression (very large or very small
-    ``sigma_u``, for one), or when a regression's covariance overflows
-    (parameter scales far apart).
+    share one chunk at a time.  Every chunk's Gram matrix is added in
+    chunk order into one total, which maps once into the path moments, so
+    results are bit-identical for a fixed seed and inputs, whatever the
+    block size and the number of workers.  Raises ``ValueError`` when the
+    moment sums overflow float range, or underflow to a singular
+    regression (very large or very small ``sigma_u``, for one), or when a
+    regression's covariance overflows (parameter scales far apart).
     """
     from concurrent.futures import ThreadPoolExecutor
     from contextlib import nullcontext
@@ -245,29 +280,30 @@ def simulate(config: SimConfig) -> SimResult:
         raise ValueError("n_paths must be at least 2 * n_periods + 2 for the statistics")
 
     n_paths = config.n_paths
-    dim = 2 * n + 2
-    m = np.zeros((dim, dim))
+    t, q = _path_coefficients(config)
+    r = np.zeros((n + 3, n + 3))
     block = -(-config.block_size // _CHUNK) * _CHUNK
     workers = _worker_count()
-    # Each worker's scratch holds the draws and the column-major moment
-    # rows of one chunk.  The scratch and the chunk moment buffer are allocated once by this
-    # thread and reused by every chunk and block: arrays made per block
-    # were faulted in again block after block, and arrays that pool
+    # Each worker's scratch holds the rows of one chunk and the products of
+    # one slice.  The scratch and the chunk Gram buffer are allocated once
+    # by this thread and reused by every chunk and block: arrays made per
+    # block were faulted in again block after block, and arrays that pool
     # threads make stay in those threads' allocator arenas, so that peak
     # memory varied from run to run.
     width = min(_CHUNK, n_paths)
     scratch = [
-        (np.empty((n + 1, width)), np.empty((width, dim), order="F")) for _ in range(workers)
+        (np.empty((n + 3) * width), np.empty((n + 1) * min(_SLICE, width)))
+        for _ in range(workers)
     ]
-    moments = np.empty((-(-min(block, n_paths) // _CHUNK), dim, dim))
+    grams = np.empty((-(-min(block, n_paths) // _CHUNK), n + 3, n + 3))
     # The calling thread runs the first share of each block, and a pool of
     # workers - 1 threads the others; one worker starts no thread.
     with ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext() as pool:
         for block_start in range(0, n_paths, block):
             count = min(block, n_paths - block_start)
             first, *rest = [
-                (config, block_start + lo, hi - lo, z, w, moments[lo // _CHUNK :])
-                for (lo, hi), (z, w) in zip(_shares(count, workers), scratch)
+                (config, q, block_start + lo, hi - lo, rows, products, grams[lo // _CHUNK :])
+                for (lo, hi), (rows, products) in zip(_shares(count, workers), scratch)
                 if lo < hi
             ]
             jobs = [pool.submit(_run_paths, *share) for share in rest]
@@ -276,9 +312,11 @@ def simulate(config: SimConfig) -> SimResult:
                 job.result()
             # An overflow here stays non-finite in the total, checked below.
             with np.errstate(over="ignore", invalid="ignore"):
-                for chunk_moments in moments[: -(-count // _CHUNK)]:
-                    m += chunk_moments
+                for gram in grams[: -(-count // _CHUNK)]:
+                    r += gram
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = t.T @ r @ t
     if not np.all(np.isfinite(m)):
         raise ValueError("path moments overflow float range: parameters too large to simulate")
     mean_profit = m[0, -1] / n_paths

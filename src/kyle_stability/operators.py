@@ -319,6 +319,27 @@ def _insider_factor(lam: list, alpha: list) -> np.ndarray:
     return jac
 
 
+def _factor_product(left: np.ndarray, right: np.ndarray, left_upper: bool) -> np.ndarray:
+    """``left @ right`` for one triangular factor of each kind, structural zeros kept.
+
+    ``left`` is upper triangular when ``left_upper`` is true and ``right``
+    triangular the other way, so entry (i, j) sums only over the k inside
+    both triangles.  Where a factor has an infinite entry, ``@`` also
+    multiplies it by the other factor's structural zeros, which reads NaN;
+    only when the sum of the product is NaN is it formed again, a row at a
+    time, from the terms inside both supports.
+    """
+    product = left @ right
+    if not math.isnan(product.sum()):
+        return product
+    ones = np.ones(product.shape, dtype=bool)
+    support = np.triu(ones) if left_upper else np.tril(ones)
+    for i, row in enumerate(left):
+        inside = support[i][:, None] & support.T
+        product[i] = np.where(inside, row[:, None] * right, 0.0).sum(axis=0)
+    return product
+
+
 def _strategy_jacobian(beta: list, scale=1.0) -> tuple[list, np.ndarray]:
     """The strategy round trip at ``beta`` and its Jacobian ``I'(lam) M'(beta / scale)``.
 
@@ -334,7 +355,8 @@ def _strategy_jacobian(beta: list, scale=1.0) -> tuple[list, np.ndarray]:
     if not in_domain:
         return value, np.full((len(beta), len(beta)), np.nan)
     with np.errstate(all="ignore"):
-        return value, _insider_factor(lam, alpha) @ _maker_factor(unit, sigma_sq)
+        upper, lower = _insider_factor(lam, alpha), _maker_factor(unit, sigma_sq)
+        return value, _factor_product(upper, lower, True)
 
 
 def _pricing_jacobian(lam: list, scale=1.0) -> tuple[list, np.ndarray]:
@@ -351,7 +373,8 @@ def _pricing_jacobian(lam: list, scale=1.0) -> tuple[list, np.ndarray]:
         return beta, np.full((len(lam), len(lam)), np.nan)
     value, sigma_sq = _maker_pass(beta, 1.0, scale)
     with np.errstate(all="ignore"):
-        return value, _maker_factor(beta, sigma_sq) @ _insider_factor(unit, alpha)
+        lower, upper = _maker_factor(beta, sigma_sq), _insider_factor(unit, alpha)
+        return value, _factor_product(lower, upper, False)
 
 
 def _operator_result(round_trip, x, params: ModelParams, name: str, side: int) -> OperatorResult:

@@ -554,7 +554,7 @@ def test_sigma_u_bound(capsys):
 
 
 def test_simulate_rejects_overflowing_moments(capsys):
-    # At sigma_u = 1e153 the chunk moment matrices overflow; 1e152 is fine.
+    # At sigma_u = 1e153 the chunk Gram matrices overflow; 1e152 is fine.
     argv = ["simulate", "--n", "3", "--paths", "1000", "--sigma-u"]
     code, out, err = _run(capsys, [*argv, "1e153"])
     assert (code, out) == (2, "")
@@ -568,8 +568,9 @@ def test_simulate_rejects_overflowing_moments(capsys):
 
 
 def test_simulate_overflow_prints_one_error_line():
-    # The path loop overflows in the worker threads; numpy's floating-point
-    # warnings would print before the error line unless silenced there.
+    # The path coefficients overflow, and the profits in the worker threads;
+    # numpy's floating-point warnings would print before the error line
+    # unless silenced there.
     argv = ["simulate", "--n", "3", "--paths", "1000", "--strategy", "1e200,1,1"]
     proc = _cli_process(argv, stdout=subprocess.PIPE)
     assert (proc.returncode, proc.stdout) == (2, "")

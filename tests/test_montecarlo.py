@@ -51,8 +51,8 @@ def _normals(seed, start, count, n_draws):
 
 
 def test_block_normals_partition_invariance():
-    # Round-major: column j holds path start + j, and chunk c's columns are
-    # its path-major Philox draws, transposed.  Ranges split at chunk
+    # Round-major: column j holds path start + j, and chunk c fills its
+    # columns row by row from its SFC64 substream.  Ranges split at chunk
     # boundaries tile the whole range, and a range may be a view.
     chunk = montecarlo._CHUNK
     whole = _normals(SEED, 0, 3 * chunk + 7, 5)
@@ -61,8 +61,8 @@ def test_block_normals_partition_invariance():
     montecarlo._block_normals(SEED, chunk, split[:, chunk : 3 * chunk])
     montecarlo._block_normals(SEED, 3 * chunk, split[:, 3 * chunk :])
     assert np.array_equal(whole, split)
-    gen = np.random.Generator(np.random.Philox(key=SEED, counter=1 << 64))
-    assert np.array_equal(whole[:, chunk : 2 * chunk], gen.standard_normal((chunk, 5)).T)
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(SEED, spawn_key=(1,))))
+    assert np.array_equal(whole[:, chunk : 2 * chunk], gen.standard_normal((5, chunk)))
     other = _normals(SEED + 1, 0, 7, 5)
     assert not np.array_equal(whole[:, :7], other)
 
@@ -89,6 +89,90 @@ def test_block_normals_are_standard_normal():
     cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z.tolist()])
     ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
     assert ks <= math.sqrt(math.log(2e6) / 2.0) / 256
+
+
+def _loop_moments(config, z):
+    """Moments of the per-round path loop on round-major normals ``z``.
+
+    The reference for the chunk Gram matrices: per round the insider trades
+    ``dx = beta_i (v - p) delta``, order flow ``dy = dx + du`` hits the
+    market, the price moves by ``lam_i dy`` and the profit gains
+    ``(v - p) dx``.  Returns ``W' W`` for the moment rows
+    ``W = [1, dy_1..dy_n, (v - p_1)..(v - p_n), profit]``.
+    """
+    params = config.params
+    n, delta = params.n_periods, params.delta
+    v = np.sqrt(params.sigma0) * z[0]
+    w = np.empty((z.shape[1], 2 * n + 2))
+    w[:, 0] = 1.0
+    w[:, 1 : n + 1] = (params.sigma_u * np.sqrt(delta) * z[1:]).T
+    price, profit = np.zeros(z.shape[1]), np.zeros(z.shape[1])
+    for i in range(n):
+        dx = (v - price) * config.strategy_beta[i] * delta
+        w[:, 1 + i] += dx
+        price = price + config.pricing_lambda[i] * w[:, 1 + i]
+        w[:, 1 + n + i] = v - price
+        profit += w[:, 1 + n + i] * dx
+    w[:, -1] = profit
+    return w.T @ w
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("n", [1, 3, 24])
+def test_chunk_grams_map_onto_the_path_loop_moments(n, scale):
+    # On the same normals (a full chunk and a partial one), the chunk Gram
+    # matrices of [1 | z | profit], summed and mapped by T, equal the
+    # moments of the per-round path loop to 1e-12 of each entry's scale
+    # sqrt(M_ii M_jj), at the equilibrium strategy and at half of it.
+    chunk = montecarlo._CHUNK
+    count = chunk + 1000
+    params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    eq = equilibrium_from_params(params)
+    config = SimConfig(
+        params=params,
+        n_paths=count,
+        seed=SEED,
+        strategy_beta=eq.beta * scale,
+        pricing_lambda=eq.lam,
+    )
+    t, q = montecarlo._path_coefficients(config)
+    rows, products = np.empty((n + 3) * chunk), np.empty((n + 1) * montecarlo._SLICE)
+    grams = np.empty((2, n + 3, n + 3))
+    montecarlo._run_paths(config, q, 0, count, rows, products, grams)
+    moments = t.T @ (grams[0] + grams[1]) @ t
+    reference = _loop_moments(config, _normals(SEED, 0, count, n + 1))
+    diag = np.diag(reference)
+    assert np.all(np.abs(moments - reference) <= 1e-12 * np.sqrt(np.outer(diag, diag)))
+
+
+_OVERFLOW = "path moments overflow float range: parameters too large to simulate"
+_UNDERFLOW = "path moments underflow float range: parameters too small to simulate"
+_COVARIANCE = (
+    "regression covariance overflows float range: parameter scales too far apart to simulate"
+)
+
+
+@pytest.mark.parametrize(
+    "scales, strategy, message",
+    [
+        ({"sigma_u": 1e153}, None, _OVERFLOW),
+        ({"sigma_u": 3e152}, None, _OVERFLOW),
+        ({"sigma_u": 1e-170}, None, _UNDERFLOW),
+        ({"sigma_u": 1e-200}, None, _UNDERFLOW),
+        ({"sigma_u": 1e-160}, None, _COVARIANCE),
+        ({"sigma0": 1e150, "delta": 1e-250}, None, _COVARIANCE),
+        ({"sigma0": 1e150, "delta": 1e-300}, None, _COVARIANCE),
+        ({}, [1e200, 1.0, 1.0], _OVERFLOW),
+    ],
+)
+def test_simulate_error_edges_keep_their_messages(scales, strategy, message):
+    # 1,000 paths at seed 0, as `simulate --n 3 --paths 1000` runs them.
+    config = equilibrium_config(ModelParams(n_periods=3, **scales), n_paths=1000, seed=0)
+    if strategy is not None:
+        config = replace(config, strategy_beta=strategy)
+    with pytest.raises(ValueError) as raised:
+        simulate(config)
+    assert str(raised.value) == message
 
 
 # Block sizes below, at and above one 4096-path chunk, and not a multiple
@@ -288,11 +372,12 @@ def test_equilibrium_config_fields(unit_params_n3):
 # The golden runs, all at seed SEED: N=3 at the equilibrium over 5,000
 # paths (one full chunk and a partial one) in 1,000-row blocks, which round
 # up to one chunk, and N=5 over 70,001 paths (17 full chunks and a partial
-# one) at the equilibrium strategy and at half of it.  The digits are those of the 4096-path Philox substreams,
-# numpy's ziggurat sampler and chunk moments summed in chunk order; any
-# change to the draws, the normal transform or the accumulation order
-# shows up here as a changed digit, and so would a numpy release that
-# changes its sampler.
+# one) at the equilibrium strategy and at half of it.  The digits are those
+# of the 4096-path SFC64 substreams, numpy's ziggurat sampler, the chunk
+# Gram matrices summed in chunk order and their one map into the path
+# moments; any change to the draws, the path coefficients or the
+# accumulation order shows up here as a changed digit, and so would a numpy
+# release that changes its sampler.
 def _golden_n3_config():
     return equilibrium_config(ModelParams(n_periods=3), n_paths=5000, seed=SEED, block_size=1000)
 
@@ -310,38 +395,38 @@ def _golden_n5_config(scale):
 
 
 # mean_profit, terminal_variance_estimate, efficiency[2].t_stat[3]
-_GOLDEN_N3 = ("1.2019441673837454", "0.2627225344461106", "0.6385308947470932")
+_GOLDEN_N3 = ("1.1606226090838088", "0.26868776558373075", "-0.6125536474389497")
 
 # mean_profit, mean_profit_se, terminal_variance_estimate, every t_stat
 _GOLDEN_N5 = {
     1.0: (
-        "1.7011397392909893",
-        "0.008545444162807503",
-        "0.18835781811098143",
+        "1.6885547062830133",
+        "0.00846100674723974",
+        "0.18722272836568332",
         [
-            ["0.8153410992850443", "-0.03906354060355256"],
-            ["1.3093465511366567", "-0.8292198703681801", "0.7774458466473088"],
-            ["1.2522448120525453", "-0.34781392911935893", "1.1626820091082186",
-             "0.25398966117590704"],
-            ["1.5880609040177984", "-0.11161271318945928", "0.74743788937208",
-             "-0.4315533247986056", "-1.004812134935007"],
-            ["0.7892935205344594", "-0.7797380001160725", "0.12574519399137252",
-             "0.34235303218004093", "0.2196949086421134", "0.5734863335175636"],
+            ["-0.3187119927337916", "-1.3412911815727844"],
+            ["-0.0692328013193714", "-1.604827135037601", "0.2327859818394485"],
+            ["0.5643481216113058", "-1.3382150139262807", "0.41513370113089126",
+             "0.36447110848603653"],
+            ["-0.1252158314019944", "-1.8326489343516235", "-0.8164903567522701",
+             "0.7517224207848394", "-0.6826086453133705"],
+            ["-0.24998887718537552", "-2.1443038847891756", "-0.13039195456162847",
+             "0.9766277336958139", "-1.8254900821320672", "-1.48149057116643"],
         ],
     ),
     0.5: (
-        "1.4632833770525575",
-        "0.007515101137370461",
-        "0.5075589928500783",
+        "1.4523524334480642",
+        "0.007441853062438094",
+        "0.5022142694972985",
         [
-            ["0.6918700697905846", "-43.06031387740226"],
-            ["0.9983047745090738", "-42.203923878179964", "-34.91128979470025"],
-            ["1.0166722627917575", "-40.00406732693188", "-32.95616422342373",
-             "-24.844374709956522"],
-            ["1.314656457274341", "-36.81000938330264", "-30.583594496722775",
-             "-23.41268371709118", "-7.411080736276807"],
-            ["0.8192235266133264", "-30.9643258166132", "-25.709279688071224",
-             "-19.053093672823575", "-5.652572460708325", "38.97838206135534"],
+            ["-0.34039935314305475", "-44.12883260492322"],
+            ["-0.20503563527729896", "-43.016847977141445", "-35.62358916492137"],
+            ["0.19115044303604956", "-41.00244826140226", "-33.85449906628271",
+             "-25.030970146441046"],
+            ["-0.23395818735133075", "-38.284339999056684", "-32.04875264318684",
+             "-22.817598058488564", "-6.709028603762062"],
+            ["-0.32209359080064154", "-32.233240629666525", "-26.107791394640127",
+             "-18.468642320274455", "-6.637739799549167", "37.976184131385125"],
         ],
     ),
 }
@@ -464,35 +549,41 @@ def test_simulate_draws_each_path_once_from_chunk_boundaries(monkeypatch, worker
 @pytest.mark.parametrize("block_size", [1, 10_000, 65_536])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_simulate_scratch_is_no_wider_than_one_chunk(monkeypatch, workers, block_size):
-    # Each worker streams its share one chunk at a time through a scratch
-    # of one chunk, whatever the block size: no draw, and no array it
-    # writes into, has more than one chunk's columns.
-    widths = []
+    # Each worker streams its share one chunk at a time through a flat
+    # scratch of one chunk, whatever the block size: no draw has more than
+    # one chunk's columns, and the buffer it writes into holds no more than
+    # the n + 3 rows [1 | z | profit] of one chunk.
+    sizes = []
 
     def spy(seed, start, out):
         scratch = out if out.base is None else out.base
-        widths.append((out.shape[1], scratch.shape[1]))
+        sizes.append((out.shape[1], scratch.size))
         draw(seed, start, out)
 
     draw = montecarlo._block_normals
     monkeypatch.setattr(montecarlo, "_block_normals", spy)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-    simulate(replace(_golden_n5_config(1.0), block_size=block_size))
-    assert sum(count for count, _ in widths) == 70_001
-    assert max(max(pair) for pair in widths) <= montecarlo._CHUNK
+    config = replace(_golden_n5_config(1.0), block_size=block_size)
+    simulate(config)
+    assert sum(count for count, _ in sizes) == 70_001
+    assert max(count for count, _ in sizes) <= montecarlo._CHUNK
+    assert max(size for _, size in sizes) <= (config.params.n_periods + 3) * montecarlo._CHUNK
 
 
 def test_simulate_memory_is_flat_in_block_size_and_paths(monkeypatch):
     # numpy reports its buffers to tracemalloc.  Two workers each stream
     # their share of a block one chunk at a time through one scratch of
-    # 3n + 3 floats per path of a chunk; on top of it come each worker's
-    # path-major draws of one chunk, eight chunk-length vectors of the path
-    # loop, and one moment matrix per chunk of a block.  Block-sized draw
-    # and moment-row arrays (39.3 MB at N=24 and 65,536 paths), or passes
-    # of four chunks (23.7 MB), would break the bound.
+    # n + 3 floats per path of a chunk (the rows [1 | z | profit]) and at
+    # most n + 1 more (the products Q z); on top of them comes one
+    # (n + 3)-square Gram matrix per chunk of a block.  Block-sized rows, or
+    # a temporary per chunk on top of the scratch, would break the bound.
+    # The first call in a process also imports modules (concurrent.futures,
+    # and secrets through numpy's SeedSequence), about 1.6 MB that
+    # tracemalloc counts once; a warm-up call keeps them out of every peak.
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     n, workers, rows = 24, 2, montecarlo._CHUNK
     params = ModelParams(n_periods=n)
+    simulate(equilibrium_config(params, n_paths=1000, seed=SEED))
 
     def peak(n_paths, block_size):
         config = equilibrium_config(params, n_paths=n_paths, seed=SEED, block_size=block_size)
@@ -505,17 +596,16 @@ def test_simulate_memory_is_flat_in_block_size_and_paths(monkeypatch):
 
     def matrix_bytes(n_paths, block_size):
         chunks = -(-min(n_paths, block_size) // montecarlo._CHUNK)
-        return 8 * chunks * (2 * n + 2) ** 2
+        return 8 * chunks * (n + 3) ** 2
 
     def bound(n_paths, block_size):
-        scratch = rows * (3 * n + 3 + 8) + montecarlo._CHUNK * (n + 1)
-        return 8 * workers * scratch + matrix_bytes(n_paths, block_size)
+        return 8 * workers * rows * ((n + 3) + (n + 1)) + matrix_bytes(n_paths, block_size)
 
     peaks = {block: peak(250_000, block) for block in (4096, 1 << 16, 1 << 20)}
     for block, value in peaks.items():
         assert value <= bound(250_000, block), block
     # The scratch is one chunk at every block size, so a longer block adds
-    # only its chunk moment matrices: 46 more at 2**20 than at 2**16.
+    # only its chunk Gram matrices: 46 more at 2**20 than at 2**16.
     assert peaks[4096] <= peaks[1 << 16]
     extra = matrix_bytes(250_000, 1 << 20) - matrix_bytes(250_000, 1 << 16)
     assert peaks[1 << 20] - peaks[1 << 16] <= 1.05 * extra

@@ -196,6 +196,30 @@ def test_overflowing_round_is_out_of_domain(unit_params_n2):
     assert np.all(~np.isfinite(result.value))
 
 
+def test_round_whose_curvature_would_overflow_is_out_of_domain():
+    # Subnormal prices whose curvature grows round by round toward float
+    # max.  Round 1 clears the relative test on u = 1 - alpha lam, and its
+    # strategy quotient (1 - 2 alpha lam) / (2 lam u) is finite, but
+    # alpha_0 = 1 / (4 lam u) overflows; only the test on the curvature's
+    # denominator takes the round out of the domain.  At unit parameters a
+    # tiny strategy entry prices its round at itself, so the same path is the
+    # maker prices of the pinned step at coordinate 1.
+    lam = [1.9488e-309, 2.244312802270175e-309, 2.62320916647004e-309, 2.9e-309]
+    params = ModelParams(n_periods=4)
+    _, alpha, dens, in_domain = operators._insider_pass(lam)
+    assert not in_domain and np.isfinite(alpha[1:]).all()
+    alpha_lam = alpha[1] * lam[0]
+    big = float(np.finfo(float).max)
+    assert abs(1.0 - alpha_lam) > 0.5 and abs(1.0 - 2.0 * alpha_lam) / big < dens[0]
+    assert 1.0 / (2.0 * dens[0]) == np.inf
+    assert not insider_response(lam, params).in_domain
+    assert not maker_policy_step(lam, params).in_domain
+    assert operators._maker_pass(lam)[0] == lam
+    eq = equilibrium_from_params(params)
+    pinned = Equilibrium(beta=np.array(lam), lam=eq.lam, alpha=eq.alpha, sigma_sq=eq.sigma_sq)
+    assert pinned_coordinate_step(lam[0], 1, pinned, params) == np.inf
+
+
 def test_overflowing_strategy_leaves_domain(unit_params_n3):
     # beta_1**2 overflows, so the maker pass prices every round at NaN and
     # keeps only its starting variance; the round trip reports the NaN

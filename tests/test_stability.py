@@ -474,6 +474,50 @@ def test_central_differences_at_the_edges_of_the_domain(n):
         assert any(o[0] is StencilDomainError for o in outcomes if o is not bytes)
 
 
+@pytest.mark.parametrize("n", [1, 3, 14, 64])
+def test_factor_products_keep_structural_zeros_at_the_edges_of_the_domain(n):
+    # At the edge points of the central-difference test, a factor entry can
+    # overflow (a strategy entry of 1e-160 makes d beta / d lam of its round
+    # infinite).  Each Jacobian entry must then be the sum of the terms
+    # inside both triangles, as formed here entry by entry: the other
+    # factor's structural zeros never turn it into NaN.
+    eq = equilibrium_from_params(ModelParams(n_periods=n))
+    for side, base in enumerate((eq.beta.tolist(), eq.lam.tolist())):
+        overflowed = 0
+        for k in sorted({0, n // 2, n - 1}):
+            for value in (0.0, 1.5e154, 1e-160, 5e-324):
+                x = list(base)
+                x[k] = value
+                if side == 0:
+                    lam, sigma_sq = operators._maker_pass(x)
+                    _, alpha, _, inside = operators._insider_pass(lam)
+                else:
+                    beta, alpha, _, inside = operators._insider_pass(x)
+                if not inside:
+                    continue
+                with np.errstate(all="ignore"):
+                    if side == 0:
+                        left = operators._insider_factor(lam, alpha)
+                        right = operators._maker_factor(x, sigma_sq)
+                        got = operators._strategy_jacobian(x)[1]
+                    else:
+                        left = operators._maker_factor(beta, operators._maker_pass(beta)[1])
+                        right = operators._insider_factor(x, alpha)
+                        got = operators._pricing_jacobian(x)[1]
+                    want = np.empty((n, n))
+                    for i in range(n):
+                        for j in range(n):
+                            ks = range(max(i, j), n) if side == 0 else range(min(i, j) + 1)
+                            want[i, j] = left[i, ks] @ right[ks, j]
+                overflowed += not np.isfinite(left).all() or not np.isfinite(right).all()
+                finite = np.isfinite(want)
+                scale = max(np.max(np.abs(want[finite]), initial=0.0), 1.0)
+                assert np.array_equal(got[~finite], want[~finite], equal_nan=True), (side, k, value)
+                assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * scale), (side, k, value)
+        if side == 0:
+            assert overflowed
+
+
 @pytest.mark.parametrize("n", [*range(1, 17), 64, 200])
 def test_factor_jacobians_equal_the_complex_steps(n):
     # The products of the triangular factors, on both round trips, meet a
