@@ -11,8 +11,10 @@ All parameter dependence factors through a single parameter-free backward
 recursion for coefficients ``b_1 .. b_N`` with ``b_N = 1``: each backward
 step solves a cubic with a unique root in (0, 1).  The paths at unit
 parameters are built from ``b`` once per N and cached; any parameter set
-only scales them (see ``_scales``), and the checks divide the same scales
-out, so no parameter enters a recursion.
+only scales them, and the checks divide the same scales out, so no
+parameter enters a recursion.  The two scales ``(s, L)`` are computed once
+per :class:`ModelParams` (by ``_scale_pair``, while it validates them) and
+kept on the instance as ``params._scales``, outside its dataclass fields.
 """
 
 from __future__ import annotations
@@ -56,7 +58,10 @@ class ModelParams:
         Prior variance of the asset value.  Positive.
 
     The scales ``s = sigma_u / sqrt(sigma0 delta)`` and ``L = sqrt(sigma0 /
-    delta) / sigma_u`` of ``_scales`` must both be normal floats.
+    delta) / sigma_u`` must both be normal floats.  They are computed once,
+    here, and kept as the pair ``_scales``: an attribute, not a field, so
+    equality, hashing, ``repr`` and :func:`dataclasses.fields` see the four
+    inputs alone, and :func:`dataclasses.replace` computes them again.
     """
 
     n_periods: int
@@ -71,7 +76,7 @@ class ModelParams:
                 value = float(getattr(self, name))
             except OverflowError:  # an int beyond float range
                 value = math.inf
-            if not np.isfinite(value) or value <= 0.0:
+            if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
             object.__setattr__(self, name, value)
         if self.sigma_u > _SIGMA_U_MAX:
@@ -79,7 +84,8 @@ class ModelParams:
                 f"sigma_u must be at most {_SIGMA_U_MAX:.4g} (sigma_u**2 <= float max / 4)"
             )
         try:
-            normal = min(_scales(self)) >= sys.float_info.min
+            scales = _scale_pair(self)
+            normal = min(scales) >= sys.float_info.min
         except OverflowError:
             normal = False
         if not normal:
@@ -87,6 +93,7 @@ class ModelParams:
                 "sigma_u / sqrt(sigma0 delta) and sqrt(sigma0 / delta) / sigma_u must lie in "
                 f"[{sys.float_info.min:.4g}, {sys.float_info.max:.4g}], the normal floats"
             )
+        object.__setattr__(self, "_scales", scales)
 
 
 def _count(value, name: str, low: int) -> int:
@@ -227,7 +234,7 @@ def _root(x: float) -> tuple[float, int]:
     return math.sqrt(math.ldexp(m, e % 2)), e // 2
 
 
-def _scales(params: ModelParams) -> tuple[float, float]:
+def _scale_pair(params: ModelParams) -> tuple[float, float]:
     """``(s, L)``: ``beta``, ``lam``, ``alpha`` and ``sigma_sq`` are the unit paths
     times ``s = sigma_u / (sqrt(sigma0) sqrt(delta))``, ``L = sqrt(sigma0) /
     (sqrt(delta) sigma_u)``, ``1 / L`` and ``sigma0``.
@@ -235,8 +242,9 @@ def _scales(params: ModelParams) -> tuple[float, float]:
     The mantissas and the powers of two are combined apart, so no
     intermediate underflows or overflows, and the bits are those of the
     direct quotients wherever these stay normal.  Raises ``OverflowError``
-    when a scale overflows; :class:`ModelParams` admits only parameter sets
-    whose two scales are normal floats.
+    when a scale overflows.  :class:`ModelParams` calls it once, admits only
+    parameter sets whose two scales are normal floats, and keeps the pair
+    as ``params._scales``, which every other caller reads.
     """
     r0, e0 = _root(params.sigma0)
     rd, ed = _root(params.delta)
@@ -269,13 +277,13 @@ def _unit_equilibrium(n_periods: int) -> tuple:
 def equilibrium_from_params(params: ModelParams) -> Equilibrium:
     """Equilibrium coefficient paths for one parameter set.
 
-    The unit-parameter paths, cached per N, times the scales of
-    ``_scales``.  They satisfy the full recursion system: ``Sigma_n =
+    The unit-parameter paths, cached per N, times the scales
+    ``params._scales``.  They satisfy the full recursion system: ``Sigma_n =
     Sigma_{n-1} / (1 + b_n^2)``, ``beta_n = b_n sigma_u / sqrt(Sigma_{n-1}
     delta)``, the projection formula for ``lam`` and the curvature
     recursion from ``alpha_N = 0``.
     """
-    s, scale_lam = _scales(params)
+    s, scale_lam = params._scales
     _, beta, lam, alpha, sigma_sq = _unit_equilibrium(params.n_periods)
     return Equilibrium(beta=s * beta, lam=scale_lam * lam,
                        alpha=alpha / scale_lam, sigma_sq=params.sigma0 * sigma_sq)
@@ -289,7 +297,7 @@ def implied_b(eq: Equilibrium, params: ModelParams) -> np.ndarray:
     sqrt(Sigma_{n-1} / sigma0)``.  Equilibria for any two parameter sets with
     the same number of rounds share this vector.
     """
-    s, _ = _scales(params)
+    s = params._scales[0]
     return eq.beta / s * np.sqrt(eq.sigma_sq[:-1] / params.sigma0)
 
 
@@ -349,7 +357,7 @@ def verify_kyle_recursions(
         checked for rounds 2 .. N (the stored path starts at ``alpha_1``)
         together with the terminal condition ``alpha_N = 0``, judged
         through the dimensionless product ``alpha_N lam_N``.  The residuals
-        are those of the unit recursions, after dividing out ``_scales``.
+        are those of the unit recursions, after dividing out ``params._scales``.
 
     Raises
     ------
@@ -363,7 +371,7 @@ def verify_kyle_recursions(
         raise ValueError("tol must be positive")
 
     # The check runs in unit parameters, where every quantity is O(1).
-    s, scale_lam = _scales(params)
+    s, scale_lam = params._scales
     beta, lam = eq.beta / s, eq.lam / scale_lam
     alpha, sigma_sq = eq.alpha * scale_lam, eq.sigma_sq / params.sigma0
 

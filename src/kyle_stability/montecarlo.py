@@ -19,8 +19,9 @@ The chunk of 4096 paths is the one unit of the work.  Chunk ``c`` fills
 its paths' normals round by round from its own SFC64 substream (spawn key
 ``(c,)`` under the seed) by numpy's ziggurat sampler.  Blocks are whole
 chunks, and each block is cut into whole chunks per worker (the CPUs
-available to the process, at most four): the calling thread runs the
-first share and a thread pool the others, so one worker starts no thread.
+available to the process, at most four, and no more than a block has
+chunks): the calling thread runs the first share and a thread pool the
+others, so one worker starts no thread.
 A worker streams its share through its own one-chunk scratch: for each
 chunk it draws the normals straight into the rows ``[1 | z | profit]``,
 fills the profit row with ``z Q z`` and writes the chunk's Gram matrix.
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _count, _readonly, _scales, equilibrium_from_params
+from .model import ModelParams, _count, _readonly, equilibrium_from_params
 from .operators import _as_floats, insider_response
 
 __all__ = [
@@ -270,7 +271,6 @@ def simulate(config: SimConfig) -> SimResult:
     regression (very large or very small ``sigma_u``, for one), or when a
     regression's covariance overflows (parameter scales far apart).
     """
-    from concurrent.futures import ThreadPoolExecutor
     from contextlib import nullcontext
 
     n = config.params.n_periods
@@ -283,7 +283,10 @@ def simulate(config: SimConfig) -> SimResult:
     t, q = _path_coefficients(config)
     r = np.zeros((n + 3, n + 3))
     block = -(-config.block_size // _CHUNK) * _CHUNK
-    workers = _worker_count()
+    # No more workers than the largest block has chunks: the others would
+    # never get a share.
+    chunks = -(-min(block, n_paths) // _CHUNK)
+    workers = min(_worker_count(), chunks)
     # Each worker's scratch holds the rows of one chunk and the products of
     # one slice.  The scratch and the chunk Gram buffer are allocated once
     # by this thread and reused by every chunk and block: arrays made per
@@ -295,10 +298,17 @@ def simulate(config: SimConfig) -> SimResult:
         (np.empty((n + 3) * width), np.empty((n + 1) * min(_SLICE, width)))
         for _ in range(workers)
     ]
-    grams = np.empty((-(-min(block, n_paths) // _CHUNK), n + 3, n + 3))
+    grams = np.empty((chunks, n + 3, n + 3))
     # The calling thread runs the first share of each block, and a pool of
-    # workers - 1 threads the others; one worker starts no thread.
-    with ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext() as pool:
+    # workers - 1 threads the others; one worker starts no thread and does
+    # not import the pool (with logging, some 5 ms in a fresh process).
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        threads = ThreadPoolExecutor(max_workers=workers - 1)
+    else:
+        threads = nullcontext()
+    with threads as pool:
         for block_start in range(0, n_paths, block):
             count = min(block, n_paths - block_start)
             first, *rest = [
@@ -403,10 +413,10 @@ def expected_equilibrium_profit(params: ModelParams) -> float:
     ``alpha_0 sigma0 + delta_0`` where the intercept path solves
     ``delta_{n-1} = delta_n + alpha_n lam_n^2 sigma_u^2 delta`` backwards
     from zero: in unit parameters, times ``sigma_u sqrt(sigma0 delta) =
-    sigma0 / L`` (see ``model._scales``).
+    sigma0 / L`` (``L`` of ``params._scales``).
     """
     unit = ModelParams(n_periods=params.n_periods)
     lam = equilibrium_from_params(unit).lam
     alpha = insider_response(lam, unit).alpha
     intercept = sum(alpha[i] * lam[i - 1] ** 2 for i in range(params.n_periods, 0, -1))
-    return float((alpha[0] + intercept) * (params.sigma0 / _scales(params)[1]))
+    return float((alpha[0] + intercept) * (params.sigma0 / params._scales[1]))

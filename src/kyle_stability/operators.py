@@ -24,10 +24,11 @@ unit parameters (``delta = sigma_u = sigma0 = 1``): ``_maker_pass``
 (forward variance recursion from ``sigma_0 = 1``) and ``_insider_pass``
 (backward recursion from ``alpha_N = 0`` to ``beta``, ``alpha``, the
 strategy denominators and the domain verdict).
-The scales ``s`` and ``L`` of ``model._scales`` map in and out inside
-their loops: ``T_p(x) = s T_1(x / s)`` for strategies and
-``P_p(l) = L P_1(l / L)`` for prices.  Public functions validate input
-once and build numpy arrays only for their results.
+The scales ``s`` and ``L``, computed once per parameter set and kept on
+it as ``params._scales`` (see :class:`~kyle_stability.model.ModelParams`),
+map in and out inside their loops: ``T_p(x) = s T_1(x / s)`` for
+strategies and ``P_p(l) = L P_1(l / L)`` for prices.  Public functions
+validate input once and build numpy arrays only for their results.
 ``_strategy_round_trip`` and ``_pricing_round_trip`` compose the passes
 once, for the public round trips and for ``_list_map``, which hands them
 to the iteration loop and the difference stencils as maps on float lists.
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Equilibrium, ModelParams, _count, _scales
+from .model import Equilibrium, ModelParams, _count
 
 __all__ = [
     "DOMAIN_RTOL",
@@ -224,7 +225,7 @@ def market_maker_response(beta, params: ModelParams) -> MakerResponse:
     and ``Sigma_n = Sigma_{n-1} sigma_u^2 / (same denominator)``, in unit
     parameters on ``beta / s``.  Defined for every finite ``beta``.
     """
-    s, scale_lam = _scales(params)
+    s, scale_lam = params._scales
     lam, sigma_sq = _maker_pass(_as_floats(beta, params.n_periods, "beta"), s, scale_lam)
     lam, sigma_sq = np.array(lam), params.sigma0 * np.array(sigma_sq)
     # A unit entry b / s that overflows to infinity prices its round at NaN
@@ -247,7 +248,7 @@ def insider_response(lam, params: ModelParams) -> InsiderResponse:
     the unreached part of ``alpha`` and ``denominators`` with NaN, and
     ``in_domain`` is False; so is a ``beta`` that overflows.
     """
-    s, scale_lam = _scales(params)
+    s, scale_lam = params._scales
     lam = [value / scale_lam for value in _as_floats(lam, params.n_periods, "lam")]
     beta, alpha, dens, in_domain = _insider_pass(lam, 1.0, s)
     beta, in_domain = _finite(beta, in_domain)
@@ -378,8 +379,8 @@ def _pricing_jacobian(lam: list, scale=1.0) -> tuple[list, np.ndarray]:
 
 
 def _operator_result(round_trip, x, params: ModelParams, name: str, side: int) -> OperatorResult:
-    """A public round trip: ``round_trip`` at scale ``_scales(params)[side]``, denominators over s."""
-    scales = _scales(params)
+    """A public round trip: ``round_trip`` at ``params._scales[side]``, denominators over s."""
+    scales = params._scales
     value, dens, in_domain = round_trip(_as_floats(x, params.n_periods, name), scales[side])
     value, in_domain = _finite(value, in_domain)
     dens = np.array([d / scales[0] for d in dens])
@@ -397,9 +398,9 @@ def maker_policy_step(lam, params: ModelParams) -> OperatorResult:
 
 
 # The two round trips as defined here, with their Jacobian, their input and
-# the index of their scale in ``_scales``.  A wrapper bound to their names
-# later (a tracer, a test double) is any other callable, so it is called like
-# one.
+# the index of their scale in ``params._scales``.  A wrapper bound to their
+# names later (a tracer, a test double) is any other callable, so it is
+# called like one.
 _ROUND_TRIPS = (
     (insider_policy_step, _strategy_round_trip, _strategy_jacobian, "beta", 0),
     (maker_policy_step, _pricing_round_trip, _pricing_jacobian, "lam", 1),
@@ -430,7 +431,7 @@ def _list_map(operator, params: ModelParams):
     found = _round_trip_of(operator)
     if found is not None:
         round_trip, _, _, side = found
-        scale = _scales(params)[side]
+        scale = params._scales[side]
         return lambda values: round_trip(values, scale)[0]
 
     def step(values: list) -> list:
@@ -459,7 +460,7 @@ def _pinned_map(coord: int, eq: Equilibrium, params: ModelParams):
     n = params.n_periods
     if _count(coord, "coord", 1) > n:
         raise ValueError("coord must be between 1 and n_periods")
-    s, _ = _scales(params)
+    s = params._scales[0]
     beta = _as_floats(eq.beta, n, "beta")
     i = coord - 1
     # b**2 overflowing in these rounds leaves them and their variance NaN,
@@ -540,7 +541,7 @@ def pinned_step_polynomials(
     n = params.n_periods
     if n < 3:
         raise ValueError("pinned-step polynomials need at least 3 rounds")
-    s, _ = _scales(params)
+    s = params._scales[0]
     vec = np.array(eq.beta, dtype=float) / s
     vec[n - 3] = float(x) / s
     b_k = vec[n - 3]

@@ -53,7 +53,7 @@ from operator import itemgetter, sub
 
 import numpy as np
 
-from .model import Equilibrium, ModelParams, _count, _scales, equilibrium_from_params
+from .model import Equilibrium, ModelParams, _count, equilibrium_from_params
 from .operators import _as_floats, _list_map, _pinned_map, _round_trip_of, _strategy_round_trip
 
 __all__ = [
@@ -320,7 +320,7 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
 def _unit_point(point, params: ModelParams, name: str) -> list:
     """A strategy vector checked and divided by s, where the complex steps are taken."""
     xs = _as_floats(point, params.n_periods, name)
-    s, _ = _scales(params)
+    s = params._scales[0]
     return [x / s for x in xs]
 
 
@@ -363,7 +363,7 @@ def eigenvalues(matrix) -> np.ndarray:
         raise ValueError("matrix must be square")
     if m.shape[0] < 1 or m.shape[0] > _EIG_MAX_SIZE:
         raise ValueError(f"matrix size must be between 1 and {_EIG_MAX_SIZE}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     ev = np.linalg.eigvals(m)
     order = np.argsort(-np.abs(ev), kind="stable")
@@ -372,7 +372,7 @@ def eigenvalues(matrix) -> np.ndarray:
 
 def classify_spectral_radius(rho: float, eps_class: float = 1e-6) -> str:
     """Stability class of a spectral radius with a neutrality band."""
-    if not (np.isfinite(rho) and rho >= 0.0):
+    if not (math.isfinite(rho) and rho >= 0.0):
         raise ValueError("spectral radius must be finite and nonnegative")
     if not 0.0 < eps_class < 1.0:
         raise ValueError("eps_class must be in (0, 1)")
@@ -415,7 +415,7 @@ def classify_fixed_point(
     found = _round_trip_of(operator)
     if found is not None:
         _, jacobian, _, side = found
-        fixed, jac = jacobian(xs, _scales(params)[side])
+        fixed, jac = jacobian(xs, params._scales[side])
     else:
         fixed, jac = _list_map(operator, params)(xs), None
     if not all(map(math.isfinite, fixed)):
@@ -430,14 +430,17 @@ def classify_fixed_point(
         wrapped = _round_trip_of(inspect.unwrap(operator))
         if wrapped is not None:
             _, jacobian, _, side = wrapped
-            exact = jacobian(xs, _scales(params)[side])[1]
+            exact = jacobian(xs, params._scales[side])[1]
             bound = _WRAPPER_FD_TOL * (1.0 + np.max(np.abs(jac)))
             with np.errstate(all="ignore"):  # a non-finite entry fails the test
                 if np.max(np.abs(exact - jac)) <= bound:
                     jac = exact
     ev = eigenvalues(jac)
-    rho = float(np.abs(ev[0])) if ev.size else 0.0
-    inf_norm = float(np.abs(jac).sum(axis=1).max())
+    # Python floats, with the bits of the ufunc: abs() of a numpy complex
+    # scalar can differ from np.abs in the last bit.  The entries are
+    # finite, so the row sums hold no NaN for max() to misorder.
+    rho = np.abs(ev[:1]).item()
+    inf_norm = max(np.abs(jac).sum(axis=1).tolist())
     return StabilityReport(
         jacobian=jac,
         eigenvalues=ev,

@@ -1,4 +1,4 @@
-"""Import cost: no stage loads scipy, and only the simulation path loads the thread pool."""
+"""Import cost: no stage loads scipy, and only a two-worker simulation loads the thread pool."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import kyle_stability
 # Runs in a fresh interpreter and prints, after each stage, the scipy and
 # concurrent.futures modules loaded so far.
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, dataclasses, io, json, sys
 
 def lazy_modules():
     lazy = ("scipy", "concurrent")
@@ -32,6 +32,10 @@ config = kyle_stability.equilibrium_config(
 )
 kyle_stability.simulate(config)
 stages["simulate"] = lazy_modules()
+# Two chunks on two workers: the second one runs in the pool.
+kyle_stability.montecarlo._worker_count = lambda: 2
+kyle_stability.simulate(dataclasses.replace(config, n_paths=8192))
+stages["simulate two chunks"] = lazy_modules()
 print(json.dumps({"code": code, "stages": stages}))
 """
 
@@ -49,5 +53,7 @@ def test_no_stage_loads_scipy():
     stages = report["stages"]
     for stage in ("import kyle_stability", "import kyle_stability.cli", "cli equilibrium"):
         assert stages[stage] == [], f"{stage} loaded {stages[stage]}"
-    assert not [m for m in stages["simulate"] if m.partition(".")[0] == "scipy"]
-    assert "concurrent.futures" in stages["simulate"]
+    # 100 paths are one chunk, so one worker and no pool.
+    assert stages["simulate"] == [], stages["simulate"]
+    assert not [m for m in stages["simulate two chunks"] if m.partition(".")[0] == "scipy"]
+    assert "concurrent.futures" in stages["simulate two chunks"]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -21,7 +25,8 @@ from kyle_stability import (
     solve_b_recursion,
     verify_kyle_recursions,
 )
-from kyle_stability.model import _backward_step, _scales, _unit_equilibrium
+from kyle_stability.model import _backward_step, _scale_pair, _unit_equilibrium
+from kyle_stability.reports import to_jsonable
 
 from conftest import BUMPED_BETA_N3, EQ_BETA_N3, bumped_params_n3, random_params
 
@@ -273,6 +278,13 @@ def test_second_order_condition_holds():
         {"n_periods": 2, "sigma_u": 6.71e153},
         # An int beyond float range.
         {"n_periods": 3, "sigma_u": 10**400},
+        # NaN, infinities and negatives, as Python floats and numpy scalars.
+        *(
+            {"n_periods": 2, name: kind(value)}
+            for name in ("delta", "sigma_u", "sigma0")
+            for value in (math.nan, math.inf, -math.inf, -1.0)
+            for kind in (float, np.float64)
+        ),
     ],
 )
 def test_params_validation_rejects(kwargs):
@@ -318,7 +330,7 @@ def test_cached_b_coefficients_equal_a_fresh_solve(n_periods):
     assert b.tobytes() == solve_b_recursion(n_periods).b.tobytes()
     # Any parameter set is the unit solution times the three scales.
     params = ModelParams(n_periods=n_periods, delta=0.37, sigma_u=2.9, sigma0=0.013)
-    s, scale_lam = _scales(params)
+    s, scale_lam = params._scales
     eq = equilibrium_from_params(params)
     assert eq.beta.tobytes() == (s * beta).tobytes()
     assert eq.lam.tobytes() == (scale_lam * lam).tobytes()
@@ -427,12 +439,38 @@ def test_scales_are_the_direct_quotients_without_underflow():
         delta, sigma_u, sigma0 = 10.0 ** logs
         root_sigma0, root_delta = np.sqrt(sigma0), np.sqrt(delta)
         direct = (sigma_u / (root_sigma0 * root_delta), root_sigma0 / (root_delta * sigma_u))
-        assert _scales(ModelParams(3, delta, sigma_u, sigma0)) == direct
+        assert ModelParams(3, delta, sigma_u, sigma0)._scales == direct
     # sqrt(sigma0) sqrt(delta) = 1e-160 is subnormal; the scales are still
     # exact to rounding: s = 1e-200 / 1e-160 and L = 1 / 1e-200.
-    s, scale_lam = _scales(ModelParams(3, delta=1e-160, sigma_u=1e-200, sigma0=1e-160))
+    s, scale_lam = ModelParams(3, delta=1e-160, sigma_u=1e-200, sigma0=1e-160)._scales
     assert abs(s - 1e-40) <= 2e-16 * 1e-40
     assert abs(scale_lam - 1e200) <= 2e-16 * 1e200
+
+
+def test_params_keep_their_scales_outside_the_fields():
+    # The pair (s, L) is computed once, on construction, and is no field:
+    # equality, hash, repr, the fields, pickling and the JSON report see the
+    # four inputs alone, and replace() computes the pair again.
+    params = ModelParams(n_periods=3, delta=0.37, sigma_u=2.9, sigma0=0.013)
+    assert params._scales == _scale_pair(params)
+    assert [f.name for f in dataclasses.fields(params)] == [
+        "n_periods", "delta", "sigma_u", "sigma0"
+    ]
+    assert repr(params) == "ModelParams(n_periods=3, delta=0.37, sigma_u=2.9, sigma0=0.013)"
+    same = ModelParams(3, 0.37, 2.9, 0.013)
+    assert same == params and hash(same) == hash(params) == hash((3, 0.37, 2.9, 0.013))
+    assert params != ModelParams(3, 0.37, 5.8, 0.013)
+    assert to_jsonable(params) == {"n_periods": 3, "delta": 0.37, "sigma_u": 2.9, "sigma0": 0.013}
+    loaded = pickle.loads(pickle.dumps(params))
+    assert loaded == params and repr(loaded) == repr(params)
+    assert loaded._scales == params._scales
+    # Doubling sigma_u doubles s and halves L exactly.
+    s, scale_lam = params._scales
+    moved = dataclasses.replace(params, sigma_u=5.8)
+    assert moved._scales == (2.0 * s, scale_lam / 2.0) == ModelParams(3, 0.37, 5.8, 0.013)._scales
+    assert dataclasses.replace(params)._scales == params._scales
+    with pytest.raises(ValueError, match="finite and positive"):
+        dataclasses.replace(params, delta=math.nan)
 
 
 @pytest.mark.parametrize(

@@ -577,13 +577,14 @@ def test_simulate_memory_is_flat_in_block_size_and_paths(monkeypatch):
     # most n + 1 more (the products Q z); on top of them comes one
     # (n + 3)-square Gram matrix per chunk of a block.  Block-sized rows, or
     # a temporary per chunk on top of the scratch, would break the bound.
-    # The first call in a process also imports modules (concurrent.futures,
-    # and secrets through numpy's SeedSequence), about 1.6 MB that
-    # tracemalloc counts once; a warm-up call keeps them out of every peak.
+    # The first two-worker call in a process also imports modules
+    # (concurrent.futures, and secrets through numpy's SeedSequence), about
+    # 1.6 MB that tracemalloc counts once; a warm-up call of two chunks, so
+    # on both workers, keeps them out of every peak.
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
     n, workers, rows = 24, 2, montecarlo._CHUNK
     params = ModelParams(n_periods=n)
-    simulate(equilibrium_config(params, n_paths=1000, seed=SEED))
+    simulate(equilibrium_config(params, n_paths=2 * rows, seed=SEED))
 
     def peak(n_paths, block_size):
         config = equilibrium_config(params, n_paths=n_paths, seed=SEED, block_size=block_size)

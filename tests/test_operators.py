@@ -19,7 +19,6 @@ from kyle_stability import (
     pinned_coordinate_step,
     pinned_step_polynomials,
 )
-from kyle_stability.model import _scales
 
 from conftest import EQ_BETA_N3, SECOND_FP_N3, random_params
 
@@ -637,7 +636,7 @@ def test_pinned_map_equals_the_full_round_trip(n):
     rng = np.random.default_rng(1741 + n)
     for scale in (1.0, 2.5):
         params = ModelParams(n_periods=n, sigma_u=scale)
-        assert _scales(params)[0] == scale
+        assert params._scales[0] == scale
         eq = equilibrium_from_params(params)
         base = eq.beta.tolist()
         strategies = [base, (np.array(base) * rng.uniform(0.7, 1.3, n)).tolist()]

@@ -30,7 +30,6 @@ from kyle_stability import (
     pinned_coordinate_derivative,
     stability,
 )
-from kyle_stability.model import _scales
 
 from conftest import (
     EIG_EQ_N3,
@@ -281,7 +280,7 @@ def test_jacobian_fd_relative_step_at_zero_entries():
 
 # Exact reprs of finite-difference Jacobians at (0.37, 2.9, 0.013), at the
 # equilibrium and at 1.01 times it, and of the spectral radii there; they
-# were captured from the unit-parameter kernels, scaled by model._scales.
+# were captured from the unit-parameter kernels, scaled by params._scales.
 # The equilibrium points ("beta-N", "lam-N") are stored too, so the
 # Jacobians stay pinned to the same inputs whatever rounding the
 # equilibrium construction does.
@@ -322,7 +321,7 @@ def test_golden_spectral_radii_match_an_mpmath_oracle(n, side):
         "insider": ("beta", 0, operators._strategy_round_trip),
         "maker": ("lam", 1, operators._pricing_round_trip),
     }[side]
-    scale = _scales(params)[index]
+    scale = params._scales[index]
     with mpmath.workdps(50):
         xs = [mpmath.mpf(float(v)) / mpmath.mpf(scale) for v in _JACOBIAN_GOLDEN[f"{path}-{n}"]]
         h = mpmath.mpf("1e-30")
@@ -349,7 +348,7 @@ def _exact_jacobian(operator, point, params: ModelParams) -> np.ndarray:
     or the same rule through the pricing round trip at ``point / L``."""
     if operator is insider_policy_step:
         return jacobian_closed_form(point, params)
-    _, scale_lam = _scales(params)
+    _, scale_lam = params._scales
     xs = [v / scale_lam for v in np.asarray(point, dtype=float).tolist()]
     return stability._columns(
         stability._complex_step, lambda v: operators._pricing_round_trip(v)[0], xs
@@ -391,7 +390,7 @@ def test_round_trips_equal_the_array_path_bitwise(n, sigma_u):
         if operator is insider_policy_step:
             # b**2 overflows in unit parameters on this entry and its stencil.
             x = point.copy()
-            x[n // 2] = 1.5e154 * _scales(params)[0]
+            x[n // 2] = 1.5e154 * params._scales[0]
             fast, slow = (_outcome(jacobian_fd, op, x, params) for op in (operator, wrapped))
             assert isinstance(fast, tuple) and fast[0] is StencilDomainError, fast
             assert fast == slow
@@ -454,7 +453,7 @@ def test_central_differences_at_the_edges_of_the_domain(n):
             assert not operators._pricing_round_trip(points[-1])[2]
         for sigma_u in (1.0, 2.5):
             params = ModelParams(n_periods=n, sigma_u=sigma_u)
-            scale = _scales(params)[side]
+            scale = params._scales[side]
             for xs, bound in [*((xs, 1e-7) for xs in points), *((xs, 1e-6) for xs in far)]:
                 x = [v * scale for v in xs]
                 fast, slow = (_outcome(jacobian_fd, op, x, params) for op in (operator, wrapped))
@@ -531,7 +530,7 @@ def test_factor_jacobians_equal_the_complex_steps(n):
         ):
             jacobian = (operators._strategy_jacobian, operators._pricing_jacobian)[side]
             for point in (path, path * (1.0 + 1e-2 * np.cos(np.arange(n)))):
-                value, got = jacobian(point.tolist(), _scales(params)[side])
+                value, got = jacobian(point.tolist(), params._scales[side])
                 assert value == operator(point, params).value.tolist()
                 want = _exact_jacobian(operator, point, params)
                 assert np.isfinite(got).all()
@@ -726,7 +725,7 @@ def test_exact_derivatives_equal_a_complex_step_through_the_full_pass(n):
     # round trip, at x / s, must give the same bytes.
     params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
     eq = equilibrium_from_params(params)
-    s, _ = _scales(params)
+    s, _ = params._scales
 
     def reference(point):
         xs = (point / s).tolist()
@@ -756,7 +755,7 @@ def test_pricing_complex_step_matches_fd(n):
     for scales in ({}, {"sigma_u": 1e-6}, {"sigma0": 1e6, "delta": 0.37}):
         params = ModelParams(n_periods=n, **scales)
         eq = equilibrium_from_params(params)
-        _, scale_lam = _scales(params)
+        _, scale_lam = params._scales
         for lam in (eq.lam, eq.lam * (1.0 + 1e-2 * np.cos(np.arange(n)))):
             xs = (lam / scale_lam).tolist()
             exact = np.array([stability._complex_step(step, xs, j) for j in range(n)]).T
@@ -914,6 +913,15 @@ def test_classification_bands():
         classify_spectral_radius(-0.1)
     with pytest.raises(ValueError):
         classify_spectral_radius(0.5, eps_class=0.0)
+    # NaN, infinities and negatives raise ValueError, as Python floats and
+    # as numpy scalars alike; so does a NaN band.
+    for value in (float("nan"), float("inf"), -float("inf"), -0.1):
+        for kind in (float, np.float64):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                classify_spectral_radius(kind(value))
+    with pytest.raises(ValueError, match="eps_class"):
+        classify_spectral_radius(0.5, eps_class=float("nan"))
+    assert classify_spectral_radius(np.float64(0.5)) == "attractive"
 
 
 def test_classify_unit_models():
