@@ -301,7 +301,7 @@ def simulate(config: SimConfig) -> SimResult:
     grams = np.empty((chunks, n + 3, n + 3))
     # The calling thread runs the first share of each block, and a pool of
     # workers - 1 threads the others; one worker starts no thread and does
-    # not import the pool (with logging, some 5 ms in a fresh process).
+    # not import the pool, which brings in logging.
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
