@@ -39,11 +39,10 @@ it is one function of its own: the pinned map solves the maker rounds
 before its entry once, and each step runs the maker rounds from the entry
 on and the backward recursion over all rounds on Python floats, keeping
 only the pinned round's strategy and no per-round list but the new prices.
-The float passes also run on Python ``complex`` values, which is how the
-stability module takes exact complex-step derivatives.  ``b**2`` stays a
-power (libm ``pow``), not ``b * b``, in the passes and the pinned step:
-they differ in the last bit for about one input in 1,250, which golden
-tests pin.
+``b**2`` stays a power (libm ``pow``), not ``b * b``, in the passes and the
+pinned step: they differ in the last bit for about one input in 1,250,
+which golden tests pin.  The passes stay generic arithmetic, because the
+tests' oracles run them on complex and mpmath values.
 
 The exact Jacobians of the round trips are products of two triangular
 factors: ``M' = d lam / d beta`` is lower triangular (``lam_n`` depends on
@@ -52,10 +51,14 @@ factors: ``M' = d lam / d beta`` is lower triangular (``lam_n`` depends on
 ``I'(lam) M'(beta)`` and the pricing round trip ``M'(beta) I'(lam)``.
 ``_maker_factor`` and ``_insider_factor`` take each factor in unit
 parameters from the variances or curvatures of one float pass, with one
-numpy sweep.  ``_strategy_jacobian`` and ``_pricing_jacobian`` run one pass
-of each side, multiply the factors and return the round trip's value with
+numpy sweep, over the rows that ``_maker_row`` and ``_insider_rounds``
+give.  ``_strategy_jacobian`` and ``_pricing_jacobian`` run one pass of
+each side, multiply the factors and return the round trip's value with
 its Jacobian, so a classification reads its residual and its Jacobian
-from the same passes.
+from the same passes.  The strategy side multiplies ``I' diag(lam)`` by
+``diag(1 / lam) M'``, so that a tiny price never squares.
+``_strategy_diagonal`` sums one diagonal entry of that product in O(N)
+Python floats, over the same rows.
 """
 
 from __future__ import annotations
@@ -204,16 +207,9 @@ def _insider_pass(lam: list, scale=1.0, out=1.0):
 
 
 def _finite(value: list, in_domain: bool) -> tuple[list, bool]:
-    """All infinity and out of the domain unless every entry is finite.
-
-    A complex entry, from a complex step, is finite when both its parts are.
-    """
-    try:
-        if all(map(math.isfinite, value)):
-            return value, in_domain
-    except TypeError:
-        if all(math.isfinite(v.real) and math.isfinite(v.imag) for v in value):
-            return value, in_domain
+    """All infinity and out of the domain unless every entry is finite."""
+    if all(map(math.isfinite, value)):
+        return value, in_domain
     return [math.inf] * len(value), False
 
 
@@ -277,46 +273,70 @@ def _pricing_round_trip(lam: list, scale=1.0) -> tuple[list, list, bool]:
     return value, dens, in_domain
 
 
-def _maker_factor(beta: list, sigma_sq: list) -> np.ndarray:
-    """``M' = d lam / d beta`` at unit ``beta``, from the variances of :func:`_maker_pass`.
+def _maker_row(b: float, prev: float, var: float, scale: float) -> tuple[float, float]:
+    """Row k of ``M' = d lam / d beta`` over ``scale``: ``(factor of b_j for j < k, diagonal)``.
 
-    In unit parameters ``1 / Sigma_k = 1 / Sigma_{k-1} + b_k**2``, so the
-    forward sweep carries ``d Sigma_k / d b_j = -2 b_j Sigma_k**2`` for
-    ``j <= k``.  Row k of ``M'`` is ``-2 b_k Sigma_k**2 b_j`` for ``j < k``
-    and ``Sigma_k**2 (1 - b_k**2 Sigma_{k-1}) / Sigma_{k-1}`` on the
-    diagonal: ``M'`` is lower triangular.
+    In unit parameters ``1 / Sigma_k = 1 / Sigma_{k-1} + b_k**2``, so
+    ``d Sigma_k / d b_j = -2 b_j Sigma_k**2`` for ``j <= k``: row k of
+    ``M'`` is ``-2 b_k Sigma_k**2 b_j`` before the diagonal and
+    ``Sigma_k**2 (1 - b_k**2 Sigma_{k-1}) / Sigma_{k-1}`` on it.  Each
+    product is ordered so that ``Sigma_k**2`` is never formed: with
+    ``scale = lam_k = b_k Sigma_k`` the factor is ``-2 Sigma_k`` to rounding.
     """
+    return (
+        -2.0 * b * var / scale * var,
+        var / prev * (1.0 - b * b * prev) * var / scale,
+    )
+
+
+def _maker_factor(beta: list, sigma_sq: list, rows: list) -> np.ndarray:
+    """``diag(1 / rows) M'`` at unit ``beta``, from the variances of :func:`_maker_pass`."""
     b, jac = np.array(beta), np.zeros((len(beta), len(beta)))
-    for k, (b_k, prev, var) in enumerate(zip(beta, sigma_sq, sigma_sq[1:])):
-        np.multiply(b[:k], -2.0 * b_k * var * var, out=jac[k, :k])
-        jac[k, k] = var * var * (1.0 - b_k * b_k * prev) / prev
+    for k, row in enumerate(zip(beta, sigma_sq, sigma_sq[1:], rows)):
+        factor, jac[k, k] = _maker_row(*row)
+        np.multiply(b[:k], factor, out=jac[k, :k])
     return jac
 
 
-def _insider_factor(lam: list, alpha: list) -> np.ndarray:
-    """``I' = d beta / d lam`` at unit ``lam``, from the curvatures of :func:`_insider_pass`.
+def _insider_rounds(lam: list, alpha: list, columns: list):
+    """The rows of ``I' diag(columns)``, ``I' = d beta / d lam`` at unit ``lam``, backward.
 
-    Round n starts from ``a = alpha_n`` and has ``p = a lam_n`` and
-    ``u = 1 - p``.  In its own price ``d beta_n / d lam_n = -(1 / lam_n**2
-    + (a / u)**2) / 2`` and ``d alpha_{n-1} / d lam_n = -4 (1 - 2p)
-    alpha_{n-1}**2``; through the curvature it starts from,
-    ``d beta_n / d alpha_n = -1 / (2 u**2)`` and ``d alpha_{n-1} / d alpha_n
-    = 1 / (4 u**2)``.  So the backward sweep carries ``d alpha_n / d lam``
-    from ``alpha_N = 0``, and ``I'`` is upper triangular.  Meant for a
-    point inside the domain (see ``DOMAIN_RTOL``).
+    Yields ``(i, entry (i, i), entry (i, i + 1), carry)`` for ``i = N - 1 ..
+    0``, from the curvatures of :func:`_insider_pass`.  Round i has ``a =
+    alpha_{i+1}``, ``p_i = a lam_i``, ``u_i = 1 - p_i`` and ``ratio = a /
+    u_i``: ``I'[i, i] = -(1 / lam_i**2 + ratio**2) / 2``, ``I'[i, i + 1] =
+    2 (1 - 2 p_{i+1}) ratio**2`` and, further right, ``I'[i, j] = carry
+    I'[i + 1, j]`` with ``carry = 1 / (4 u_i**2)``, since ``d beta_i / d
+    alpha_{i+1} = -2 carry`` and ``d alpha_i / d alpha_{i+1} = carry``.  No
+    ``alpha**2`` is formed, and each square is scaled before it is formed:
+    with ``columns = lam`` the diagonal is ``-(ratio**2 lam_i + 1 / lam_i)
+    / 2``, finite wherever ``lam_i`` passes the domain test.
+    """
+    last, p_next = len(lam) - 1, 0.0
+    for i in range(last, -1, -1):
+        lam_i, a, scale = lam[i], alpha[i + 1], columns[i]
+        p = a * lam_i
+        u = 1.0 - p
+        ratio = a / u
+        diagonal = -0.5 * (ratio * scale * ratio + scale / lam_i / lam_i)
+        upper = 2.0 * (1.0 - 2.0 * p_next) * (ratio * columns[i + 1] * ratio) if i < last else 0.0
+        yield i, diagonal, upper, 0.25 / (u * u)
+        p_next = p
+
+
+def _insider_factor(lam: list, alpha: list, columns: list) -> np.ndarray:
+    """``I' diag(columns)``, upper triangular, built by rows from :func:`_insider_rounds`.
+
+    Meant for a point inside the domain (see ``DOMAIN_RTOL``).
     """
     n = len(lam)
-    jac, d_alpha = np.zeros((n, n)), np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        a, inverse, new = alpha[i + 1], 1.0 / lam[i], alpha[i]
-        p = a * lam[i]
-        u = 1.0 - p
-        carry, ratio = 0.25 / (u * u), a / u
-        if i < n - 1:  # alpha_N = 0 depends on no price
-            np.multiply(d_alpha, -2.0 * carry, out=jac[i])
-            d_alpha *= carry
-        jac[i, i] = -0.5 * (inverse * inverse + ratio * ratio)
-        d_alpha[i] = -4.0 * (1.0 - 2.0 * p) * new * new
+    jac = np.zeros((n, n))
+    for i, diagonal, upper, carry in _insider_rounds(lam, alpha, columns):
+        jac[i, i] = diagonal
+        if i < n - 1:
+            jac[i, i + 1] = upper
+        if i < n - 2:
+            np.multiply(jac[i + 1, i + 2 :], carry, out=jac[i, i + 2 :])
     return jac
 
 
@@ -341,41 +361,67 @@ def _factor_product(left: np.ndarray, right: np.ndarray, left_upper: bool) -> np
     return product
 
 
-def _strategy_jacobian(beta: list, scale=1.0) -> tuple[list, np.ndarray]:
+def _strategy_jacobian(beta: list, scale=1.0) -> tuple[list, np.ndarray | None]:
     """The strategy round trip at ``beta`` and its Jacobian ``I'(lam) M'(beta / scale)``.
 
     One pass of each side at ``beta / scale`` gives the value, as
     :func:`_strategy_round_trip` has it, and both factors.
-    ``T_p(x) = s T_1(x / s)``, so ``J_p(x) = J_1(x / s)``.  An entry that
-    overflows reads infinity, as on Python floats; outside the domain the
-    Jacobian is all NaN.
+    ``T_p(x) = s T_1(x / s)``, so ``J_p(x) = J_1(x / s)``.  The factors are
+    taken as ``I' diag(lam)`` and ``diag(1 / lam) M'``, which have the same
+    product, so a tiny price never squares in ``1 / lam**2``.  An entry
+    that overflows reads infinity, as on Python floats; outside the domain
+    the Jacobian is None.
     """
     unit = [b / scale for b in beta]
     lam, sigma_sq = _maker_pass(unit)
     value, alpha, _, in_domain = _insider_pass(lam, 1.0, scale)
     if not in_domain:
-        return value, np.full((len(beta), len(beta)), np.nan)
+        return value, None
     with np.errstate(all="ignore"):
-        upper, lower = _insider_factor(lam, alpha), _maker_factor(unit, sigma_sq)
+        upper, lower = _insider_factor(lam, alpha, lam), _maker_factor(unit, sigma_sq, lam)
         return value, _factor_product(upper, lower, True)
 
 
-def _pricing_jacobian(lam: list, scale=1.0) -> tuple[list, np.ndarray]:
+def _pricing_jacobian(lam: list, scale=1.0) -> tuple[list, np.ndarray | None]:
     """The pricing round trip at ``lam`` and its Jacobian ``M'(beta) I'(lam / scale)``.
 
     One pass of each side at ``lam / scale`` gives the value, as
     :func:`_pricing_round_trip` has it before its finiteness check, and both
     factors.  ``P_p(l) = L P_1(l / L)``, so ``J_p(l) = J_1(l / L)``;
-    outside the domain of the insider pass the Jacobian is all NaN.
+    outside the domain of the insider pass the Jacobian is None.
     """
     unit = [v / scale for v in lam]
     beta, alpha, _, in_domain = _insider_pass(unit)
     if not in_domain:
-        return beta, np.full((len(lam), len(lam)), np.nan)
+        return beta, None
     value, sigma_sq = _maker_pass(beta, 1.0, scale)
     with np.errstate(all="ignore"):
-        lower, upper = _maker_factor(beta, sigma_sq), _insider_factor(unit, alpha)
+        ones = [1.0] * len(lam)
+        lower, upper = _maker_factor(beta, sigma_sq, ones), _insider_factor(unit, alpha, ones)
         return value, _factor_product(lower, upper, False)
+
+
+def _strategy_diagonal(beta: list, k: int) -> float | None:
+    """Entry (k, k) of the strategy round trip's Jacobian at unit ``beta``; None outside the domain.
+
+    Row k of ``I' diag(lam)`` times column k of ``diag(1 / lam) M'``, the
+    factors of :func:`_strategy_jacobian`, on Python floats: over the
+    rounds ``i = N - 1 .. k`` of :func:`_insider_rounds` it carries
+    ``S_i = I'[i, i + 1] lam_{i+1} M'[i + 1, k] / lam_{i+1} + carry_i
+    S_{i+1}``, so the entry costs O(N) and no matrix.
+    """
+    lam, sigma_sq = _maker_pass(beta)
+    _, alpha, _, in_domain = _insider_pass(lam)
+    if not in_domain:
+        return None
+    b_k, below, total = beta[k], 0.0, 0.0
+    for i, diagonal, upper, carry in _insider_rounds(lam, alpha, lam):
+        factor, slope = _maker_row(beta[i], sigma_sq[i], sigma_sq[i + 1], lam[i])
+        total = upper * below + carry * total
+        if i == k:
+            break
+        below = b_k * factor
+    return diagonal * slope + total
 
 
 def _operator_result(round_trip, x, params: ModelParams, name: str, side: int) -> OperatorResult:

@@ -20,27 +20,22 @@ float passes directly, without building arrays or an ``OperatorResult``
 per step or stencil point, and gives the same bits; a wrapper around
 either is any other callable and is called at every point.
 
-Local analysis around a fixed point goes through the Jacobian: central
-finite differences for any policy map, exact complex steps for the
-strategy round trip, exact triangular factors for the classification of
-both round trips, eigenvalues by the standard dense solver (balancing,
-Hessenberg reduction, shifted QR), and a classification of the spectral
-radius.  Scalar diagnostics for pinned-coordinate restrictions of the
-strategy map live here too: the exact derivative and the iteration of the
-tangent-line model.
+Local analysis around a fixed point goes through the Jacobian, taken by
+one of two rules: central finite differences for any policy map, and the
+exact triangular factors of the two round trips
+(``operators._strategy_jacobian`` and ``_pricing_jacobian``), which
+:func:`classify_fixed_point` reads on both and :func:`jacobian_closed_form`
+returns for the strategy side.  Eigenvalues come from the standard dense
+solver (balancing, Hessenberg reduction, shifted QR), followed by a
+classification of the spectral radius.  Scalar diagnostics for
+pinned-coordinate restrictions of the strategy map live here too: the
+exact derivative, one diagonal entry of the factor product summed in
+O(N), and the iteration of the tangent-line model.
 
-Both derivative rules stack one column per entry j in C order: a central
-difference (:func:`_central_difference`) or a complex step
-(:func:`_complex_step`), which runs the float kernels unchanged on Python
-``complex`` values and reads ``f'(x) = Im f(x + i h) / h``: no
-difference, so no cancellation (Squire & Trapp, SIAM Review 40, 1998).
-Both take the step ``c * |x_j|``, which follows the size of the point and
-not its units (see :func:`_relative_step`).  A column rule evaluates the
-whole map at the point with entry ``j`` replaced.
-:func:`classify_fixed_point` needs neither on the two round trips: it
-reads their exact Jacobians from the factor products
-``operators._strategy_jacobian`` and ``_pricing_jacobian``, one numpy
-sweep per pass.
+A central difference (:func:`_central_difference`) evaluates the whole map
+at the point with entry ``j`` replaced, one column per entry, stacked in C
+order.  Its step ``c * |x_j|`` follows the size of the point and not its
+units (see :func:`_relative_step`).
 """
 
 from __future__ import annotations
@@ -54,7 +49,14 @@ from operator import itemgetter, sub
 import numpy as np
 
 from .model import Equilibrium, ModelParams, _count, equilibrium_from_params
-from .operators import _as_floats, _list_map, _pinned_map, _round_trip_of, _strategy_round_trip
+from .operators import (
+    _as_floats,
+    _list_map,
+    _pinned_map,
+    _round_trip_of,
+    _strategy_diagonal,
+    _strategy_jacobian,
+)
 
 __all__ = [
     "VERDICT_CONVERGED",
@@ -82,10 +84,9 @@ VERDICT_DIVERGED = "diverged"
 VERDICT_LEFT_DOMAIN = "left_domain"
 VERDICT_MAX_ITER = "max_iter"
 
-# Relative step scales: eps^(1/3) balances truncation against rounding in
-# the central stencil; a complex step takes no difference, so h can be tiny.
+# Relative step scale: eps^(1/3) balances truncation against rounding in
+# the central stencil.
 _FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-_CS_STEP = 1e-20
 # classify_fixed_point: the relative sup-norm move a fixed point may show.
 _FIXED_POINT_TOL = 1e-8
 # classify_fixed_point: how far the exact Jacobian of the round trip a wrapper
@@ -99,7 +100,7 @@ _TRACE_HALF = 500
 
 
 class StencilDomainError(RuntimeError):
-    """A stencil point or complex step along ``coordinate`` (1-based) left the domain."""
+    """A stencil point, or the pinned point, of ``coordinate`` (1-based) left the domain."""
 
     def __init__(self, coordinate: int):
         super().__init__(
@@ -272,29 +273,9 @@ def _central_difference(step, xs: list, j: int, name: str = "point") -> list:
     return [(p - m) / width for p, m in zip(f_plus, f_minus)]
 
 
-def _complex_step(step, xs: list, j: int) -> list:
-    """Column ``j`` of the Jacobian at ``xs`` of ``step``, a map on lists.
-
-    ``Im f(x + i h e_j) / h`` with ``h = 1e-20 |x_j|`` (see
-    :func:`_relative_step`), exact to rounding, from the whole map at
-    ``xs`` with entry ``j`` replaced.  An image entry whose real or imaginary
-    part is not finite, or an ``OverflowError`` (``abs`` of a complex
-    number raises it on overflow, and in CPython on a NaN after an earlier
-    overflow), raises :class:`StencilDomainError` for entry ``j + 1``.
-    """
-    h = _relative_step(xs, j, _CS_STEP)
-    try:
-        values = step(_replaced(xs, j, complex(xs[j], h)))
-    except OverflowError:
-        raise StencilDomainError(j + 1) from None
-    if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in values):
-        raise StencilDomainError(j + 1)
-    return [v.imag / h for v in values]
-
-
-def _columns(rule, step, xs: list, *args) -> np.ndarray:
-    """The Jacobian of one column ``rule`` per entry, stacked in C order."""
-    return np.array([rule(step, xs, j, *args) for j in range(len(xs))], order="F").T
+def _columns(step, xs: list, name: str) -> np.ndarray:
+    """The Jacobian of one central difference per entry, stacked in C order."""
+    return np.array([_central_difference(step, xs, j, name) for j in range(len(xs))], order="F").T
 
 
 def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
@@ -314,28 +295,17 @@ def jacobian_fd(operator, point, params: ModelParams) -> np.ndarray:
     xs = _as_floats(point, params.n_periods, "point")
     found = _round_trip_of(operator)
     name = "point" if found is None else found[2]
-    return _columns(_central_difference, _list_map(operator, params), xs, name)
-
-
-def _unit_point(point, params: ModelParams, name: str) -> list:
-    """A strategy vector checked and divided by s, where the complex steps are taken."""
-    xs = _as_floats(point, params.n_periods, name)
-    s = params._scales[0]
-    return [x / s for x in xs]
-
-
-def _unit_strategy_map(values: list) -> list:
-    """The strategy round trip in unit parameters, on floats or complex values."""
-    return _strategy_round_trip(values)[0]
+    return _columns(_list_map(operator, params), xs, name)
 
 
 def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
     """Exact Jacobian of the strategy round trip, for any number of rounds.
 
-    One complex step per column (:func:`_complex_step`) through the float
-    passes of :func:`~kyle_stability.operators.insider_policy_step`, in unit
-    parameters at ``x / s``: ``T_p(x) = s T_1(x / s)``, so ``J_p(x) = J_1(x
-    / s)``, and there the step stays a normal float at every scale.
+    The product of its triangular factors, ``I'(lam) M'(beta)``, from one
+    float pass of each side in unit parameters at ``x / s``
+    (``operators._strategy_jacobian``): ``T_p(x) = s T_1(x / s)``, so
+    ``J_p(x) = J_1(x / s)``.  :func:`classify_fixed_point` reads the same
+    product, bit for bit.  An entry that overflows reads infinity.
 
     Raises
     ------
@@ -343,13 +313,12 @@ def jacobian_closed_form(point, params: ModelParams) -> np.ndarray:
         When ``point`` is not a finite vector of length ``params.n_periods``.
     OutOfDomainError
         When ``point`` is outside the map's domain.
-    StencilDomainError
-        When a complex step leaves the domain from a point inside it.
     """
-    xs = _unit_point(point, params, "point")
-    if not all(map(math.isfinite, _unit_strategy_map(xs))):
+    xs = _as_floats(point, params.n_periods, "point")
+    jac = _strategy_jacobian(xs, params._scales[0])[1]
+    if jac is None:
         raise OutOfDomainError("point is outside the operator domain")
-    return _columns(_complex_step, _unit_strategy_map, xs)
+    return jac
 
 
 def eigenvalues(matrix) -> np.ndarray:
@@ -457,16 +426,22 @@ def pinned_coordinate_derivative(
 
     ``coord`` is 1-based.  The equilibrium is solved on the fly when not
     supplied.  It is the diagonal entry of :func:`jacobian_closed_form` at
-    ``eq.beta``, taken by the same complex step along coordinate ``coord``
-    alone.  A step outside the operator domain raises
+    ``eq.beta``: row ``coord`` of one triangular factor times column
+    ``coord`` of the other, summed in O(N) Python floats by the insider
+    factor's own backward recursion (``operators._strategy_diagonal``),
+    at ``eq.beta / s``.  An ``eq.beta`` outside the operator domain raises
     :class:`StencilDomainError`.
     """
     if eq is None:
         eq = equilibrium_from_params(params)
     if _count(coord, "coord", 1) > params.n_periods:
         raise ValueError("coord must be between 1 and n_periods")
-    xs = _unit_point(eq.beta, params, "beta")
-    return _complex_step(_unit_strategy_map, xs, coord - 1)[coord - 1]
+    s = params._scales[0]
+    unit = [b / s for b in _as_floats(eq.beta, params.n_periods, "beta")]
+    slope = _strategy_diagonal(unit, coord - 1)
+    if slope is None:
+        raise StencilDomainError(coord)
+    return slope
 
 
 def linearized_pinned_iteration(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -319,7 +320,7 @@ def test_golden_spectral_radii_match_an_mpmath_oracle(n, side):
     params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
     path, index, round_trip = {
         "insider": ("beta", 0, operators._strategy_round_trip),
-        "maker": ("lam", 1, operators._pricing_round_trip),
+        "maker": ("lam", 1, _pricing_passes),
     }[side]
     scale = params._scales[index]
     with mpmath.workdps(50):
@@ -343,16 +344,29 @@ def _outcome(function, *args):
         return type(error), getattr(error, "coordinate", None)
 
 
+def _pricing_passes(values: list) -> tuple[list]:
+    """The unit pricing round trip composed from the two passes, for values
+    the round trip's finiteness check does not read (complex, mpmath)."""
+    return (operators._maker_pass(operators._insider_pass(values)[0])[0],)
+
+
 def _exact_jacobian(operator, point, params: ModelParams) -> np.ndarray:
-    """The complex-step Jacobian of a round trip: ``jacobian_closed_form``,
-    or the same rule through the pricing round trip at ``point / L``."""
-    if operator is insider_policy_step:
-        return jacobian_closed_form(point, params)
-    _, scale_lam = params._scales
-    xs = [v / scale_lam for v in np.asarray(point, dtype=float).tolist()]
-    return stability._columns(
-        stability._complex_step, lambda v: operators._pricing_round_trip(v)[0], xs
-    )
+    """A reference independent of the factors: one complex step per column,
+    ``Im f(x + i h e_j) / h`` with ``h = 1e-20 |x_j|``, through the unit
+    passes on Python ``complex`` values at ``point / s`` (or ``/ L``).  No
+    difference is taken, so it is exact to rounding where the passes stay
+    inside the float range."""
+    side = 0 if operator is insider_policy_step else 1
+    scale = params._scales[side]
+    xs = [v / scale for v in np.asarray(point, dtype=float).tolist()]
+    round_trip = (operators._strategy_round_trip, _pricing_passes)[side]
+    columns = []
+    for j, x_j in enumerate(xs):
+        h = 1e-20 * abs(x_j)
+        values = list(xs)
+        values[j] = complex(x_j, h)
+        columns.append([v.imag / h for v in round_trip(values)[0]])
+    return np.array(columns).T
 
 
 def _gap(got, want) -> float:
@@ -476,10 +490,11 @@ def test_central_differences_at_the_edges_of_the_domain(n):
 @pytest.mark.parametrize("n", [1, 3, 14, 64])
 def test_factor_products_keep_structural_zeros_at_the_edges_of_the_domain(n):
     # At the edge points of the central-difference test, a factor entry can
-    # overflow (a strategy entry of 1e-160 makes d beta / d lam of its round
+    # overflow (a price entry of 1e-160 makes d beta / d lam of its round
     # infinite).  Each Jacobian entry must then be the sum of the terms
     # inside both triangles, as formed here entry by entry: the other
-    # factor's structural zeros never turn it into NaN.
+    # factor's structural zeros never turn it into NaN.  The strategy
+    # side's factors, I' diag(lam) and diag(1 / lam) M', stay finite there.
     eq = equilibrium_from_params(ModelParams(n_periods=n))
     for side, base in enumerate((eq.beta.tolist(), eq.lam.tolist())):
         overflowed = 0
@@ -496,12 +511,13 @@ def test_factor_products_keep_structural_zeros_at_the_edges_of_the_domain(n):
                     continue
                 with np.errstate(all="ignore"):
                     if side == 0:
-                        left = operators._insider_factor(lam, alpha)
-                        right = operators._maker_factor(x, sigma_sq)
+                        left = operators._insider_factor(lam, alpha, lam)
+                        right = operators._maker_factor(x, sigma_sq, lam)
                         got = operators._strategy_jacobian(x)[1]
                     else:
-                        left = operators._maker_factor(beta, operators._maker_pass(beta)[1])
-                        right = operators._insider_factor(x, alpha)
+                        ones = [1.0] * n
+                        left = operators._maker_factor(beta, operators._maker_pass(beta)[1], ones)
+                        right = operators._insider_factor(x, alpha, ones)
                         got = operators._pricing_jacobian(x)[1]
                     want = np.empty((n, n))
                     for i in range(n):
@@ -513,8 +529,7 @@ def test_factor_products_keep_structural_zeros_at_the_edges_of_the_domain(n):
                 scale = max(np.max(np.abs(want[finite]), initial=0.0), 1.0)
                 assert np.array_equal(got[~finite], want[~finite], equal_nan=True), (side, k, value)
                 assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * scale), (side, k, value)
-        if side == 0:
-            assert overflowed
+        assert overflowed if side == 1 else not overflowed, (side, overflowed)
 
 
 @pytest.mark.parametrize("n", [*range(1, 17), 64, 200])
@@ -691,8 +706,8 @@ def test_jacobian_closed_form_matches_fd_on_random_points():
 
 
 def test_jacobian_closed_form_matches_the_hand_algebra():
-    # The complex step has no truncation error to speak of, so the exact
-    # Jacobian meets the hand-expanded one at rounding level.
+    # The factors have no truncation error, so the exact Jacobian meets the
+    # hand-expanded one at rounding level.
     for params, beta in _random_points_up_to_two_rounds():
         closed = jacobian_closed_form(beta, params)
         tol = 1e-12 * (1.0 + np.max(np.abs(closed)))
@@ -711,64 +726,131 @@ def test_jacobian_closed_form_any_n_matches_fd():
 
 @pytest.mark.parametrize("n", [*range(1, 9), 16, 64])
 def test_pinned_derivative_is_the_exact_jacobian_diagonal(n):
-    params = ModelParams(n_periods=n)
-    eq = equilibrium_from_params(params)
-    diagonal = np.diag(jacobian_closed_form(eq.beta, params))
-    pinned = [pinned_coordinate_derivative(k, params, eq) for k in range(1, n + 1)]
-    assert [repr(v) for v in pinned] == [repr(float(v)) for v in diagonal]
+    # The pinned derivative sums row k of one factor times column k of the
+    # other in O(N) floats, and the diagonal of jacobian_closed_form comes
+    # from a matrix product, so the two need not share bits.  Each meets a
+    # 50-digit complex step through the passes, and the two meet each other,
+    # within 4e-15 max(1, |J_kk|), at unit, golden and beta-scale 1e-8 and
+    # 1e8 parameters.
+    mpmath = pytest.importorskip("mpmath")
+    golden = {"delta": 0.37, "sigma_u": 2.9, "sigma0": 0.013}
+    for scales in ({}, golden, {"sigma_u": 1e-8}, {"sigma_u": 1e8}):
+        params = ModelParams(n_periods=n, **scales)
+        eq = equilibrium_from_params(params)
+        diagonal = np.diag(jacobian_closed_form(eq.beta, params)).tolist()
+        pinned = [pinned_coordinate_derivative(k, params, eq) for k in range(1, n + 1)]
+        s, _ = params._scales
+        with mpmath.workdps(50):
+            h = mpmath.mpf("1e-30")
+            for k in range(n):
+                x = [mpmath.mpf(b / s) for b in eq.beta.tolist()]
+                x[k] = mpmath.mpc(x[k], h)
+                want = operators._strategy_round_trip(x)[0][k].imag / h
+                bound = 4e-15 * max(1.0, abs(float(want)))
+                for got in (pinned[k], diagonal[k]):
+                    assert abs(mpmath.mpf(got) - want) <= bound, (scales, k, got)
+                assert abs(pinned[k] - diagonal[k]) <= bound, (scales, k)
 
 
 @pytest.mark.parametrize("n", [1, 3, 8, 64])
-def test_exact_derivatives_equal_a_complex_step_through_the_full_pass(n):
-    # jacobian_closed_form and pinned_coordinate_derivative resume the maker
-    # pass at the stepped round; a complex step through the whole strategy
-    # round trip, at x / s, must give the same bytes.
+def test_closed_form_is_the_classified_factor_product(n):
+    # jacobian_closed_form returns the factor product of the strategy round
+    # trip at x / s, and classify_fixed_point reports that product, bit for
+    # bit, at the equilibrium (off it, classify_fixed_point rejects the point).
     params = ModelParams(n_periods=n, delta=0.37, sigma_u=2.9, sigma0=0.013)
     eq = equilibrium_from_params(params)
     s, _ = params._scales
-
-    def reference(point):
-        xs = (point / s).tolist()
-        columns = []
-        for j in range(n):
-            h = 1e-20 * abs(xs[j])
-            x = list(xs)
-            x[j] = complex(x[j], h)
-            columns.append([v.imag / h for v in operators._strategy_round_trip(x)[0]])
-        return np.array(columns, order="F").T
-
     for point in (eq.beta, eq.beta * (1.0 + 1e-2 * np.cos(np.arange(n)))):
-        assert jacobian_closed_form(point, params).tobytes() == reference(point).tobytes()
-    pinned = [pinned_coordinate_derivative(k, params, eq) for k in range(1, n + 1)]
-    assert [v.hex() for v in pinned] == [v.hex() for v in np.diag(reference(eq.beta)).tolist()]
+        closed = jacobian_closed_form(point, params)
+        assert closed.tobytes() == operators._strategy_jacobian(point.tolist(), s)[1].tobytes()
+    report = classify_fixed_point(insider_policy_step, eq.beta, params)
+    assert jacobian_closed_form(eq.beta, params).tobytes() == report.jacobian.tobytes()
+
+
+def _edge_points(base: list) -> list:
+    """The point, 1.01 times it, and entries of +-1e-160, 1e-200, 1e-100 and
+    5e-324 at coordinates 1, N // 2 + 1 and N."""
+    n = len(base)
+    points = [base, [1.01 * v for v in base]]
+    for k in sorted({1, n // 2 + 1, n}):
+        for value in (1e-160, -1e-160, 1e-200, 1e-100, 5e-324):
+            points.append(list(base))
+            points[-1][k - 1] = value
+    return points
+
+
+def _assert_meets_the_oracle(got: np.ndarray, round_trip, x: list) -> None:
+    """No entry of ``got`` is NaN; each is within 1e-12 max(1, |J|) of a
+    400-digit complex step through ``round_trip`` at ``x``, whose h = 1e-350
+    is small against every entry; one that overflows there reads infinity
+    with its sign."""
+    mpmath = pytest.importorskip("mpmath")
+    assert not np.isnan(got).any(), x
+    with mpmath.workdps(400):
+        h = mpmath.mpf("1e-350")
+        for j in range(len(x)):
+            values = [mpmath.mpf(v) for v in x]
+            values[j] = mpmath.mpc(values[j], h)
+            for i, image in enumerate(round_trip(values)[0]):
+                want, entry = image.imag / h, float(got[i, j])
+                if abs(want) > np.finfo(float).max:
+                    assert entry == math.copysign(math.inf, want), (x, i, j)
+                else:
+                    assert abs(mpmath.mpf(entry) - want) <= 1e-12 * max(1, abs(want)), (x, i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 14])
+def test_jacobian_closed_form_meets_an_oracle_at_the_edges_of_the_domain(n):
+    # At the edge points of the strategy inside the domain, jacobian_closed_form
+    # meets a 400-digit oracle (58 points over these N); outside, it raises.
+    pytest.importorskip("mpmath")
+    params = ModelParams(n_periods=n)
+    inside = 0
+    for x in _edge_points(equilibrium_from_params(params).beta.tolist()):
+        if not operators._strategy_round_trip(x)[2]:
+            with pytest.raises(OutOfDomainError):
+                jacobian_closed_form(x, params)
+            continue
+        inside += 1
+        _assert_meets_the_oracle(jacobian_closed_form(x, params), operators._strategy_round_trip, x)
+    assert inside >= 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 14])
+def test_pricing_factors_meet_an_oracle_at_the_edges_of_the_domain(n):
+    # The same points on the price path, where the pricing round trip is
+    # inside the domain (22 points over these N).
+    pytest.importorskip("mpmath")
+    inside = 0
+    for x in _edge_points(equilibrium_from_params(ModelParams(n_periods=n)).lam.tolist()):
+        if operators._pricing_round_trip(x)[2]:
+            inside += 1
+            _assert_meets_the_oracle(operators._pricing_jacobian(x)[1], _pricing_passes, x)
+    assert inside >= 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
-def test_pricing_complex_step_matches_fd(n):
-    # The same complex step runs through the pricing round trip, whose
-    # finiteness test reads both parts of a complex entry.  It agrees with
-    # the central stencil to 1e-9 of the largest entry (about 1.5e-10 seen).
-
-    def step(values):
-        return operators._pricing_round_trip(values)[0]
-
+def test_pricing_factors_match_fd(n):
+    # The factor product of the pricing round trip agrees with the central
+    # stencil to 1e-9 of the largest entry (about 1.5e-10 seen).
     for scales in ({}, {"sigma_u": 1e-6}, {"sigma0": 1e6, "delta": 0.37}):
         params = ModelParams(n_periods=n, **scales)
         eq = equilibrium_from_params(params)
         _, scale_lam = params._scales
         for lam in (eq.lam, eq.lam * (1.0 + 1e-2 * np.cos(np.arange(n)))):
-            xs = (lam / scale_lam).tolist()
-            exact = np.array([stability._complex_step(step, xs, j) for j in range(n)]).T
+            exact = operators._pricing_jacobian(lam.tolist(), scale_lam)[1]
             fd = jacobian_fd(maker_policy_step, lam, params)
             assert np.max(np.abs(exact - fd)) <= 1e-9 * np.max(np.abs(exact)), scales
-    # Steps out of the domain: a zero price (the insider recursion stops)
-    # and a tiny last price, whose strategy overflows the maker pass.
-    xs = (equilibrium_from_params(ModelParams(n_periods=n)).lam).tolist()
+    # Stencils out of the domain: a zero price (the insider recursion stops)
+    # and a tiny last price, whose strategy overflows the maker pass.  The
+    # first column that does not move that entry raises.
+    params = ModelParams(n_periods=n)
+    xs = equilibrium_from_params(params).lam.tolist()
     for j, value in ((0, 0.0), (n - 1, 1e-160)):
         point = list(xs)
         point[j] = value
         with pytest.raises(StencilDomainError) as excinfo:
-            stability._complex_step(step, point, (j + 1) % n)
+            jacobian_fd(maker_policy_step, point, params)
         assert excinfo.value.coordinate == (j + 1) % n + 1
 
 
@@ -785,9 +867,10 @@ def test_exact_jacobian_is_parameter_invariant(n):
         assert gap <= 1e-12 * np.max(np.abs(reference)), (sigma_u, sigma0, gap)
 
 
-def test_complex_step_keeps_the_overflow_verdicts(unit_params_n3):
-    # beta_1**2 overflows in the maker pass; the complex step reruns the
-    # rounds on numpy scalars like the float path and leaves the domain.
+def test_exact_derivatives_keep_the_overflow_verdicts(unit_params_n3):
+    # beta_1**2 overflows in the maker pass, so the point is outside the
+    # domain: the pinned derivative raises for its coordinate, the closed
+    # form for the point.
     eq = equilibrium_from_params(unit_params_n3)
     beta = eq.beta.copy()
     beta[0] = 1.5e154
@@ -800,8 +883,8 @@ def test_complex_step_keeps_the_overflow_verdicts(unit_params_n3):
 
 
 def test_exact_jacobian_matches_an_mpmath_oracle(unit_params_n3):
-    # The same complex step on mpmath values at 50 digits, from the b
-    # recursion solved at that precision, run through the same kernels.
+    # A complex step on mpmath values at 50 digits, from the b recursion
+    # solved at that precision, run through the same kernels.
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         squares = [mpmath.mpf(1)]
