@@ -7,6 +7,7 @@ numbers: a broken solver breaks these outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from operator import itemgetter
 
@@ -73,16 +74,17 @@ def variance_perturbation_experiment(
     """Iterate the strategy round trip from a variance-perturbed equilibrium.
 
     The start vector is the equilibrium for noise variance
-    ``sigma_u**2 + variance_bump``; the iteration itself runs at the
-    unperturbed parameters.  Reports the verdict, the limit, its distance
-    from the unperturbed equilibrium, and the limit's own fixed-point
-    residual.
+    ``sigma_u ** 2 + variance_bump``, at the volatility ``hypot(sigma_u,
+    sqrt(variance_bump))``, which forms no square of sigma_u to overflow;
+    the iteration itself runs at the unperturbed parameters.  Reports the
+    verdict, the limit, its distance from the unperturbed equilibrium, and
+    the limit's own fixed-point residual.
     """
     if params is None:
         params = ModelParams(n_periods=3)
     if not variance_bump > 0.0:
         raise ValueError("variance_bump must be positive")
-    bumped = replace(params, sigma_u=float(np.sqrt(params.sigma_u**2 + variance_bump)))
+    bumped = replace(params, sigma_u=math.hypot(params.sigma_u, math.sqrt(variance_bump)))
     eq = equilibrium_from_params(params)
     start = equilibrium_from_params(bumped).beta
     trace = iterate(insider_policy_step, start, params, tol=tol, max_iter=max_iter, blowup=blowup)

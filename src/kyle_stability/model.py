@@ -37,9 +37,6 @@ __all__ = [
     "verify_kyle_recursions",
 ]
 
-# The largest sigma_u: sigma_u**2 <= float max / 4 leaves the recursions headroom.
-_SIGMA_U_MAX = math.sqrt(float(np.finfo(float).max) / 4.0)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -52,8 +49,7 @@ class ModelParams:
     delta : float
         Length of one round.  Positive.
     sigma_u : float
-        Noise-trade volatility per unit time.  Positive, and at most about
-        6.70e153, so that ``sigma_u ** 2`` stays within float max / 4.
+        Noise-trade volatility per unit time.  Positive.
     sigma0 : float
         Prior variance of the asset value.  Positive.
 
@@ -79,10 +75,6 @@ class ModelParams:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive")
             object.__setattr__(self, name, value)
-        if self.sigma_u > _SIGMA_U_MAX:
-            raise ValueError(
-                f"sigma_u must be at most {_SIGMA_U_MAX:.4g} (sigma_u**2 <= float max / 4)"
-            )
         try:
             scales = _scale_pair(self)
             normal = min(scales) >= sys.float_info.min

@@ -17,11 +17,11 @@ profits and one Gram matrix.
 
 The chunk of 4096 paths is the one unit of the work.  Chunk ``c`` fills
 its paths' normals round by round from its own SFC64 substream (spawn key
-``(c,)`` under the seed) by numpy's ziggurat sampler.  Blocks are whole
-chunks, and each block is cut into whole chunks per worker (the CPUs
-available to the process, at most four, and no more than a block has
-chunks): the calling thread runs the first share and a thread pool the
-others, so one worker starts no thread.
+``(c,)`` under the seed, which may be any non-negative integer) by numpy's
+ziggurat sampler.  Blocks are whole chunks, and each block is cut into
+whole chunks per worker (the CPUs available to the process, at most four,
+and no more than a block has chunks): the calling thread runs the first
+share and a thread pool the others, so one worker starts no thread.
 A worker streams its share through its own one-chunk scratch: for each
 chunk it draws the normals straight into the rows ``[1 | z | profit]``,
 fills the profit row with ``z Q z`` and writes the chunk's Gram matrix.
@@ -55,7 +55,6 @@ __all__ = [
     "expected_equilibrium_profit",
 ]
 
-_SEED_MODULUS = 2**64
 # Paths per SFC64 substream and per pass of a worker (see ``_run_paths``).
 _CHUNK = 4096
 # Paths per ``Q z`` product.  Up to N = 24, OpenBLAS runs a product of
@@ -70,10 +69,11 @@ class SimConfig:
 
     ``strategy_beta`` and ``pricing_lambda`` have one entry per round; they
     default to nothing and must be supplied (see :func:`equilibrium_config`
-    for the equilibrium pair).  ``block_size`` is the number of paths
-    handed to the worker threads at a time, rounded up to whole 4096-path
-    chunks; it changes no bit of the result.  It sets only the Gram
-    buffer, one ``(n + 3)``-square matrix per chunk of a block.  Each
+    for the equilibrium pair).  ``seed`` is any non-negative integer, the
+    entropy of every chunk's substream.  ``block_size`` is the number of
+    paths handed to the worker threads at a time, rounded up to whole
+    4096-path chunks; it changes no bit of the result.  It sets only the
+    Gram buffer, one ``(n + 3)``-square matrix per chunk of a block.  Each
     worker holds ``n + 3`` floats (the rows ``[1 | z | profit]``) for each
     path of one chunk, and ``n + 1`` for each path of one ``Q z`` slice.
     """
@@ -88,8 +88,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name, low in (("n_paths", 1), ("seed", 0), ("block_size", 1)):
             object.__setattr__(self, name, _count(getattr(self, name), name, low))
-        if self.seed >= _SEED_MODULUS:
-            raise ValueError("seed must be below 2**64")
         n = self.params.n_periods
         for name in ("strategy_beta", "pricing_lambda"):
             object.__setattr__(self, name, _readonly(_as_floats(getattr(self, name), n, name)))
@@ -152,24 +150,17 @@ def equilibrium_config(
     )
 
 
-def _block_normals(seed: int, start: int, out: np.ndarray) -> None:
-    """Standard normals for paths ``start`` onwards, round-major, into ``out``.
+def _block_normals(seed: int, chunk: int, out: np.ndarray) -> None:
+    """Standard normals of chunk ``chunk``, round-major, into ``out``.
 
-    ``start`` is a multiple of ``_CHUNK``, and ``out`` has one row per draw
-    and one column per path.  Chunk ``c`` holds paths ``c * _CHUNK``
-    onwards and fills its columns row by row, one round after another,
-    from its own SFC64 substream: spawn key ``(c,)`` under entropy
-    ``seed``.  Columns that are contiguous, as a one-chunk scratch is,
-    take the draws in place.
+    ``out`` is C-contiguous, with one row per draw and one column per path
+    of the chunk (at most ``_CHUNK``).  The chunk fills it row by row, one
+    round after another, from its own SFC64 substream: spawn key
+    ``(chunk,)`` under entropy ``seed``, which may be any non-negative
+    integer.
     """
-    for lo in range(0, out.shape[1], _CHUNK):
-        seq = np.random.SeedSequence(seed, spawn_key=((start + lo) // _CHUNK,))
-        gen = np.random.Generator(np.random.SFC64(seq))
-        cols = out[:, lo : lo + _CHUNK]
-        if cols.flags.c_contiguous:
-            gen.standard_normal(out=cols)
-        else:
-            cols[:] = gen.standard_normal(cols.shape)
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk,))
+    np.random.Generator(np.random.SFC64(seq)).standard_normal(out=out)
 
 
 _MAX_WORKERS = 4
@@ -243,7 +234,7 @@ def _run_paths(
             u = rows[: (n + 3) * k].reshape(n + 3, k)
             u[0] = 1.0
             z, profit = u[1:-1], u[-1]
-            _block_normals(config.seed, start + first, z)
+            _block_normals(config.seed, (start + first) // _CHUNK, z)
             for lo in range(0, k, _SLICE):
                 z_slice = z[:, lo : lo + _SLICE]
                 qz = np.matmul(q, z_slice, out=products[: z_slice.size].reshape(z_slice.shape))

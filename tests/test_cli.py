@@ -150,6 +150,29 @@ def test_perturb_rejects_bad_return_tol(capsys, return_tol):
     assert "error: return_tol must be non-negative" in err
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_perturb_rejects_a_non_finite_start(capsys, delta):
+    code, out, err = _run(capsys, ["perturb", "--n", "3", "--delta", delta])
+    assert (code, out, err) == (2, "", "error: start must be finite\n")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["iterate", "--start", "1,x,1"],
+         "argument --start: not a comma-separated vector: '1,x,1'"),
+        (["perturb", "--coord", "x"],
+         "argument --coord: coord must be an integer or 'last': 'x'"),
+    ],
+)
+def test_malformed_vector_and_coord_exit_two(capsys, argv, line):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--n", "3"])
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == f"kyle-stability {argv[0]}: error: {line}"
+
+
 def test_iterate_accepts_vector_starting_with_negative_exponent(capsys):
     code, out, _ = _run(
         capsys, ["iterate", "--n", "3", "--start", "-1e-3,1,1", "--expect-converge"]
@@ -267,6 +290,13 @@ def test_stability_rejects_non_fixed_point(capsys):
     code, _, err = _run(capsys, ["stability", "--n", "2", "--point", "1,1"])
     assert code == 2
     assert "error" in err
+
+
+def test_stability_maker_point_outside_the_domain_exits_three(capsys):
+    # A zero price impact leaves the insider pass's domain.
+    argv = ["stability", "--n", "3", "--operator", "maker", "--point", "1,0,1"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (3, "", "error: point is outside the operator domain\n")
 
 
 def test_stability_equilibrium_classification(capsys):
@@ -539,18 +569,27 @@ def test_scales_outside_the_normal_floats_exit_two(capsys):
 
 
 def test_sigma_u_bound(capsys):
-    code, out, err = _run(capsys, ["equilibrium", "--n", "3", "--sigma-u", "1e160"])
-    assert (code, out) == (2, "")
-    assert "error: sigma_u must be at most 6.704e+153 (sigma_u**2 <= float max / 4)" in err
-    # Just inside the bound every command answers.
-    inside = ["--n", "3", "--sigma-u", "6.70e153"]
-    code, out, _ = _run(capsys, ["equilibrium", *inside])
-    result = loads_report(out)["result"]
-    assert code == 0 and result["recursion_check"]["ok"] is True
-    assert np.all(np.isfinite(result["beta"]))
-    for argv in (["stability"], ["perturb"], ["tables", "--which", "key-results"],
-                 ["jacobian", "--closed-form"]):
-        assert _run(capsys, [*argv, *inside])[0] == 0, argv
+    # sigma_u has no ceiling of its own.  The core runs in unit parameters,
+    # so where sigma_u**2 overflows, every command whose answer does not
+    # carry the scale still answers; the simulated path moments, which do,
+    # overflow.
+    for sigma_u in ("1e160", "1e300"):
+        scale = ["--n", "3", "--sigma-u", sigma_u]
+        code, out, _ = _run(capsys, ["equilibrium", *scale])
+        result = loads_report(out)["result"]
+        assert code == 0 and result["recursion_check"]["ok"] is True
+        assert np.all(np.isfinite(result["beta"]))
+        code, out, _ = _run(capsys, ["stability", *scale])
+        assert code == 0 and loads_report(out)["result"]["classification"] == "repellent"
+        for argv in (["stability", "--operator", "maker"], ["perturb"], ["perturb", "--battery"],
+                     ["tables", "--which", "key-results"], ["jacobian"],
+                     ["jacobian", "--closed-form"]):
+            assert _run(capsys, [*argv, *scale])[0] == 0, (argv, sigma_u)
+        code, out, err = _run(capsys, ["simulate", *scale, "--paths", "1000"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: path moments overflow float range: parameters too large to simulate\n"
+        )
 
 
 def test_simulate_rejects_overflowing_moments(capsys):

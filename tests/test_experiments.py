@@ -11,6 +11,7 @@ from kyle_stability import (
     eigenvalue_table,
     key_results_table,
     perturbation_battery,
+    pinned_coordinate_derivative,
     variance_perturbation_experiment,
 )
 
@@ -64,15 +65,21 @@ def test_variance_perturbation_experiment_digits():
 
 
 def test_perturbation_battery_split():
-    params = ModelParams(n_periods=4)
-    rows = perturbation_battery(params)
-    assert [row["coord"] for row in rows] == [1, 2, 3, 4]
-    returned = {row["coord"]: row["returned"] for row in rows}
-    assert returned == {1: False, 2: False, 3: True, 4: True}
-    for row in rows:
-        if row["returned"]:
-            assert row["verdict"] == "converged"
-            assert row["distance_from_equilibrium"] <= 1e-10
+    # The exact oracle: a pinned coordinate returns to the equilibrium
+    # exactly where its map's derivative there is below 1 in modulus.
+    for n in range(3, 9):
+        params = ModelParams(n_periods=n)
+        rows = perturbation_battery(params, max_iter=1_200)
+        assert [row["coord"] for row in rows] == list(range(1, n + 1))
+        for row in rows:
+            slope = pinned_coordinate_derivative(row["coord"], params)
+            assert row["returned"] is (abs(slope) < 1.0), (n, row["coord"], slope)
+            if row["returned"]:
+                assert row["verdict"] == "converged"
+                assert row["distance_from_equilibrium"] <= 1e-10
+        if n == 4:
+            returned = {row["coord"]: row["returned"] for row in rows}
+            assert returned == {1: False, 2: False, 3: True, 4: True}
 
 
 def test_perturbation_battery_golden_rows():

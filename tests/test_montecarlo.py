@@ -44,27 +44,22 @@ def _profit_oracle(params):
     return alpha * params.sigma0 + delta_acc
 
 
-def _normals(seed, start, count, n_draws):
+def _normals(seed, chunk, count, n_draws):
     out = np.empty((n_draws, count))
-    montecarlo._block_normals(seed, start, out)
+    montecarlo._block_normals(seed, chunk, out)
     return out
 
 
 def test_block_normals_partition_invariance():
-    # Round-major: column j holds path start + j, and chunk c fills its
-    # columns row by row from its SFC64 substream.  Ranges split at chunk
-    # boundaries tile the whole range, and a range may be a view.
+    # Round-major: chunk c fills its columns row by row from its SFC64
+    # substream, spawn key (c,) under the seed, whether it is whole or the
+    # short last chunk of a run.  Another seed draws other numbers.
     chunk = montecarlo._CHUNK
-    whole = _normals(SEED, 0, 3 * chunk + 7, 5)
-    split = np.empty((5, 3 * chunk + 7))
-    montecarlo._block_normals(SEED, 0, split[:, :chunk])
-    montecarlo._block_normals(SEED, chunk, split[:, chunk : 3 * chunk])
-    montecarlo._block_normals(SEED, 3 * chunk, split[:, 3 * chunk :])
-    assert np.array_equal(whole, split)
-    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(SEED, spawn_key=(1,))))
-    assert np.array_equal(whole[:, chunk : 2 * chunk], gen.standard_normal((5, chunk)))
-    other = _normals(SEED + 1, 0, 7, 5)
-    assert not np.array_equal(whole[:, :7], other)
+    for c, count in ((1, chunk), (3, 7)):
+        seq = np.random.SeedSequence(SEED, spawn_key=(c,))
+        want = np.random.Generator(np.random.SFC64(seq)).standard_normal((5, count))
+        assert np.array_equal(_normals(SEED, c, count, 5), want)
+    assert not np.array_equal(_normals(SEED, 0, 7, 5), _normals(SEED + 1, 0, 7, 5))
 
 
 def test_block_normals_streams_are_distinct():
@@ -73,7 +68,7 @@ def test_block_normals_streams_are_distinct():
     # stream overlaps another, shifted or not.
     chunk = montecarlo._CHUNK
     first = _normals(SEED, 0, chunk, 5)
-    for other in (_normals(SEED, chunk, chunk, 5), _normals(SEED + 1, 0, chunk, 5)):
+    for other in (_normals(SEED, 1, chunk, 5), _normals(SEED + 1, 0, chunk, 5)):
         assert np.intersect1d(first, other).size == 0
 
 
@@ -82,7 +77,7 @@ def test_block_normals_are_standard_normal():
     # 1e-6: 4.89 standard errors for the mean (1/256) and the variance
     # (sqrt(2)/256), and sqrt(ln(2e6) / 2) / 256 for the Kolmogorov-Smirnov
     # statistic, by the tail bound 2 exp(-2 n d**2).
-    z = np.sort(_normals(SEED, 0, 1 << 14, 4).ravel())
+    z = np.sort(np.hstack([_normals(SEED, c, montecarlo._CHUNK, 4) for c in range(4)]).ravel())
     n = z.size
     assert abs(z.mean()) <= 4.89 / 256
     assert abs(z.var() - 1.0) <= 4.89 * math.sqrt(2.0) / 256
@@ -140,7 +135,8 @@ def test_chunk_grams_map_onto_the_path_loop_moments(n, scale):
     grams = np.empty((2, n + 3, n + 3))
     montecarlo._run_paths(config, q, 0, count, rows, products, grams)
     moments = t.T @ (grams[0] + grams[1]) @ t
-    reference = _loop_moments(config, _normals(SEED, 0, count, n + 1))
+    z = np.hstack([_normals(SEED, 0, chunk, n + 1), _normals(SEED, 1, count - chunk, n + 1)])
+    reference = _loop_moments(config, z)
     diag = np.diag(reference)
     assert np.all(np.abs(moments - reference) <= 1e-12 * np.sqrt(np.outer(diag, diag)))
 
@@ -341,8 +337,6 @@ def test_config_validation(unit_params_n3):
     with pytest.raises(ValueError):
         SimConfig(**{**good, "seed": -1})
     with pytest.raises(ValueError):
-        SimConfig(**{**good, "seed": 2**64})
-    with pytest.raises(ValueError):
         SimConfig(**{**good, "n_paths": 0})
     with pytest.raises(ValueError):
         SimConfig(**{**good, "strategy_beta": eq.beta[:2]})
@@ -356,6 +350,9 @@ def test_config_validation(unit_params_n3):
                 SimConfig(**{**good, name: not_a_count})
         accepted = SimConfig(**{**good, name: np.int64(3)})
         assert type(getattr(accepted, name)) is int and getattr(accepted, name) == 3
+    # SeedSequence takes any non-negative integer as entropy.
+    for seed in (2**64, 2**200):
+        assert SimConfig(**{**good, "seed": seed}).seed == seed
     # Too few paths for the per-period regression dof.
     with pytest.raises(ValueError):
         simulate(SimConfig(**{**good, "n_paths": 7}))
@@ -532,18 +529,16 @@ def test_simulate_draws_each_path_once_from_chunk_boundaries(monkeypatch, worker
     # at arbitrary rows would start inside a chunk and redraw its rows.
     calls = []
 
-    def spy(seed, start, out):
-        calls.append((start, out.shape[1]))
-        draw(seed, start, out)
+    def spy(seed, chunk, out):
+        calls.append((chunk, out.shape[1]))
+        draw(seed, chunk, out)
 
     draw = montecarlo._block_normals
     monkeypatch.setattr(montecarlo, "_block_normals", spy)
     monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
     simulate(_golden_n5_config(1.0))
-    assert all(start % montecarlo._CHUNK == 0 for start, _ in calls)
+    assert sorted(chunk for chunk, _ in calls) == list(range(18))
     assert sum(count for _, count in calls) == 70_001
-    ends = sorted((start, start + count) for start, count in calls)
-    assert [lo for lo, _ in ends] == [0] + [hi for _, hi in ends[:-1]]
 
 
 @pytest.mark.parametrize("block_size", [1, 10_000, 65_536])
@@ -555,10 +550,10 @@ def test_simulate_scratch_is_no_wider_than_one_chunk(monkeypatch, workers, block
     # the n + 3 rows [1 | z | profit] of one chunk.
     sizes = []
 
-    def spy(seed, start, out):
+    def spy(seed, chunk, out):
         scratch = out if out.base is None else out.base
         sizes.append((out.shape[1], scratch.size))
-        draw(seed, start, out)
+        draw(seed, chunk, out)
 
     draw = montecarlo._block_normals
     monkeypatch.setattr(montecarlo, "_block_normals", spy)

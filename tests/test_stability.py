@@ -1147,6 +1147,12 @@ def test_linearized_iteration_constant_at_fixed_point(unit_params_n3):
     assert abs(trace.limit - x_hat) <= 1e-10
 
 
+@pytest.mark.parametrize("start", [math.inf, math.nan])
+def test_linearized_iteration_rejects_a_non_finite_start(unit_params_n3, start):
+    with pytest.raises(ValueError, match="start must be finite"):
+        linearized_pinned_iteration(start, 1, unit_params_n3)
+
+
 def test_linearized_iteration_last_coordinate_one_step(unit_params_n3):
     eq = equilibrium_from_params(unit_params_n3)
     x_hat = float(eq.beta[2])
